@@ -1,6 +1,8 @@
 """Shared builders for unit and integration tests."""
 
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -10,8 +12,11 @@ from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
 from vanetsim.phy import Channel, RadioParams
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import Simulation
+from vanetsim.simulation import Simulation, run_scenario
 from vanetsim.traffic import Battery
+
+PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
+SWEEP_SEEDS = tuple(range(1, 11))
 
 
 class StubUpper:
@@ -117,3 +122,28 @@ def line_positions(n, spacing=80.0, y=100.0):
 @pytest.fixture
 def sim():
     return Simulator(seed=3)
+
+
+def csv_digest(ledger):
+    """sha256 of the run's metrics.csv bytes."""
+    return hashlib.sha256(ledger.to_csv().encode()).hexdigest()
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """Full 4-protocol x 10-seed baseline sweep.
+
+    Shared by acceptance criteria 11 and 12 and the table1 golden digests,
+    so the digests cost no extra runs.
+    """
+    config = ScenarioConfig().validate()
+    records = []
+    started = time.perf_counter()
+    for proto in PROTOCOLS:
+        for seed in SWEEP_SEEDS:
+            ledger = run_scenario(config, protocol=proto, seed=seed)
+            records.append({"protocol": proto, "seed": seed,
+                            "scenario_id": ledger.scenario_id,
+                            "totals": ledger.totals(),
+                            "digest": csv_digest(ledger)})
+    return records, time.perf_counter() - started

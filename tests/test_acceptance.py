@@ -9,7 +9,6 @@ import json
 import math
 import os
 import random
-import time
 from dataclasses import replace
 
 import pytest
@@ -22,12 +21,10 @@ from vanetsim.routing.olsr import select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation, run_scenario
 
-from conftest import MacWorld, run_static
+from conftest import PROTOCOLS, SWEEP_SEEDS as SEEDS, MacWorld, run_static
 
 BASELINE = os.path.join(os.path.dirname(vanetsim.__file__),
                         "scenarios", "table1.cfg")
-PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
-SEEDS = tuple(range(1, 11))
 
 
 def verdict(number, description, ok):
@@ -47,21 +44,6 @@ class FixedRng:
 
 
 # -- shared expensive runs -------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    """Full 4-protocol x 10-seed baseline sweep (shared by 11 and 12)."""
-    config = ScenarioConfig().validate()
-    records = []
-    started = time.perf_counter()
-    for proto in PROTOCOLS:
-        for seed in SEEDS:
-            ledger = run_scenario(config, protocol=proto, seed=seed)
-            records.append({"protocol": proto, "seed": seed,
-                            "scenario_id": ledger.scenario_id,
-                            "totals": ledger.totals()})
-    return records, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
