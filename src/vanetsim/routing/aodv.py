@@ -2,9 +2,8 @@
 
 from dataclasses import dataclass, replace
 
-from ..engine import us
-from .base import Agent, RouteEntry
-from .reactive import ReactiveDiscoveryMixin
+from .base import RouteEntry
+from .reactive import RREQ_TTL, DistanceVectorAgent
 
 RREQ_KIND = "aodv-rreq"
 RREP_KIND = "aodv-rrep"
@@ -12,12 +11,6 @@ RERR_KIND = "aodv-rerr"
 
 RREQ_BYTES = 24
 RREP_BYTES = 20
-RERR_BASE_BYTES = 8
-RERR_ENTRY_BYTES = 8
-
-DEFAULT_ROUTE_LIFETIME_S = 10.0
-DUP_CACHE_S = 15.0
-RREQ_TTL = 35
 
 
 @dataclass
@@ -39,35 +32,12 @@ class Rrep:
     hop_count: int
 
 
-@dataclass
-class Rerr:
-    unreachable: tuple  # of (dest, seq) pairs
+class AodvAgent(DistanceVectorAgent):
+    rerr_kind = RERR_KIND
 
-
-class AodvAgent(Agent, ReactiveDiscoveryMixin):
     def __init__(self, sim, node, ledger, params=None):
         super().__init__(sim, node, ledger, params)
-        self.init_discovery()
-        self.own_seq = 0
         self.rreq_counter = 0
-        self.lifetime_us = us(self.params.get(
-            "route_lifetime_s", DEFAULT_ROUTE_LIFETIME_S))
-        self.dup_cache = {}  # (orig, rreq_id) -> expiry
-
-    # -- data plane --------------------------------------------------------
-
-    def on_route_used(self, entry):
-        entry.expires_at = self.sim.now + self.lifetime_us
-
-    def on_route_miss(self, pkt, prev_hop):
-        if prev_hop is None:
-            self.miss_buffer_and_discover(pkt)
-        else:
-            # forwarding miss: report back rather than discovering on behalf
-            self.ledger.node[self.node.id].route_drops += 1
-            entry = self.table.entries.get(pkt.dst)
-            seq = entry.seq_no if entry is not None else 0
-            self._broadcast_rerr(((pkt.dst, seq),))
 
     # -- discovery ---------------------------------------------------------
 
@@ -79,7 +49,7 @@ class AodvAgent(Agent, ReactiveDiscoveryMixin):
         msg = Rreq(rreq_id=self.rreq_counter, orig=self.node.id,
                    orig_seq=self.own_seq, dest=dest, dest_seq_known=dest_seq,
                    hop_count=0, ttl=RREQ_TTL)
-        self._remember_rreq(msg.orig, msg.rreq_id)
+        self.dup_cache.add((msg.orig, msg.rreq_id))
         self.bump("rreq_sent")
         self.send_control_broadcast(RREQ_KIND, msg, RREQ_BYTES)
 
@@ -95,9 +65,9 @@ class AodvAgent(Agent, ReactiveDiscoveryMixin):
 
     def _process_rreq(self, msg, prev_hop):
         key = (msg.orig, msg.rreq_id)
-        if self._is_dup(key):
+        if key in self.dup_cache:
             return
-        self._remember_rreq(*key)
+        self.dup_cache.add(key)
         if msg.orig == self.node.id:
             return
         self.table.update_if_fresher(RouteEntry(
@@ -137,45 +107,3 @@ class AodvAgent(Agent, ReactiveDiscoveryMixin):
             return
         fwd = replace(msg, hop_count=msg.hop_count + 1)
         self.send_control_unicast(back.next_hop, RREP_KIND, fwd, RREP_BYTES)
-
-    def _process_rerr(self, msg, prev_hop):
-        mine = []
-        for dest, seq in msg.unreachable:
-            e = self.table.entries.get(dest)
-            if e is not None and e.valid and e.next_hop == prev_hop:
-                e.valid = False
-                e.seq_no = max(e.seq_no + 1, seq)
-                mine.append((dest, e.seq_no))
-        if mine:
-            self._broadcast_rerr(tuple(mine))
-
-    # -- maintenance -------------------------------------------------------
-
-    def on_link_failure(self, neighbor):
-        broken = []
-        for dest in sorted(self.table.entries):
-            e = self.table.entries[dest]
-            if e.valid and e.next_hop == neighbor:
-                e.valid = False
-                e.seq_no += 1
-                broken.append((dest, e.seq_no))
-        if broken:
-            self.bump("rerr_sent")
-            self._broadcast_rerr(tuple(broken))
-
-    def _broadcast_rerr(self, unreachable):
-        size = RERR_BASE_BYTES + RERR_ENTRY_BYTES * len(unreachable)
-        self.send_control_broadcast(RERR_KIND, Rerr(unreachable), size)
-
-    # -- duplicate cache ---------------------------------------------------
-
-    def _is_dup(self, key):
-        expiry = self.dup_cache.get(key)
-        return expiry is not None and expiry >= self.sim.now
-
-    def _remember_rreq(self, orig, rreq_id):
-        self.dup_cache[(orig, rreq_id)] = self.sim.now + us(DUP_CACHE_S)
-        if len(self.dup_cache) > 4096:
-            now = self.sim.now
-            self.dup_cache = {k: v for k, v in self.dup_cache.items()
-                              if v >= now}

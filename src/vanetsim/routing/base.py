@@ -10,6 +10,8 @@ DEFAULT_TTL = 64
 PENDING_PER_DEST = 5
 PENDING_LIFETIME_S = 10.0
 FORWARD_STAGGER_US = 2_000
+DUP_CACHE_CAP = 4096
+SWEEP_US = us(1.0)
 
 # network packet kinds
 DATA_KIND = "data"
@@ -76,9 +78,35 @@ class RoutingTable:
             return e
         return None
 
-    def valid_entries(self, now):
-        return [e for e in self.entries.values()
-                if e.valid and e.expires_at >= now]
+
+class DupCache:
+    """Recently seen flood keys, for duplicate suppression.
+
+    A key is a duplicate while its expiry is at or after the current time
+    (RFC 3561 section 6.3, RFC 3626 section 3.4). Past DUP_CACHE_CAP keys an
+    insert prunes the expired ones only, so pruning never changes a decision.
+    """
+
+    __slots__ = ("sim", "lifetime_us", "_expiry")
+
+    def __init__(self, sim, lifetime_us):
+        self.sim = sim
+        self.lifetime_us = lifetime_us
+        self._expiry = {}  # key -> expiry (us)
+
+    def __contains__(self, key):
+        expiry = self._expiry.get(key)
+        return expiry is not None and expiry >= self.sim.now
+
+    def __len__(self):
+        return len(self._expiry)
+
+    def add(self, key):
+        now = self.sim.now
+        self._expiry[key] = now + self.lifetime_us
+        if len(self._expiry) > DUP_CACHE_CAP:
+            self._expiry = {k: v for k, v in self._expiry.items()
+                            if v >= now}
 
 
 class Agent:
@@ -229,3 +257,91 @@ class Agent:
             self.handle_data(pkt, prev_hop)
         else:
             self.handle_control(pkt, prev_hop)
+
+
+class NeighborRecord:
+    __slots__ = ("status", "expires", "sym_set")
+
+    def __init__(self):
+        self.status = "heard"
+        self.expires = 0
+        self.sym_set = frozenset()  # the neighbour's own symmetric links
+
+
+class LinkStateAgent(Agent):
+    """Neighbour table, link-state store and expiry sweep (OLSR and ZRP).
+
+    Subclasses set neighbor_hold_us, fill link_state from their link
+    advertisements and rebuild routes in _recompute.
+    """
+
+    def __init__(self, sim, node, ledger, params=None):
+        super().__init__(sim, node, ledger, params)
+        self.neighbors = {}    # id -> NeighborRecord
+        self.link_state = {}   # orig -> (seq, linked frozenset, expires)
+
+    def _recompute(self):
+        raise NotImplementedError
+
+    def _heard(self, sender, sym, heard):
+        """Refresh sender's record from its HELLO or advert; return it."""
+        rec = self.neighbors.get(sender)
+        if rec is None:
+            rec = self.neighbors[sender] = NeighborRecord()
+        me = self.node.id
+        rec.expires = self.sim.now + self.neighbor_hold_us
+        rec.status = "symmetric" if me in sym or me in heard else "heard"
+        return rec
+
+    def _sym_neighbors(self):
+        return {n for n, r in self.neighbors.items()
+                if r.status == "symmetric"}
+
+    def _sym_and_heard(self):
+        """Sorted symmetric and heard-only neighbour ids, as advertised."""
+        sym = tuple(sorted(n for n, r in self.neighbors.items()
+                           if r.status == "symmetric"))
+        heard = tuple(sorted(n for n, r in self.neighbors.items()
+                             if r.status == "heard"))
+        return sym, heard
+
+    def _adjacency(self, sym, links=()):
+        """Undirected graph: this node to each of sym, every link-state
+        entry, and each extra (node, linked nodes) pair in links."""
+        adj = {}
+
+        def add_edges(a, peers):
+            for b in peers:
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+
+        add_edges(self.node.id, sym)
+        for orig, (_, linked, _) in self.link_state.items():
+            add_edges(orig, linked)
+        for a, peers in links:
+            add_edges(a, peers)
+        return adj
+
+    def _sweep(self):
+        now = self.sim.now
+        changed = False
+        for nid in sorted(self.neighbors):
+            if self.neighbors[nid].expires < now:
+                self._drop_neighbor(nid)
+                changed = True
+        for orig in sorted(self.link_state):
+            if self.link_state[orig][2] < now:
+                del self.link_state[orig]
+                changed = True
+        if changed:
+            self._recompute()
+        self.sim.schedule_after(SWEEP_US, self._sweep,
+                                kind="timer-expiry", target=self.node.id)
+
+    def _drop_neighbor(self, neighbor):
+        del self.neighbors[neighbor]
+
+    def on_link_failure(self, neighbor):
+        if neighbor in self.neighbors:
+            self._drop_neighbor(neighbor)
+            self._recompute()

@@ -2,11 +2,8 @@
 
 from dataclasses import dataclass, replace
 
-from ..engine import us
-from .base import Agent, RouteEntry
-from .reactive import ReactiveDiscoveryMixin
-from .aodv import (DEFAULT_ROUTE_LIFETIME_S, DUP_CACHE_S, RREQ_TTL,
-                   RERR_BASE_BYTES, RERR_ENTRY_BYTES)
+from .base import RouteEntry
+from .reactive import RREQ_TTL, DistanceVectorAgent
 
 RREQ_KIND = "dymo-rreq"
 RREP_KIND = "dymo-rrep"
@@ -30,7 +27,7 @@ def message_bytes(msg):
     return MSG_BASE_BYTES + ADDR_ENTRY_BYTES * len(msg.addr_list)
 
 
-class DymoAgent(Agent, ReactiveDiscoveryMixin):
+class DymoAgent(DistanceVectorAgent):
     """Timers and buffering match AODV so results isolate path accumulation.
 
     Differences from AODV: control messages carry the whole path walked so
@@ -38,26 +35,11 @@ class DymoAgent(Agent, ReactiveDiscoveryMixin):
     target answers a request (no cache replies).
     """
 
+    rerr_kind = RERR_KIND
+
     def __init__(self, sim, node, ledger, params=None):
         super().__init__(sim, node, ledger, params)
-        self.init_discovery()
-        self.own_seq = 0
         self.query_counter = 0
-        self.lifetime_us = us(self.params.get(
-            "route_lifetime_s", DEFAULT_ROUTE_LIFETIME_S))
-        self.dup_cache = {}
-
-    def on_route_used(self, entry):
-        entry.expires_at = self.sim.now + self.lifetime_us
-
-    def on_route_miss(self, pkt, prev_hop):
-        if prev_hop is None:
-            self.miss_buffer_and_discover(pkt)
-        else:
-            self.ledger.node[self.node.id].route_drops += 1
-            entry = self.table.entries.get(pkt.dst)
-            seq = entry.seq_no if entry is not None else 0
-            self._broadcast_rerr(((pkt.dst, seq),))
 
     def emit_discovery(self, dest, attempt):
         self.own_seq += 1
@@ -66,7 +48,7 @@ class DymoAgent(Agent, ReactiveDiscoveryMixin):
             kind="RREQ", orig=self.node.id, target=dest,
             query_id=(self.node.id, self.query_counter),
             addr_list=((self.node.id, self.own_seq, 0),), ttl=RREQ_TTL)
-        self._remember(msg.query_id)
+        self.dup_cache.add(msg.query_id)
         self.bump("rreq_sent")
         self.send_control_broadcast(RREQ_KIND, msg, message_bytes(msg))
 
@@ -89,9 +71,9 @@ class DymoAgent(Agent, ReactiveDiscoveryMixin):
                 dest=nid, next_hop=prev_hop, seq_no=seq, hop_count=n - i,
                 expires_at=self.sim.now + self.lifetime_us))
         if msg.kind == "RREQ":
-            if self._is_dup(msg.query_id):
+            if msg.query_id in self.dup_cache:
                 return
-            self._remember(msg.query_id)
+            self.dup_cache.add(msg.query_id)
             if msg.target == me:
                 self.own_seq += 1
                 reply = DymoRouteMessage(
@@ -123,41 +105,3 @@ class DymoAgent(Agent, ReactiveDiscoveryMixin):
                           addr_list=msg.addr_list + ((me, self.own_seq, n),))
             self.send_control_unicast(back.next_hop, RREP_KIND, fwd,
                                       message_bytes(fwd))
-
-    def _process_rerr(self, msg, prev_hop):
-        mine = []
-        for dest, seq in msg:
-            e = self.table.entries.get(dest)
-            if e is not None and e.valid and e.next_hop == prev_hop:
-                e.valid = False
-                e.seq_no = max(e.seq_no + 1, seq)
-                mine.append((dest, e.seq_no))
-        if mine:
-            self._broadcast_rerr(tuple(mine))
-
-    def on_link_failure(self, neighbor):
-        broken = []
-        for dest in sorted(self.table.entries):
-            e = self.table.entries[dest]
-            if e.valid and e.next_hop == neighbor:
-                e.valid = False
-                e.seq_no += 1
-                broken.append((dest, e.seq_no))
-        if broken:
-            self.bump("rerr_sent")
-            self._broadcast_rerr(tuple(broken))
-
-    def _broadcast_rerr(self, unreachable):
-        size = RERR_BASE_BYTES + RERR_ENTRY_BYTES * len(unreachable)
-        self.send_control_broadcast(RERR_KIND, unreachable, size)
-
-    def _is_dup(self, key):
-        expiry = self.dup_cache.get(key)
-        return expiry is not None and expiry >= self.sim.now
-
-    def _remember(self, key):
-        self.dup_cache[key] = self.sim.now + us(DUP_CACHE_S)
-        if len(self.dup_cache) > 4096:
-            now = self.sim.now
-            self.dup_cache = {k: v for k, v in self.dup_cache.items()
-                              if v >= now}

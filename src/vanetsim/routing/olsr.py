@@ -3,7 +3,7 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import Agent, RouteEntry
+from .base import SWEEP_US, DupCache, LinkStateAgent, RouteEntry
 
 HELLO_KIND = "olsr-hello"
 TC_KIND = "olsr-tc"
@@ -15,6 +15,7 @@ DEFAULT_HELLO_S = 2.0
 DEFAULT_TC_S = 5.0
 HOLD_FACTOR = 3
 TC_TTL = 255
+DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
 
 # Deterministic start staggering: nodes do not boot in phase, and phase
 # separation keeps periodic frames from colliding by construction.
@@ -67,17 +68,7 @@ def select_mprs(coverage, degree=None):
     return mprs
 
 
-class NeighborRecord:
-    __slots__ = ("status", "expires", "sym_set", "mprs")
-
-    def __init__(self):
-        self.status = "heard"
-        self.expires = 0
-        self.sym_set = frozenset()
-        self.mprs = frozenset()
-
-
-class OlsrAgent(Agent):
+class OlsrAgent(LinkStateAgent):
     def __init__(self, sim, node, ledger, params=None):
         super().__init__(sim, node, ledger, params)
         self.hello_us = us(self.params.get("hello_interval_s",
@@ -85,13 +76,11 @@ class OlsrAgent(Agent):
         self.tc_us = us(self.params.get("tc_interval_s", DEFAULT_TC_S))
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
         self.topo_hold_us = HOLD_FACTOR * self.tc_us
-        self.neighbors = {}       # id -> NeighborRecord
         self.mpr_set = set()
         self.mpr_selector_set = set()
-        self.topology = {}        # orig -> (ansn, advertised set, expires)
         self.ansn = 0
         self.tc_counter = 0
-        self.tc_seen = set()
+        self.tc_seen = DupCache(sim, us(DUP_HOLD_S))
 
     def start(self):
         phase = self.node.id * PHASE_STEP_US
@@ -99,16 +88,13 @@ class OlsrAgent(Agent):
                                 kind="timer-expiry", target=self.node.id)
         self.sim.schedule_after(phase + self.hello_us // 2, self._tc_tick,
                                 kind="timer-expiry", target=self.node.id)
-        self.sim.schedule_after(us(1.0), self._sweep,
+        self.sim.schedule_after(SWEEP_US, self._sweep,
                                 kind="timer-expiry", target=self.node.id)
 
     # -- periodic emission -------------------------------------------------
 
     def _hello_tick(self):
-        sym = tuple(sorted(n for n, r in self.neighbors.items()
-                           if r.status == "symmetric"))
-        heard = tuple(sorted(n for n, r in self.neighbors.items()
-                             if r.status == "heard"))
+        sym, heard = self._sym_and_heard()
         msg = Hello(self.node.id, sym, heard, tuple(sorted(self.mpr_set)))
         size = MSG_BASE_BYTES + ADDR_BYTES * (len(sym) + len(heard)
                                               + len(msg.mprs))
@@ -130,23 +116,6 @@ class OlsrAgent(Agent):
         self.sim.schedule_after(self.tc_us, self._tc_tick,
                                 kind="timer-expiry", target=self.node.id)
 
-    def _sweep(self):
-        now = self.sim.now
-        changed = False
-        for nid in sorted(self.neighbors):
-            if self.neighbors[nid].expires < now:
-                del self.neighbors[nid]
-                self.mpr_selector_set.discard(nid)
-                changed = True
-        for orig in sorted(self.topology):
-            if self.topology[orig][2] < now:
-                del self.topology[orig]
-                changed = True
-        if changed:
-            self._recompute()
-        self.sim.schedule_after(us(1.0), self._sweep,
-                                kind="timer-expiry", target=self.node.id)
-
     # -- control plane -----------------------------------------------------
 
     def handle_control(self, pkt, prev_hop):
@@ -156,16 +125,9 @@ class OlsrAgent(Agent):
             self._process_tc(pkt.payload, prev_hop)
 
     def _process_hello(self, msg):
-        me = self.node.id
-        rec = self.neighbors.get(msg.sender)
-        if rec is None:
-            rec = self.neighbors[msg.sender] = NeighborRecord()
-        rec.expires = self.sim.now + self.neighbor_hold_us
+        rec = self._heard(msg.sender, msg.sym, msg.heard)
         rec.sym_set = frozenset(msg.sym)
-        rec.mprs = frozenset(msg.mprs)
-        rec.status = ("symmetric" if me in msg.sym or me in msg.heard
-                      else "heard")
-        selected = me in msg.mprs
+        selected = self.node.id in msg.mprs
         was = msg.sender in self.mpr_selector_set
         if selected and not was:
             self.mpr_selector_set.add(msg.sender)
@@ -181,13 +143,11 @@ class OlsrAgent(Agent):
         if msg.tc_id in self.tc_seen:
             return
         self.tc_seen.add(msg.tc_id)
-        if len(self.tc_seen) > 8192:
-            self.tc_seen = set(sorted(self.tc_seen)[-4096:])
-        current = self.topology.get(msg.orig)
+        current = self.link_state.get(msg.orig)
         if current is not None and current[0] > msg.ansn:
             return  # stale advertised-neighbor sequence number
-        self.topology[msg.orig] = (msg.ansn, frozenset(msg.advertised),
-                                   self.sim.now + self.topo_hold_us)
+        self.link_state[msg.orig] = (msg.ansn, frozenset(msg.advertised),
+                                     self.sim.now + self.topo_hold_us)
         self._recompute()
         if prev_hop in self.mpr_selector_set and msg.ttl > 1:
             self.bump("tc_forwarded")
@@ -196,10 +156,6 @@ class OlsrAgent(Agent):
             self.forward_control_broadcast(TC_KIND, fwd, size)
 
     # -- route computation -------------------------------------------------
-
-    def _sym_neighbors(self):
-        return {n for n, r in self.neighbors.items()
-                if r.status == "symmetric"}
 
     def _recompute(self):
         me = self.node.id
@@ -216,20 +172,8 @@ class OlsrAgent(Agent):
     def _compute_routes(self):
         me = self.node.id
         sym = self._sym_neighbors()
-        adj = {}
-
-        def add_edge(a, b):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-
-        for n in sym:
-            add_edge(me, n)
-            for x in self.neighbors[n].sym_set:
-                if x != me:
-                    add_edge(n, x)
-        for orig, (_, advertised, _) in self.topology.items():
-            for dest in advertised:
-                add_edge(orig, dest)
+        adj = self._adjacency(
+            sym, ((n, self.neighbors[n].sym_set) for n in sym))
         # hop-count shortest paths, lower-id first hop on ties
         table = {}
         dist = {me: 0}
@@ -256,8 +200,8 @@ class OlsrAgent(Agent):
                                      expires_at=expires)
         self.table.entries = table
 
-    def on_link_failure(self, neighbor):
-        rec = self.neighbors.pop(neighbor, None)
+    # -- maintenance -------------------------------------------------------
+
+    def _drop_neighbor(self, neighbor):
+        super()._drop_neighbor(neighbor)
         self.mpr_selector_set.discard(neighbor)
-        if rec is not None:
-            self._recompute()

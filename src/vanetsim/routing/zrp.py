@@ -3,8 +3,8 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import Agent, RouteEntry
-from .reactive import ReactiveDiscoveryMixin
+from .base import SWEEP_US, DupCache, LinkStateAgent, RouteEntry
+from .reactive import DUP_CACHE_S, ReactiveDiscoveryMixin
 
 ADVERT_KIND = "zrp-iarp"
 QUERY_KIND = "zrp-ierp-query"
@@ -19,7 +19,6 @@ DEFAULT_IARP_S = 3.0
 HOLD_FACTOR = 3
 MAX_BORDERCAST_STAGES = 8
 PHASE_STEP_US = 10_000
-DUP_CACHE_S = 15.0
 
 
 @dataclass
@@ -56,7 +55,7 @@ class IerpError:
     route: tuple
 
 
-class ZrpAgent(Agent, ReactiveDiscoveryMixin):
+class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
     def __init__(self, sim, node, ledger, params=None):
         super().__init__(sim, node, ledger, params)
         self.init_discovery()
@@ -64,30 +63,25 @@ class ZrpAgent(Agent, ReactiveDiscoveryMixin):
         if self.radius < 1:
             raise ValueError("zone radius must be >= 1")
         self.iarp_us = us(self.params.get("iarp_interval_s", DEFAULT_IARP_S))
-        self.hold_us = HOLD_FACTOR * self.iarp_us
-        self.neighbors = {}      # id -> {"status", "expires"}
-        self.link_state = {}     # orig -> (seq, sym frozenset, expires)
+        self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us
         self.zone_paths = {}     # dest (<= rho hops) -> full path tuple
         self.peripheral_set = set()
         self.adv_counter = 0
         self.query_counter = 0
-        self.adv_seen = {}
-        self.query_seen = {}
+        self.adv_seen = DupCache(sim, us(DUP_CACHE_S))
+        self.query_seen = DupCache(sim, us(DUP_CACHE_S))
 
     def start(self):
         phase = self.node.id * PHASE_STEP_US
         self.sim.schedule_after(phase, self._advert_tick,
                                 kind="timer-expiry", target=self.node.id)
-        self.sim.schedule_after(us(1.0), self._sweep,
+        self.sim.schedule_after(SWEEP_US, self._sweep,
                                 kind="timer-expiry", target=self.node.id)
 
     # -- IARP: intrazone link state ---------------------------------------
 
     def _advert_tick(self):
-        sym = tuple(sorted(n for n, r in self.neighbors.items()
-                           if r["status"] == "symmetric"))
-        heard = tuple(sorted(n for n, r in self.neighbors.items()
-                             if r["status"] == "heard"))
+        sym, heard = self._sym_and_heard()
         self.adv_counter += 1
         # A node at distance rho-1 advertising its links reveals the nodes
         # at distance rho, so adverts only need to travel rho-1 hops.
@@ -99,41 +93,20 @@ class ZrpAgent(Agent, ReactiveDiscoveryMixin):
         self.sim.schedule_after(self.iarp_us, self._advert_tick,
                                 kind="timer-expiry", target=self.node.id)
 
-    def _sweep(self):
-        now = self.sim.now
-        changed = False
-        for nid in sorted(self.neighbors):
-            if self.neighbors[nid]["expires"] < now:
-                del self.neighbors[nid]
-                changed = True
-        for orig in sorted(self.link_state):
-            if self.link_state[orig][2] < now:
-                del self.link_state[orig]
-                changed = True
-        if changed:
-            self._recompute_zone()
-        self.sim.schedule_after(us(1.0), self._sweep,
-                                kind="timer-expiry", target=self.node.id)
-
     def _process_advert(self, msg, prev_hop):
-        me = self.node.id
-        if msg.orig == me:
+        if msg.orig == self.node.id:
             return
         if msg.hops == 0 and prev_hop == msg.orig:
-            rec = self.neighbors.setdefault(
-                msg.orig, {"status": "heard", "expires": 0})
-            rec["expires"] = self.sim.now + self.hold_us
-            rec["status"] = ("symmetric"
-                             if me in msg.sym or me in msg.heard else "heard")
+            self._heard(msg.orig, msg.sym, msg.heard)
         key = (msg.orig, msg.seq)
-        if self.adv_seen.get(key, -1) >= self.sim.now:
+        if key in self.adv_seen:
             return
-        self.adv_seen[key] = self.sim.now + us(DUP_CACHE_S)
+        self.adv_seen.add(key)
         current = self.link_state.get(msg.orig)
         if current is None or msg.seq >= current[0]:
             self.link_state[msg.orig] = (msg.seq, frozenset(msg.sym),
-                                         self.sim.now + self.hold_us)
-        self._recompute_zone()
+                                         self.sim.now + self.neighbor_hold_us)
+        self._recompute()
         if msg.ttl > 1:
             fwd = replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
             size = MSG_BASE_BYTES + ADDR_BYTES * (len(fwd.sym)
@@ -141,21 +114,9 @@ class ZrpAgent(Agent, ReactiveDiscoveryMixin):
             self.bump("iarp_forwarded")
             self.forward_control_broadcast(ADVERT_KIND, fwd, size)
 
-    def _recompute_zone(self):
+    def _recompute(self):
         me = self.node.id
-        sym = {n for n, r in self.neighbors.items()
-               if r["status"] == "symmetric"}
-        adj = {}
-
-        def add_edge(a, b):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-
-        for n in sym:
-            add_edge(me, n)
-        for orig, (_, links, _) in self.link_state.items():
-            for x in links:
-                add_edge(orig, x)
+        adj = self._adjacency(self._sym_neighbors())
         paths = {me: (me,)}
         frontier = [me]
         depth = 0
@@ -244,9 +205,9 @@ class ZrpAgent(Agent, ReactiveDiscoveryMixin):
                 MSG_BASE_BYTES + ADDR_BYTES * len(fwd.route_so_far), ttl=4)
             return
         # bordercast endpoint
-        if self.query_seen.get(msg.query_id, -1) >= self.sim.now:
+        if msg.query_id in self.query_seen:
             return
-        self.query_seen[msg.query_id] = self.sim.now + us(DUP_CACHE_S)
+        self.query_seen.add(msg.query_id)
         here = msg.route_so_far + (me,)
         self.bump("ierp_stage_seen_%d" % msg.stage)
         path = self.zone_paths.get(msg.dest)
@@ -293,10 +254,7 @@ class ZrpAgent(Agent, ReactiveDiscoveryMixin):
     # -- maintenance -------------------------------------------------------
 
     def on_link_failure(self, neighbor):
-        if neighbor in self.neighbors:
-            del self.neighbors[neighbor]
-            self._recompute_zone()
-        me = self.node.id
+        super().on_link_failure(neighbor)
         for dest in sorted(self.table.entries):
             e = self.table.entries[dest]
             if e.valid and e.next_hop == neighbor:

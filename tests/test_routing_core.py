@@ -1,9 +1,13 @@
-"""Route table freshness rules, packets, and the pending-packet buffer."""
+"""Route table freshness rules, packets, the pending-packet buffer and the
+duplicate cache."""
 
 from vanetsim.engine import Simulator, us
+from vanetsim.mac import BROADCAST
 from vanetsim.metrics import MetricsLedger
-from vanetsim.routing.base import (Agent, Packet, RouteEntry, RoutingTable,
-                                   PENDING_PER_DEST)
+from vanetsim.routing.base import (DUP_CACHE_CAP, Agent, DupCache, Packet,
+                                   RouteEntry, RoutingTable, PENDING_PER_DEST)
+from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
+                                   OlsrAgent, TcMessage)
 
 
 def entry(dest=5, next_hop=1, seq=1, hops=2, expires=10_000_000, valid=True):
@@ -116,3 +120,64 @@ def test_data_ttl_exhaustion_drops():
     sim, ledger, agent = make_agent()
     agent.handle_data(Packet(src=1, dst=9, ttl=1), prev_hop=1)
     assert ledger.node[0].route_drops == 1
+
+
+def test_dup_cache_key_is_a_duplicate_until_its_expiry_passes():
+    sim = Simulator(seed=1)
+    cache = DupCache(sim, lifetime_us=100)
+    cache.add("k")
+    sim.run_until(100)
+    assert "k" in cache  # expiry == now
+    sim.run_until(101)
+    assert "k" not in cache
+    assert "other" not in cache
+
+
+def test_dup_cache_prune_past_cap_drops_only_expired_keys():
+    sim = Simulator(seed=1)
+    cache = DupCache(sim, lifetime_us=100)
+    for i in range(DUP_CACHE_CAP // 2):
+        cache.add(("old", i))
+    sim.run_until(150)
+    for i in range(DUP_CACHE_CAP // 2 + 1):
+        cache.add(("new", i))
+    assert len(cache) == DUP_CACHE_CAP // 2 + 1
+    assert all(("new", i) in cache for i in range(DUP_CACHE_CAP // 2 + 1))
+    sim.run_until(250)  # new keys still live: prune cannot drop them
+    for i in range(DUP_CACHE_CAP):
+        cache.add(("newer", i))
+    assert len(cache) == DUP_CACHE_CAP + DUP_CACHE_CAP // 2 + 1
+    assert ("new", 0) in cache
+
+
+class RecordingMac:
+    def __init__(self):
+        self.sent = []
+
+    def enqueue(self, dst, packet, payload_bytes):
+        self.sent.append(packet)
+
+
+def test_olsr_suppresses_newest_low_originator_tc_after_8192_others():
+    # A sort-ordered trim kept the highest (orig, counter) keys, forgetting
+    # the newest TC of a low-id originator and relaying its copy again.
+    sim = Simulator(seed=1)
+    node = Shell()
+    node.mac = RecordingMac()
+    agent = OlsrAgent(sim, node, MetricsLedger(node_ids=[0], session_ids=[]))
+    hello = Hello(sender=5, sym=(0,), heard=(), mprs=(0,))
+    agent.on_receive(Packet(src=5, dst=BROADCAST, kind=HELLO_KIND,
+                            payload=hello), prev_hop=5)
+
+    def tc(orig, counter):
+        msg = TcMessage(orig=orig, ansn=0, advertised=(),
+                        tc_id=(orig, counter), ttl=TC_TTL)
+        return Packet(src=5, dst=BROADCAST, kind=TC_KIND, payload=msg)
+
+    for counter in range(8192):
+        agent.on_receive(tc(1000, counter), prev_hop=5)
+    agent.on_receive(tc(1, 0), prev_hop=5)
+    relayed = agent.stats["tc_forwarded"]
+    assert relayed == 8193
+    agent.on_receive(tc(1, 0), prev_hop=5)
+    assert agent.stats["tc_forwarded"] == relayed

@@ -2,6 +2,7 @@
 
 import pytest
 
+from vanetsim.routing.base import DUP_CACHE_CAP
 from vanetsim.scenario import ScenarioError
 from conftest import line_positions, make_static_config, run_static
 
@@ -92,3 +93,14 @@ def test_advert_only_travels_radius_minus_one_hops():
         assert node.agent.stats.get("iarp_forwarded", 0) == 0
     # yet full radius-2 zone knowledge exists (checked above); sanity:
     assert set(s.nodes[0].agent.zone_paths) == {1, 2}
+
+
+def test_advert_cache_stays_bounded_on_a_long_run():
+    # A 20-node clique advertising every 0.5 s inserts ~38 keys/s per node,
+    # well past the cache cap over 150 s.
+    positions = {i: (100.0 + 10.0 * (i % 5), 100.0 + 10.0 * (i // 5))
+                 for i in range(20)}
+    s = run_static(positions, protocol="zrp", sim_time_s=150.0,
+                   iarp_interval_s=0.5)
+    for node in s.nodes.values():
+        assert len(node.agent.adv_seen) <= DUP_CACHE_CAP + 1
