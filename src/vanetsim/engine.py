@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import itertools
 import random
 
 US_PER_S = 1_000_000
@@ -65,6 +66,8 @@ class Simulator:
         self._heap = []
         self._seq = 0
         self.trace = None  # list of trace records when enabled
+        # MAC frame ids: unique within the run, whatever ran before it
+        self.next_frame_id = itertools.count(1).__next__
 
     def schedule_at(self, fire_at, fn, kind="timer", target="world"):
         if fire_at < self.now:

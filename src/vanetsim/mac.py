@@ -86,8 +86,6 @@ class DcfMac:
     single contention-gated transmission with no control frames.
     """
 
-    _frame_ids = iter(range(1, 1 << 62)).__next__
-
     def __init__(self, sim, node, channel, timings, radio, rng, counters):
         self.sim = sim
         self.node = node
@@ -129,7 +127,7 @@ class DcfMac:
             self.counters.queue_drops += 1
             return
         self.queue.append(
-            PendingFrame(dst, packet, payload_bytes, DcfMac._frame_ids()))
+            PendingFrame(dst, packet, payload_bytes, self.sim.next_frame_id()))
         if self.current is None and not self._contending:
             self._serve_next()
 

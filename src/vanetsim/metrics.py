@@ -1,6 +1,6 @@
 """Counter ledger, canonical snapshots, and cross-run ranking."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 NODE_COUNTERS = (
     "dcf_broadcasts_sent",
@@ -82,35 +82,20 @@ class MetricsLedger:
         rows = []
         for nid in sorted(self.node):
             c = self.node[nid]
-            fields = {
-                "dcf_broadcasts_sent": c.dcf_broadcasts_sent,
-                "dcf_broadcasts_received": c.dcf_broadcasts_received,
-                "mac_packets_from_network": c.mac_packets_from_network,
-                "signals_received_without_errors":
-                    c.signals_received_without_errors,
-                "signals_received_with_errors":
-                    c.signals_received_with_errors,
-                "mac_unicast_drops": c.mac_unicast_drops,
-                "queue_drops": c.queue_drops,
-                "route_drops": c.route_drops,
-                "residual_battery_mah": c.residual_battery_mah,
-                "tx_time_us": c.tx_time_us,
-                "rx_time_us": c.rx_time_us,
-                "idle_time_us": c.idle_time_us,
-            }
-            for metric in sorted(fields):
-                rows.append(("node", str(nid), metric, _fmt(fields[metric])))
+            for metric in sorted(f.name for f in fields(c)):
+                rows.append(("node", str(nid), metric,
+                             _fmt(getattr(c, metric))))
         for sid in sorted(self.session):
             s = self.session[sid]
-            fields = {
+            values = {
                 "app_sent": s.app_sent,
                 "app_received": s.app_received,
                 "mean_delay_us": s.mean_delay_us,
                 "max_delay_us": s.delay_max_us,
             }
-            for metric in sorted(fields):
+            for metric in sorted(values):
                 rows.append(("session", str(sid), metric,
-                             _fmt(fields[metric])))
+                             _fmt(values[metric])))
         run_fields = {
             "protocol": self.protocol,
             "seed": _fmt(self.seed),

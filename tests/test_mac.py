@@ -5,7 +5,7 @@ from vanetsim.engine import SimulationError
 
 import pytest
 
-from conftest import MacWorld
+from conftest import MacWorld, line_positions, run_static
 
 
 class FixedRng:
@@ -233,3 +233,11 @@ def test_timing_invariants():
         MacTimings(slot_us=20, sifs_us=10, difs_us=40)
     with pytest.raises(ValueError):
         MacTimings(cw_min=1023, cw_max=1023)
+
+
+def test_trace_does_not_depend_on_an_earlier_run():
+    # Frame ids come from the run's own simulator, not a process-wide count.
+    traces = [run_static(line_positions(4), sessions=[(0, 3)],
+                         sim_time_s=5.0, trace=True).sim.trace
+              for _ in range(2)]
+    assert traces[0] and traces[0] == traces[1]
