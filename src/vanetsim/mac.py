@@ -19,6 +19,12 @@ CONTEND = "CONTEND"
 WAIT_CTS = "WAIT_CTS"
 WAIT_ACK = "WAIT_ACK"
 
+# Frame sizes in bytes (MAC header + FCS for DATA)
+DATA_HEADER_BYTES = 34
+RTS_BYTES = 20
+CTS_BYTES = 14
+ACK_BYTES = 14
+
 
 @dataclass
 class MacFrame:
@@ -44,28 +50,6 @@ class MacFrame:
         return (self.header_bytes + self.payload_bytes) * 8
 
 
-@dataclass
-class MacTimings:
-    slot_us: int = 20
-    sifs_us: int = 10
-    difs_us: int = 50
-    cw_min: int = 31
-    cw_max: int = 1023
-    rts_threshold_bytes: int = 256
-    retry_limit: int = 7
-    queue_depth: int = 50
-    data_header_bytes: int = 34
-    rts_bytes: int = 20
-    cts_bytes: int = 14
-    ack_bytes: int = 14
-
-    def __post_init__(self):
-        if self.difs_us != self.sifs_us + 2 * self.slot_us:
-            raise ValueError("DIFS must equal SIFS + 2*slot")
-        if self.cw_min >= self.cw_max:
-            raise ValueError("cw_min must be below cw_max")
-
-
 class PendingFrame:
     """A network packet waiting for (or undergoing) MAC service."""
 
@@ -86,19 +70,18 @@ class DcfMac:
     single contention-gated transmission with no control frames.
     """
 
-    def __init__(self, sim, node, channel, timings, radio, rng, counters):
+    def __init__(self, sim, node, channel, config, rng, counters):
         self.sim = sim
         self.node = node
         self.channel = channel
-        self.t = timings
-        self.radio = radio
+        self.config = config
         self.rng = rng
         self.counters = counters
         self.upper = None  # routing agent, set by the node wiring
 
         self.queue = deque()
         self.phase = IDLE
-        self.cw = timings.cw_min
+        self.cw = config.cw_min
         self.retry = 0
         self.backoff_slots = None
         self.nav_until = 0
@@ -115,15 +98,15 @@ class DcfMac:
         self._seen_order = deque()
         self.cw_log = None  # populated only when tracing
 
-        self._cts_air = airtime_us(timings.cts_bytes * 8, radio)
-        self._ack_air = airtime_us(timings.ack_bytes * 8, radio)
+        self._cts_air = airtime_us(CTS_BYTES * 8, config)
+        self._ack_air = airtime_us(ACK_BYTES * 8, config)
 
     # -- upper interface ---------------------------------------------------
 
     def enqueue(self, dst, packet, payload_bytes):
         """Admit a network packet for transmission (FIFO, bounded queue)."""
         self.counters.mac_packets_from_network += 1
-        if len(self.queue) >= self.t.queue_depth:
+        if len(self.queue) >= self.config.queue_depth:
             self.counters.queue_drops += 1
             return
         self.queue.append(
@@ -172,7 +155,8 @@ class DcfMac:
             if self._contending:
                 self._ensure_backoff_drawn()  # post-busy rule
         if self._backoff_timer is not None:
-            elapsed = (self.sim.now - self._backoff_started) // self.t.slot_us
+            elapsed = ((self.sim.now - self._backoff_started)
+                       // self.config.slot_us)
             self.backoff_slots -= elapsed
             self.sim.cancel(self._backoff_timer)
             self._backoff_timer = None
@@ -190,7 +174,7 @@ class DcfMac:
             return
         if self._difs_timer is None and self._backoff_timer is None:
             self._difs_timer = self.sim.schedule_after(
-                self.t.difs_us, self._difs_done,
+                self.config.difs_us, self._difs_done,
                 kind="timer-expiry", target=self.node.id)
 
     def _nav_expired(self):
@@ -211,7 +195,7 @@ class DcfMac:
         if self.backoff_slots:
             self._backoff_started = self.sim.now
             self._backoff_timer = self.sim.schedule_after(
-                self.backoff_slots * self.t.slot_us, self._backoff_done,
+                self.backoff_slots * self.config.slot_us, self._backoff_done,
                 kind="timer-expiry", target=self.node.id)
         else:
             self._transmit_attempt()
@@ -231,7 +215,7 @@ class DcfMac:
         cur = self.current
         if cur.dst == BROADCAST:
             frame = MacFrame(DATA, self.node.id, BROADCAST, 0,
-                             self.t.data_header_bytes, cur.packet,
+                             DATA_HEADER_BYTES, cur.packet,
                              cur.payload_bytes, cur.frame_id)
             end = self.channel.transmit(self.node, frame)
             if end is None:
@@ -242,19 +226,20 @@ class DcfMac:
                                  kind="tx-end", target=self.node.id)
             return
         data_air = airtime_us(
-            (self.t.data_header_bytes + cur.payload_bytes) * 8, self.radio)
-        if cur.payload_bytes >= self.t.rts_threshold_bytes:
-            duration = (3 * self.t.sifs_us + self._cts_air + data_air
+            (DATA_HEADER_BYTES + cur.payload_bytes) * 8, self.config)
+        if cur.payload_bytes >= self.config.rts_threshold_bytes:
+            duration = (3 * self.config.sifs_us + self._cts_air + data_air
                         + self._ack_air)
             frame = MacFrame(RTS, self.node.id, cur.dst, duration,
-                             self.t.rts_bytes, None, 0, cur.frame_id)
+                             RTS_BYTES, None, 0, cur.frame_id)
             end = self.channel.transmit(self.node, frame)
             if end is None:
                 self._drop_current(notify=False)
                 return
             self.phase = WAIT_CTS
             self._timeout_timer = self.sim.schedule_at(
-                end + self.t.sifs_us + self._cts_air + self.t.slot_us,
+                end + self.config.sifs_us + self._cts_air
+                + self.config.slot_us,
                 self._exchange_timeout, kind="timer-expiry",
                 target=self.node.id)
         else:
@@ -265,10 +250,10 @@ class DcfMac:
         if cur is None:
             return
         data_air = airtime_us(
-            (self.t.data_header_bytes + cur.payload_bytes) * 8, self.radio)
-        duration = self.t.sifs_us + self._ack_air
+            (DATA_HEADER_BYTES + cur.payload_bytes) * 8, self.config)
+        duration = self.config.sifs_us + self._ack_air
         frame = MacFrame(DATA, self.node.id, cur.dst, duration,
-                         self.t.data_header_bytes, cur.packet,
+                         DATA_HEADER_BYTES, cur.packet,
                          cur.payload_bytes, cur.frame_id)
         end = self.channel.transmit(self.node, frame)
         if end is None:
@@ -276,7 +261,7 @@ class DcfMac:
             return
         self.phase = WAIT_ACK
         self._timeout_timer = self.sim.schedule_at(
-            end + self.t.sifs_us + self._ack_air + self.t.slot_us,
+            end + self.config.sifs_us + self._ack_air + self.config.slot_us,
             self._exchange_timeout, kind="timer-expiry", target=self.node.id)
 
     def _broadcast_done(self):
@@ -288,10 +273,10 @@ class DcfMac:
     def _exchange_timeout(self):
         self._timeout_timer = None
         self.retry += 1
-        self.cw = min(2 * (self.cw + 1) - 1, self.t.cw_max)
+        self.cw = min(2 * (self.cw + 1) - 1, self.config.cw_max)
         if self.cw_log is not None:
             self.cw_log.append(self.cw)
-        if self.retry > self.t.retry_limit:
+        if self.retry > self.config.retry_limit:
             self.counters.mac_unicast_drops += 1
             self._drop_current(notify=True)
         else:
@@ -302,7 +287,7 @@ class DcfMac:
         failed = self.current
         self.current = None
         self.phase = IDLE
-        self.cw = self.t.cw_min
+        self.cw = self.config.cw_min
         self.retry = 0
         self._post_tx = True
         if notify and self.upper is not None:
@@ -316,7 +301,7 @@ class DcfMac:
         done = self.current
         self.current = None
         self.phase = IDLE
-        self.cw = self.t.cw_min
+        self.cw = self.config.cw_min
         if self.cw_log is not None:
             self.cw_log.append(self.cw)
         self.retry = 0
@@ -349,20 +334,21 @@ class DcfMac:
         if frame.kind == RTS:
             if now >= self.nav_until:
                 cts = MacFrame(CTS, self.node.id, frame.src,
-                               max(frame.duration_us - self.t.sifs_us
+                               max(frame.duration_us - self.config.sifs_us
                                    - self._cts_air, 0),
-                               self.t.cts_bytes)
+                               CTS_BYTES)
                 self._schedule_response(cts)
         elif frame.kind == CTS:
             if self.phase == WAIT_CTS and self.current is not None \
                     and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
                 self._timeout_timer = None
-                self.sim.schedule_after(self.t.sifs_us, self._send_data_stage,
+                self.sim.schedule_after(self.config.sifs_us,
+                                        self._send_data_stage,
                                         kind="timer-expiry",
                                         target=self.node.id)
         elif frame.kind == DATA:
-            ack = MacFrame(ACK, self.node.id, frame.src, 0, self.t.ack_bytes)
+            ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
             self._schedule_response(ack)
             if frame.frame_id not in self._seen_ids:
                 self._remember(frame.frame_id)
@@ -374,7 +360,7 @@ class DcfMac:
                 self._exchange_success()
 
     def _schedule_response(self, frame):
-        self.sim.schedule_after(self.t.sifs_us,
+        self.sim.schedule_after(self.config.sifs_us,
                                 lambda: self._send_response(frame),
                                 kind="timer-expiry", target=self.node.id)
 

@@ -1,7 +1,6 @@
 """Radio channel: two-ray path loss, airtime, collisions, carrier sense."""
 
 import math
-from dataclasses import dataclass
 
 from .engine import SimulationError
 
@@ -11,57 +10,40 @@ SPEED_OF_LIGHT = 299_792_458.0
 # range gate still uses the true distance.
 MIN_PATHLOSS_DISTANCE = 1.0
 
-
-@dataclass
-class RadioParams:
-    frequency_hz: float = 2.4e9
-    bitrate_bps: int = 2_000_000
-    tx_power_dbm: float = 15.0
-    antenna_gain_tx: float = 1.0
-    antenna_gain_rx: float = 1.0
-    antenna_height_m: float = 1.5
-    rx_threshold_dbm: float = -75.0
-    max_range_m: float = 100.0
-    phy_overhead_us: int = 192
-
-    def __post_init__(self):
-        if self.bitrate_bps <= 0:
-            raise ValueError("bitrate must be positive")
-        if self.max_range_m <= 0:
-            raise ValueError("max_range must be positive")
-        if not math.isfinite(self.rx_threshold_dbm):
-            raise ValueError("rx_threshold must be finite")
-
-    @property
-    def wavelength_m(self):
-        return SPEED_OF_LIGHT / self.frequency_hz
-
-    @property
-    def crossover_m(self):
-        ht = hr = self.antenna_height_m
-        return 4.0 * math.pi * ht * hr / self.wavelength_m
+# Unit (0 dBi) antennas at both ends: 10*log10(1*1) is exactly 0.0.
+ANTENNA_GAINS_DB = 0.0
 
 
-def airtime_us(frame_bits, params):
+def wavelength_m(config):
+    return SPEED_OF_LIGHT / config.frequency_hz
+
+
+def crossover_m(config):
+    """Distance where the two-ray ground model takes over from free space."""
+    ht = hr = config.antenna_height_m
+    return 4.0 * math.pi * ht * hr / wavelength_m(config)
+
+
+def airtime_us(frame_bits, config):
     """PHY overhead plus payload time at the configured bitrate, ceil to us."""
     if frame_bits <= 0:
         raise SimulationError("airtime of empty frame")
-    return params.phy_overhead_us + math.ceil(
-        frame_bits * 1_000_000 / params.bitrate_bps)
+    return config.phy_overhead_us + math.ceil(
+        frame_bits * 1_000_000 / config.bitrate_bps)
 
 
-def received_power_dbm(d, params):
+def received_power_dbm(d, config):
     """Free-space loss below the crossover distance, two-ray ground beyond."""
     if d <= 0:
         raise SimulationError("received_power at non-positive distance")
     d = max(d, MIN_PATHLOSS_DISTANCE)
-    pt = params.tx_power_dbm
-    gains = 10 * math.log10(params.antenna_gain_tx * params.antenna_gain_rx)
-    ht = hr = params.antenna_height_m
-    if d < params.crossover_m:
-        loss = 20 * math.log10(4 * math.pi * d / params.wavelength_m)
-        return pt + gains - loss
-    return pt + gains + 20 * math.log10(ht * hr) - 40 * math.log10(d)
+    pt = config.tx_power_dbm
+    ht = hr = config.antenna_height_m
+    if d < crossover_m(config):
+        loss = 20 * math.log10(4 * math.pi * d / wavelength_m(config))
+        return pt + ANTENNA_GAINS_DB - loss
+    return (pt + ANTENNA_GAINS_DB + 20 * math.log10(ht * hr)
+            - 40 * math.log10(d))
 
 
 class Reception:
@@ -83,9 +65,9 @@ class Channel:
     and receptions starting mid-transmission arrive errored.
     """
 
-    def __init__(self, sim, params, nodes):
+    def __init__(self, sim, config, nodes):
         self.sim = sim
-        self.params = params
+        self.config = config
         self.nodes = nodes  # id -> Node
         self._node_order = None
 
@@ -99,7 +81,7 @@ class Channel:
         if node.transmitting:
             raise SimulationError("node %d already transmitting" % node.id)
         now = self.sim.now
-        air = airtime_us(frame.bits, self.params)
+        air = airtime_us(frame.bits, self.config)
         end = now + air
         node.accrue_power(now)
         node.transmitting = True
@@ -120,9 +102,9 @@ class Channel:
             dx = other.pos[0] - node.pos[0]
             dy = other.pos[1] - node.pos[1]
             d = math.hypot(dx, dy)
-            if d > self.params.max_range_m or d == 0.0:
+            if d > self.config.max_range_m or d == 0.0:
                 continue
-            if received_power_dbm(d, self.params) < self.params.rx_threshold_dbm:
+            if received_power_dbm(d, self.config) < self.config.rx_threshold_dbm:
                 continue
             self._begin_reception(other, Reception(frame, node.id, now, end))
         self.sim.schedule_at(end, lambda: self._end_transmit(node),

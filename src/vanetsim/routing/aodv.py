@@ -35,8 +35,8 @@ class Rrep:
 class AodvAgent(DistanceVectorAgent):
     rerr_kind = RERR_KIND
 
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
+    def __init__(self, sim, node, ledger, config):
+        super().__init__(sim, node, ledger, config)
         self.rreq_counter = 0
 
     # -- discovery ---------------------------------------------------------

@@ -8,7 +8,7 @@ from ..mac import BROADCAST
 
 DEFAULT_TTL = 64
 PENDING_PER_DEST = 5
-PENDING_LIFETIME_S = 10.0
+PENDING_LIFETIME_US = us(10.0)
 FORWARD_STAGGER_US = 2_000
 DUP_CACHE_CAP = 4096
 SWEEP_US = us(1.0)
@@ -83,16 +83,20 @@ class DupCache:
     """Recently seen flood keys, for duplicate suppression.
 
     A key is a duplicate while its expiry is at or after the current time
-    (RFC 3561 section 6.3, RFC 3626 section 3.4). Past DUP_CACHE_CAP keys an
-    insert prunes the expired ones only, so pruning never changes a decision.
+    (RFC 3561 section 6.3, RFC 3626 section 3.4). An insert that takes the
+    cache past its prune mark drops the expired keys only, so pruning never
+    changes a decision. The next mark is twice the surviving size, never
+    below DUP_CACHE_CAP, so a cache of live keys is rebuilt only each time
+    it doubles rather than on every insert.
     """
 
-    __slots__ = ("sim", "lifetime_us", "_expiry")
+    __slots__ = ("sim", "lifetime_us", "_expiry", "_prune_at")
 
     def __init__(self, sim, lifetime_us):
         self.sim = sim
         self.lifetime_us = lifetime_us
         self._expiry = {}  # key -> expiry (us)
+        self._prune_at = DUP_CACHE_CAP
 
     def __contains__(self, key):
         expiry = self._expiry.get(key)
@@ -104,9 +108,10 @@ class DupCache:
     def add(self, key):
         now = self.sim.now
         self._expiry[key] = now + self.lifetime_us
-        if len(self._expiry) > DUP_CACHE_CAP:
+        if len(self._expiry) > self._prune_at:
             self._expiry = {k: v for k, v in self._expiry.items()
                             if v >= now}
+            self._prune_at = max(DUP_CACHE_CAP, 2 * len(self._expiry))
 
 
 class Agent:
@@ -118,16 +123,13 @@ class Agent:
 
     control_sizes = {}
 
-    def __init__(self, sim, node, ledger, params=None):
+    def __init__(self, sim, node, ledger):
         self.sim = sim
         self.node = node
         self.ledger = ledger
-        self.params = params or {}
         self.table = RoutingTable()
         self.pending = {}  # dest -> deque of (packet, buffered_at)
         self.stats = {}
-        self.pending_lifetime_us = us(
-            self.params.get("pending_lifetime_s", PENDING_LIFETIME_S))
 
     # -- helpers -----------------------------------------------------------
 
@@ -229,7 +231,7 @@ class Agent:
             self.ledger.node[self.node.id].route_drops += len(q)
 
     def _expire_pending(self, q):
-        cutoff = self.sim.now - self.pending_lifetime_us
+        cutoff = self.sim.now - PENDING_LIFETIME_US
         while q and q[0][1] < cutoff:
             q.popleft()
             self.ledger.node[self.node.id].route_drops += 1
@@ -275,8 +277,8 @@ class LinkStateAgent(Agent):
     advertisements and rebuild routes in _recompute.
     """
 
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
+    def __init__(self, sim, node, ledger):
+        super().__init__(sim, node, ledger)
         self.neighbors = {}    # id -> NeighborRecord
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
 

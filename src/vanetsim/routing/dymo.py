@@ -37,8 +37,8 @@ class DymoAgent(DistanceVectorAgent):
 
     rerr_kind = RERR_KIND
 
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
+    def __init__(self, sim, node, ledger, config):
+        super().__init__(sim, node, ledger, config)
         self.query_counter = 0
 
     def emit_discovery(self, dest, attempt):

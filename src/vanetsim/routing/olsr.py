@@ -11,8 +11,6 @@ TC_KIND = "olsr-tc"
 MSG_BASE_BYTES = 12
 ADDR_BYTES = 4
 
-DEFAULT_HELLO_S = 2.0
-DEFAULT_TC_S = 5.0
 HOLD_FACTOR = 3
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
@@ -69,11 +67,10 @@ def select_mprs(coverage, degree=None):
 
 
 class OlsrAgent(LinkStateAgent):
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
-        self.hello_us = us(self.params.get("hello_interval_s",
-                                           DEFAULT_HELLO_S))
-        self.tc_us = us(self.params.get("tc_interval_s", DEFAULT_TC_S))
+    def __init__(self, sim, node, ledger, config):
+        super().__init__(sim, node, ledger)
+        self.hello_us = us(config.hello_interval_s)
+        self.tc_us = us(config.tc_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
         self.topo_hold_us = HOLD_FACTOR * self.tc_us
         self.mpr_set = set()

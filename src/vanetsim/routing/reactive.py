@@ -17,7 +17,6 @@ DISCOVERY_RETRIES = 2
 HOLDOFF_START_US = us(2.0)
 HOLDOFF_CAP_US = us(16.0)
 
-DEFAULT_ROUTE_LIFETIME_S = 10.0
 DUP_CACHE_S = 15.0
 RREQ_TTL = 35
 RERR_BASE_BYTES = 8
@@ -104,12 +103,11 @@ class DistanceVectorAgent(Agent, ReactiveDiscoveryMixin):
 
     rerr_kind = None
 
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
+    def __init__(self, sim, node, ledger, config):
+        super().__init__(sim, node, ledger)
         self.init_discovery()
         self.own_seq = 0
-        self.lifetime_us = us(self.params.get(
-            "route_lifetime_s", DEFAULT_ROUTE_LIFETIME_S))
+        self.lifetime_us = us(config.route_lifetime_s)
         self.dup_cache = DupCache(sim, us(DUP_CACHE_S))
 
     def on_route_used(self, entry):

@@ -3,7 +3,8 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import SWEEP_US, DupCache, LinkStateAgent, RouteEntry
+from .base import (PENDING_LIFETIME_US, SWEEP_US, DupCache, LinkStateAgent,
+                   RouteEntry)
 from .reactive import DUP_CACHE_S, ReactiveDiscoveryMixin
 
 ADVERT_KIND = "zrp-iarp"
@@ -14,8 +15,6 @@ ERROR_KIND = "zrp-ierp-error"
 MSG_BASE_BYTES = 12
 ADDR_BYTES = 4
 
-DEFAULT_RADIUS = 2
-DEFAULT_IARP_S = 3.0
 HOLD_FACTOR = 3
 MAX_BORDERCAST_STAGES = 8
 PHASE_STEP_US = 10_000
@@ -56,13 +55,11 @@ class IerpError:
 
 
 class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
-    def __init__(self, sim, node, ledger, params=None):
-        super().__init__(sim, node, ledger, params)
+    def __init__(self, sim, node, ledger, config):
+        super().__init__(sim, node, ledger)
         self.init_discovery()
-        self.radius = int(self.params.get("zone_radius", DEFAULT_RADIUS))
-        if self.radius < 1:
-            raise ValueError("zone radius must be >= 1")
-        self.iarp_us = us(self.params.get("iarp_interval_s", DEFAULT_IARP_S))
+        self.radius = config.zone_radius
+        self.iarp_us = us(config.iarp_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us
         self.zone_paths = {}     # dest (<= rho hops) -> full path tuple
         self.peripheral_set = set()
@@ -248,7 +245,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         self.table.update_if_fresher(RouteEntry(
             dest=dest, next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
-            expires_at=self.sim.now + self.pending_lifetime_us,
+            expires_at=self.sim.now + PENDING_LIFETIME_US,
             route=list(route)))
 
     # -- maintenance -------------------------------------------------------

@@ -1,7 +1,10 @@
 """Scenario files: flat key/value format, validation, resolved echo."""
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields as dc_fields
+
+from .engine import us
 
 PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
 
@@ -12,6 +15,12 @@ class ScenarioError(Exception):
 
 @dataclass
 class ScenarioConfig:
+    """Every parameter of a run: the one place each setting lives.
+
+    The PHY, MAC, routing agents and simulation read these fields
+    directly; validate() holds each field's range rule.
+    """
+
     terrain_width_m: float = 1500.0
     terrain_height_m: float = 1500.0
     sim_time_s: float = 3000.0
@@ -50,8 +59,6 @@ class ScenarioConfig:
     rx_ma: float = 180.0
     idle_ma: float = 1.0
     voltage_v: float = 3.0
-    altitude_m: float = 1500.0          # inert scenario metadata
-    weather_interval_ms: float = 100.0  # inert scenario metadata
     explicit_sessions: list = field(default_factory=list)   # (src, dst)
     positions: dict = field(default_factory=dict)           # id -> (x, y)
     waypoints: dict = field(default_factory=dict)           # id -> [(x,y,v)]
@@ -60,6 +67,10 @@ class ScenarioConfig:
         def fail(key, why):
             raise ScenarioError("%s: %s" % (key, why))
 
+        for f in dc_fields(self):
+            if f.type in (float, "float") and not math.isfinite(
+                    getattr(self, f.name)):
+                fail(f.name, "must be finite")
         if self.terrain_width_m <= 0 or self.terrain_height_m <= 0:
             fail("terrain_width_m/terrain_height_m", "must be positive")
         if self.sim_time_s < 0:
@@ -76,12 +87,27 @@ class ScenarioConfig:
             fail("sessions", "must be non-negative")
         if self.payload_bytes <= 0:
             fail("payload_bytes", "must be positive")
-        if self.interval_ms <= 0:
-            fail("interval_ms", "must be positive")
-        if self.bitrate_bps <= 0:
-            fail("bitrate_bps", "must be positive")
-        if self.max_range_m <= 0:
-            fail("max_range_m", "must be positive")
+        # Each of these re-arms itself, so each must come to at least 1 us
+        # once converted, or the clock never moves past its first firing.
+        periods_s = {
+            "mobility_tick_ms": self.mobility_tick_ms / 1000.0,
+            "interval_ms": self.interval_ms / 1000.0,
+            "hello_interval_s": self.hello_interval_s,
+            "tc_interval_s": self.tc_interval_s,
+            "iarp_interval_s": self.iarp_interval_s,
+        }
+        for key, seconds in periods_s.items():
+            if us(seconds) < 1:
+                fail(key, "must be at least 1 us")
+        for key in ("bitrate_bps", "max_range_m", "frequency_hz",
+                    "antenna_height_m"):
+            if getattr(self, key) <= 0:
+                fail(key, "must be positive")
+        for key in ("phy_overhead_us", "sifs_us", "cw_min"):
+            if getattr(self, key) < 0:
+                fail(key, "must be non-negative")
+        if self.slot_us < 1:
+            fail("slot_us", "must be at least 1 us")
         if self.difs_us != self.sifs_us + 2 * self.slot_us:
             fail("difs_us", "must equal sifs_us + 2*slot_us")
         if self.cw_min >= self.cw_max:
@@ -93,10 +119,8 @@ class ScenarioConfig:
         if self.zone_radius < 1:
             fail("zone_radius", "must be at least 1 (zone radius 0 is "
                  "forbidden)")
-        for key in ("hello_interval_s", "tc_interval_s", "iarp_interval_s",
-                    "route_lifetime_s"):
-            if getattr(self, key) <= 0:
-                fail(key, "must be positive")
+        if self.route_lifetime_s <= 0:
+            fail("route_lifetime_s", "must be positive")
         if self.capacity_mah <= 0:
             fail("capacity_mah", "must be positive")
         n_sessions = (len(self.explicit_sessions) if self.explicit_sessions

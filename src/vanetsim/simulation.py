@@ -4,11 +4,11 @@ import time
 from dataclasses import replace
 
 from .engine import Simulator, us
-from .mac import DcfMac, MacTimings
+from .mac import DcfMac
 from .metrics import MetricsLedger
 from .mobility import MobilityManager, RandomWaypoint, Terrain
 from .node import Node
-from .phy import Channel, RadioParams
+from .phy import Channel
 from .routing.aodv import AodvAgent
 from .routing.dymo import DymoAgent
 from .routing.olsr import OlsrAgent
@@ -76,47 +76,21 @@ class Simulation:
             protocol=config.protocol, seed=config.seed,
             scenario_id=config.scenario_id())
 
-        radio = RadioParams(
-            frequency_hz=config.frequency_hz,
-            bitrate_bps=config.bitrate_bps,
-            tx_power_dbm=config.tx_power_dbm,
-            antenna_height_m=config.antenna_height_m,
-            rx_threshold_dbm=config.rx_threshold_dbm,
-            max_range_m=config.max_range_m,
-            phy_overhead_us=config.phy_overhead_us)
-        timings = MacTimings(
-            slot_us=config.slot_us, sifs_us=config.sifs_us,
-            difs_us=config.difs_us, cw_min=config.cw_min,
-            cw_max=config.cw_max,
-            rts_threshold_bytes=config.rts_threshold_bytes,
-            retry_limit=config.retry_limit, queue_depth=config.queue_depth)
-        self.radio = radio
-        self.timings = timings
-
         self.nodes = {}
         for nid in range(config.num_nodes):
             battery = Battery(capacity_mah=config.capacity_mah,
                               tx_ma=config.tx_ma, rx_ma=config.rx_ma,
-                              idle_ma=config.idle_ma,
-                              voltage_v=config.voltage_v)
+                              idle_ma=config.idle_ma)
             self.nodes[nid] = Node(self.sim, nid, battery, self.ledger)
 
-        self.channel = Channel(self.sim, radio, self.nodes)
+        self.channel = Channel(self.sim, config, self.nodes)
         backoff_rng = self.sim.rng.stream("backoff")
-        agent_params = {
-            "zone_radius": config.zone_radius,
-            "hello_interval_s": config.hello_interval_s,
-            "tc_interval_s": config.tc_interval_s,
-            "iarp_interval_s": config.iarp_interval_s,
-            "route_lifetime_s": config.route_lifetime_s,
-        }
         agent_cls = AGENTS[config.protocol]
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            node.mac = DcfMac(self.sim, node, self.channel, timings, radio,
+            node.mac = DcfMac(self.sim, node, self.channel, config,
                               backoff_rng, self.ledger.node[nid])
-            node.agent = agent_cls(self.sim, node, self.ledger,
-                                   params=agent_params)
+            node.agent = agent_cls(self.sim, node, self.ledger, config)
             node.mac.upper = node.agent
 
         terrain = Terrain(config.terrain_width_m, config.terrain_height_m)

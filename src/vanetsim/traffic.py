@@ -58,7 +58,11 @@ class CbrSource:
 
 
 class Battery:
-    """Charge bookkeeping: drawn += mode current x duration."""
+    """Charge bookkeeping: drawn += mode current x duration.
+
+    Charge is counted in mAh, so the supply voltage does not enter it;
+    voltage_v is accepted and not kept.
+    """
 
     MODES = ("tx", "rx", "idle")
 
@@ -66,7 +70,6 @@ class Battery:
                  idle_ma=1.0, voltage_v=3.0):
         self.capacity_mah = capacity_mah
         self.currents = {"tx": tx_ma, "rx": rx_ma, "idle": idle_ma}
-        self.voltage_v = voltage_v
         self.drawn_mah = 0.0
         self.mode_time_us = {m: 0 for m in self.MODES}
 

@@ -7,10 +7,10 @@ import time
 import pytest
 
 from vanetsim.engine import Simulator
-from vanetsim.mac import DcfMac, MacTimings
+from vanetsim.mac import DcfMac
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
-from vanetsim.phy import Channel, RadioParams
+from vanetsim.phy import Channel
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation, run_scenario
 from vanetsim.traffic import Battery
@@ -40,13 +40,11 @@ class StubUpper:
 class MacWorld:
     """A static set of nodes with DCF MACs on one channel, no routing."""
 
-    def __init__(self, positions, timings=None, radio=None, seed=7,
-                 trace=True):
+    def __init__(self, positions, config=None, seed=7, trace=True):
         self.sim = Simulator(seed)
         if trace:
             self.sim.trace = []
-        self.radio = radio or RadioParams()
-        self.timings = timings or MacTimings()
+        self.config = config or ScenarioConfig()
         self.ledger = MetricsLedger(node_ids=list(positions), session_ids=[])
         self.nodes = {}
         self.uppers = {}
@@ -55,10 +53,10 @@ class MacWorld:
             node = Node(self.sim, nid, Battery(), self.ledger)
             node.pos = pos
             self.nodes[nid] = node
-        self.channel = Channel(self.sim, self.radio, self.nodes)
+        self.channel = Channel(self.sim, self.config, self.nodes)
         for nid, node in self.nodes.items():
-            node.mac = DcfMac(self.sim, node, self.channel, self.timings,
-                              self.radio, rng, self.ledger.node[nid])
+            node.mac = DcfMac(self.sim, node, self.channel, self.config, rng,
+                              self.ledger.node[nid])
             upper = StubUpper()
             node.mac.upper = upper
             self.uppers[nid] = upper

@@ -114,7 +114,7 @@ def test_criterion_03_contention_window_ladder():
 
 def test_criterion_04_broadcast_has_no_control_frames(traced_baseline):
     trace = traced_baseline.sim.trace
-    sifs = traced_baseline.timings.sifs_us
+    sifs = traced_baseline.config.sifs_us
     tx = [t for t in trace if t[0] == "tx"]
     broadcast_ids = {t[6] for t in tx if t[3] == DATA and t[5] == BROADCAST}
     control = [t for t in tx if t[3] in (RTS, CTS, ACK)]
@@ -144,10 +144,8 @@ def test_criterion_04_broadcast_has_no_control_frames(traced_baseline):
 
 def test_criterion_05_rts_cts_prevents_hidden_terminal_data_collisions():
     def data_overlaps_at_middle(rts_threshold):
-        w = MacWorld({0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)})
-        w.timings = replace(w.timings, rts_threshold_bytes=rts_threshold)
-        for node in w.nodes.values():
-            node.mac.t = w.timings
+        w = MacWorld({0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)},
+                     config=ScenarioConfig(rts_threshold_bytes=rts_threshold))
         for _ in range(20):
             w.send(0, 1, payload_bytes=512)
             w.send(2, 1, payload_bytes=512)

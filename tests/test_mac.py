@@ -1,6 +1,6 @@
 """DCF contention, retries, RTS/CTS, NAV, and broadcast discipline."""
 
-from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, MacFrame, MacTimings
+from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, MacFrame
 from vanetsim.engine import SimulationError
 
 import pytest
@@ -226,13 +226,6 @@ def test_frame_invariants():
         MacFrame(RTS, 0, BROADCAST, 0, 20)
     with pytest.raises(SimulationError):
         MacFrame(DATA, 0, 1, -5, 34)
-
-
-def test_timing_invariants():
-    with pytest.raises(ValueError):
-        MacTimings(slot_us=20, sifs_us=10, difs_us=40)
-    with pytest.raises(ValueError):
-        MacTimings(cw_min=1023, cw_max=1023)
 
 
 def test_trace_does_not_depend_on_an_earlier_run():

@@ -13,65 +13,66 @@ import pytest
 
 from vanetsim.engine import SimulationError
 from vanetsim.mac import BROADCAST, DATA, MacFrame
-from vanetsim.phy import RadioParams, airtime_us, received_power_dbm
+from vanetsim.phy import airtime_us, crossover_m, received_power_dbm
+from vanetsim.scenario import ScenarioConfig
 
 from conftest import MacWorld
 
 
 def test_airtime_frozen_oracles():
-    p = RadioParams()
+    p = ScenarioConfig()
     assert airtime_us(546 * 8, p) == 2376
     assert airtime_us(14 * 8, p) == 248
     assert airtime_us(2_000_000, p) == 1_000_192
 
 
 def test_airtime_rounds_up_partial_microseconds():
-    p = RadioParams()
+    p = ScenarioConfig()
     # 3 bits at 2 Mbps = 1.5 us -> must become 2 us, never 1
     assert airtime_us(3, p) == p.phy_overhead_us + 2
 
 
 def test_airtime_rejects_empty_frame():
     with pytest.raises(SimulationError):
-        airtime_us(0, RadioParams())
+        airtime_us(0, ScenarioConfig())
 
 
 def test_crossover_distance_default_geometry():
-    p = RadioParams()
+    p = ScenarioConfig()
     lam = 299_792_458.0 / 2.4e9
     expected = 4 * math.pi * 1.5 * 1.5 / lam
-    assert abs(p.crossover_m - expected) < 1e-9
-    assert 220 < p.crossover_m < 235  # ~226 m: the 100 m gate binds first
+    assert abs(crossover_m(p) - expected) < 1e-9
+    assert 220 < crossover_m(p) < 235  # ~226 m: the 100 m gate binds first
 
 
 def test_path_loss_continuous_at_crossover():
-    p = RadioParams()
-    dc = p.crossover_m
+    p = ScenarioConfig()
+    dc = crossover_m(p)
     below = received_power_dbm(dc * 0.999999, p)
     above = received_power_dbm(dc * 1.000001, p)
     assert abs(below - above) < 0.01
 
 
 def test_two_ray_decays_12dB_per_doubling():
-    p = RadioParams()
-    d = p.crossover_m * 1.5
+    p = ScenarioConfig()
+    d = crossover_m(p) * 1.5
     drop = received_power_dbm(d, p) - received_power_dbm(2 * d, p)
     assert abs(drop - 40 * math.log10(2)) < 1e-9
 
 
 def test_free_space_decays_6dB_per_doubling():
-    p = RadioParams()
+    p = ScenarioConfig()
     drop = received_power_dbm(20.0, p) - received_power_dbm(40.0, p)
     assert abs(drop - 20 * math.log10(2)) < 1e-9
 
 
 def test_signal_at_max_range_still_above_threshold():
-    p = RadioParams()
+    p = ScenarioConfig()
     assert received_power_dbm(p.max_range_m, p) >= p.rx_threshold_dbm
 
 
 def test_pathloss_clamps_below_one_meter():
-    p = RadioParams()
+    p = ScenarioConfig()
     assert received_power_dbm(0.25, p) == received_power_dbm(1.0, p)
     with pytest.raises(SimulationError):
         received_power_dbm(0.0, p)

@@ -8,6 +8,7 @@ from vanetsim.routing.base import (DUP_CACHE_CAP, Agent, DupCache, Packet,
                                    RouteEntry, RoutingTable, PENDING_PER_DEST)
 from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
                                    OlsrAgent, TcMessage)
+from vanetsim.scenario import ScenarioConfig
 
 
 def entry(dest=5, next_hop=1, seq=1, hops=2, expires=10_000_000, valid=True):
@@ -150,6 +151,18 @@ def test_dup_cache_prune_past_cap_drops_only_expired_keys():
     assert ("new", 0) in cache
 
 
+def test_dup_cache_of_live_keys_is_rebuilt_only_when_it_doubles():
+    sim = Simulator(seed=1)
+    cache = DupCache(sim, lifetime_us=100)
+    rebuilds = 0
+    for i in range(4 * DUP_CACHE_CAP):
+        before = cache._expiry
+        cache.add(i)
+        rebuilds += cache._expiry is not before
+    assert len(cache) == 4 * DUP_CACHE_CAP
+    assert rebuilds == 2  # at 4097 and 8195 keys, not on every insert
+
+
 class RecordingMac:
     def __init__(self):
         self.sent = []
@@ -164,7 +177,8 @@ def test_olsr_suppresses_newest_low_originator_tc_after_8192_others():
     sim = Simulator(seed=1)
     node = Shell()
     node.mac = RecordingMac()
-    agent = OlsrAgent(sim, node, MetricsLedger(node_ids=[0], session_ids=[]))
+    agent = OlsrAgent(sim, node, MetricsLedger(node_ids=[0], session_ids=[]),
+                      ScenarioConfig())
     hello = Hello(sender=5, sym=(0,), heard=(), mprs=(0,))
     agent.on_receive(Packet(src=5, dst=BROADCAST, kind=HELLO_KIND,
                             payload=hello), prev_hop=5)

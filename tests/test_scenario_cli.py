@@ -57,6 +57,21 @@ def test_unparseable_value_names_the_key():
     ("session = 3,3", "session"),
     ("position.0 = 2000,100", "position.0"),
     ("position.99 = 10,10", "position"),
+    ("cw_min = 1023", "cw_min"),
+    ("sim_time_s = inf", "sim_time_s"),
+    ("interval_ms = inf", "interval_ms"),
+    ("tx_power_dbm = nan", "tx_power_dbm"),
+    ("rx_threshold_dbm = nan", "rx_threshold_dbm"),
+    ("mobility_tick_ms = 0", "mobility_tick_ms"),
+    ("mobility_tick_ms = -5", "mobility_tick_ms"),
+    ("hello_interval_s = 1e-7", "hello_interval_s"),
+    ("interval_ms = 1e-4", "interval_ms"),
+    ("phy_overhead_us = -500", "phy_overhead_us"),
+    ("sifs_us = -10\ndifs_us = 30", "sifs_us"),
+    ("slot_us = 0\nsifs_us = 0\ndifs_us = 0", "slot_us"),
+    ("cw_min = -1", "cw_min"),
+    ("frequency_hz = 0", "frequency_hz"),
+    ("antenna_height_m = 0", "antenna_height_m"),
 ])
 def test_validation_failures_name_offending_key(line, key):
     with pytest.raises(ScenarioError, match=key):
