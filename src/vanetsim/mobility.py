@@ -1,147 +1,108 @@
-"""Random waypoint mobility over a bounded rectangular terrain."""
+"""Random waypoint mobility over the scenario's rectangular terrain."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import US_PER_S, us
 
 
 @dataclass
-class Terrain:
-    width: float = 1500.0
-    height: float = 1500.0
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("terrain dimensions must be strictly positive")
-
-
-@dataclass
-class WaypointState:
-    start: tuple          # (x, y) at leg start
-    dest: tuple           # (x, y) leg destination
-    speed: float          # m/s along the leg
-    depart_at: int        # us
-    arrive_at: int        # us
-    pause_until: int = 0  # us
-    scripted: list = field(default_factory=list)  # pending (x, y, speed|None)
-    static: bool = False
+class Leg:
+    start: tuple      # (x, y) at leg start
+    dest: tuple       # (x, y) leg destination
+    depart_at: int    # us
+    arrive_at: int    # us
+    pause_until: int  # us; 0 until the pause after arrival is set
+    waypoints: list   # scripted (x, y, speed|None) not yet taken
+    done: bool        # scripted and out of waypoints: holds dest for ever
 
 
-def position_at(state, t):
-    """Linear interpolation along the current leg at time t (us)."""
-    if t <= state.depart_at or state.arrive_at <= state.depart_at:
-        return state.start
-    if t >= state.arrive_at:
-        return state.dest
-    frac = (t - state.depart_at) / (state.arrive_at - state.depart_at)
-    x0, y0 = state.start
-    x1, y1 = state.dest
+def position_at(leg, t):
+    """Linear interpolation along the leg at time t (us)."""
+    if t <= leg.depart_at or leg.arrive_at <= leg.depart_at:
+        return leg.start
+    if t >= leg.arrive_at:
+        return leg.dest
+    frac = (t - leg.depart_at) / (leg.arrive_at - leg.depart_at)
+    x0, y0 = leg.start
+    x1, y1 = leg.dest
     return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
 
-class RandomWaypoint:
-    """Waypoint legs with uniform destinations and uniform speeds.
+class Mobility:
+    """Moves every node along waypoint legs and samples it on a fixed tick.
 
-    Scripted waypoint lists are consumed first; once exhausted the node
-    holds its last position (a single scripted point yields a static node).
+    A node with a `position` or `waypoints` entry is scripted: it starts at
+    that position (else at its first waypoint), takes its waypoints in order
+    and then holds the last one. Every other node starts at a uniform point
+    and goes on drawing a uniform destination, then a uniform speed. Each
+    arrival, the start included, is followed by a `pause_s` pause.
     """
 
-    def __init__(self, terrain, speed_min=3.0, speed_max=20.0, pause_s=0.0,
-                 rng=None):
-        if not (0 < speed_min <= speed_max):
-            raise ValueError("need 0 < speed_min <= speed_max")
-        self.terrain = terrain
-        self.speed_min = speed_min
-        self.speed_max = speed_max
-        self.pause_us = us(pause_s)
-        self.rng = rng
-
-    def initial_state(self, now, position=None, scripted=None):
-        if position is None:
-            position = (self.rng.uniform(0, self.terrain.width),
-                        self.rng.uniform(0, self.terrain.height))
-        st = WaypointState(start=position, dest=position, speed=0.0,
-                           depart_at=now, arrive_at=now,
-                           scripted=list(scripted or []))
-        if scripted is not None and not st.scripted:
-            st.static = True
-        return st
-
-    def next_leg(self, state, now):
-        """Start a new leg from the node's current (arrived) position."""
-        here = state.dest
-        if state.scripted:
-            x, y, speed = state.scripted.pop(0)
-            dest = (x, y)
-            if speed is None:
-                speed = self.rng.uniform(self.speed_min, self.speed_max)
-            if not state.scripted:
-                state.static = True  # hold at last scripted point afterwards
-        else:
-            dest = (self.rng.uniform(0, self.terrain.width),
-                    self.rng.uniform(0, self.terrain.height))
-            speed = self.rng.uniform(self.speed_min, self.speed_max)
-        dist = ((dest[0] - here[0]) ** 2 + (dest[1] - here[1]) ** 2) ** 0.5
-        state.start = here
-        state.dest = dest
-        state.speed = speed
-        state.depart_at = now
-        state.arrive_at = now + int(round(dist / speed * US_PER_S)) if dist else now
-        return state
-
-    def advance(self, state, now):
-        """Bring the leg schedule up to time now; returns current position."""
-        while state.arrive_at <= now and not (state.static and not state.scripted):
-            if state.pause_until == 0 and self.pause_us:
-                state.pause_until = state.arrive_at + self.pause_us
-            if state.pause_until > now:
-                return state.dest
-            depart = max(state.arrive_at, state.pause_until)
-            state.pause_until = 0
-            self.next_leg(state, depart)
-            if state.arrive_at == state.depart_at and state.static:
-                break
-        return position_at(state, now)
-
-
-class MobilityManager:
-    """Samples every node's position on a fixed tick (default 100 ms)."""
-
-    def __init__(self, sim, nodes, model, tick_us=100_000, end_us=None):
+    def __init__(self, sim, nodes, config):
         self.sim = sim
-        self.nodes = nodes
-        self.model = model
-        self.tick_us = tick_us
-        self.end_us = end_us
+        self.config = config
+        self.rng = sim.rng.stream("mobility")
+        self.tick_us = us(config.mobility_tick_ms / 1000.0)
+        self.pause_us = us(config.pause_s)
+        self.end_us = us(config.sim_time_s)
+        self.legs = []  # (node, leg) in node-id order
+        for nid in sorted(nodes):
+            pos = config.positions.get(nid)
+            waypoints = list(config.waypoints.get(nid, ()))
+            if pos is None and waypoints:
+                x, y, _ = waypoints.pop(0)
+                pos = (x, y)
+            scripted = pos is not None
+            if not scripted:
+                pos = (self.rng.uniform(0, config.terrain_width_m),
+                       self.rng.uniform(0, config.terrain_height_m))
+            nodes[nid].pos = pos
+            self.legs.append((nodes[nid], Leg(
+                pos, pos, sim.now, sim.now, 0, waypoints,
+                scripted and not waypoints)))
 
-    def start(self, fixed=None):
-        fixed = fixed or {}
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            spec = fixed.get(nid)
-            if spec is not None and spec.get("position") is not None:
-                st = self.model.initial_state(
-                    self.sim.now, position=spec["position"],
-                    scripted=spec.get("waypoints", []))
-            elif spec is not None and spec.get("waypoints"):
-                wps = list(spec["waypoints"])
-                x, y, _ = wps[0]
-                st = self.model.initial_state(self.sim.now, position=(x, y),
-                                              scripted=wps[1:] or [])
-            else:
-                st = self.model.initial_state(self.sim.now)
-            node.mobility = st
-            node.pos = st.start
+    def start(self):
         self._schedule_tick()
 
+    def next_leg(self, leg, now):
+        """Start a new leg from the node's current (arrived) position."""
+        cfg = self.config
+        here = leg.dest
+        if leg.waypoints:
+            x, y, speed = leg.waypoints.pop(0)
+            dest = (x, y)
+            if speed is None:
+                speed = self.rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
+            leg.done = not leg.waypoints
+        else:
+            dest = (self.rng.uniform(0, cfg.terrain_width_m),
+                    self.rng.uniform(0, cfg.terrain_height_m))
+            speed = self.rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
+        dist = ((dest[0] - here[0]) ** 2 + (dest[1] - here[1]) ** 2) ** 0.5
+        leg.start = here
+        leg.dest = dest
+        leg.depart_at = now
+        leg.arrive_at = now + int(round(dist / speed * US_PER_S)) if dist else now
+
+    def advance(self, leg, now):
+        """Bring the leg up to time now; returns the position then."""
+        while leg.arrive_at <= now and not leg.done:
+            if leg.pause_until == 0 and self.pause_us:
+                leg.pause_until = leg.arrive_at + self.pause_us
+            if leg.pause_until > now:
+                return leg.dest
+            depart = max(leg.arrive_at, leg.pause_until)
+            leg.pause_until = 0
+            self.next_leg(leg, depart)
+        return position_at(leg, now)
+
     def _schedule_tick(self):
-        if self.end_us is not None and self.sim.now + self.tick_us > self.end_us:
-            return
-        self.sim.schedule_after(self.tick_us, self._tick,
-                                kind="mobility-update")
+        if self.sim.now + self.tick_us <= self.end_us:
+            self.sim.schedule_after(self.tick_us, self._tick,
+                                    kind="mobility-update")
 
     def _tick(self):
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            node.pos = self.model.advance(node.mobility, self.sim.now)
+        now = self.sim.now
+        for node, leg in self.legs:
+            node.pos = self.advance(leg, now)
         self._schedule_tick()

@@ -6,7 +6,6 @@ class Node:
         self.sim = sim
         self.id = node_id
         self.pos = (0.0, 0.0)
-        self.mobility = None
         self.battery = battery
         self.ledger = ledger
         self.mac = None
@@ -14,7 +13,6 @@ class Node:
 
         self.radio_enabled = True
         self.transmitting = False
-        self.tx_until = 0
         self.active_rx = []
         self.busy_count = 0
         self._last_account_us = 0

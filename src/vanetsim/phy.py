@@ -85,7 +85,6 @@ class Channel:
         end = now + air
         node.accrue_power(now)
         node.transmitting = True
-        node.tx_until = end
         for rec in node.active_rx:
             rec.errored = True
         self._bump_busy(node, 1)

@@ -136,13 +136,13 @@ class Agent:
     def bump(self, name, n=1):
         self.stats[name] = self.stats.get(name, 0) + n
 
-    def send_control_broadcast(self, kind, msg, size_bytes, ttl=1):
-        pkt = Packet(src=self.node.id, dst=BROADCAST, ttl=ttl, kind=kind,
+    def send_control_broadcast(self, kind, msg, size_bytes):
+        pkt = Packet(src=self.node.id, dst=BROADCAST, kind=kind,
                      size_bytes=size_bytes, payload=msg)
         self.bump("control_sent")
         self.node.mac.enqueue(BROADCAST, pkt, size_bytes)
 
-    def forward_control_broadcast(self, kind, msg, size_bytes, ttl=1):
+    def forward_control_broadcast(self, kind, msg, size_bytes):
         """Relay a flooded message after a per-node stagger delay.
 
         Relays of the same flood hear the trigger frame at the same instant;
@@ -151,15 +151,15 @@ class Agent:
         """
         delay = self.node.id * FORWARD_STAGGER_US
         if delay == 0:
-            self.send_control_broadcast(kind, msg, size_bytes, ttl)
+            self.send_control_broadcast(kind, msg, size_bytes)
             return
         self.sim.schedule_after(
             delay,
-            lambda: self.send_control_broadcast(kind, msg, size_bytes, ttl),
+            lambda: self.send_control_broadcast(kind, msg, size_bytes),
             kind="timer-expiry", target=self.node.id)
 
-    def send_control_unicast(self, next_hop, kind, msg, size_bytes, ttl=1):
-        pkt = Packet(src=self.node.id, dst=next_hop, ttl=ttl, kind=kind,
+    def send_control_unicast(self, next_hop, kind, msg, size_bytes):
+        pkt = Packet(src=self.node.id, dst=next_hop, kind=kind,
                      size_bytes=size_bytes, payload=msg)
         self.bump("control_sent")
         self.node.mac.enqueue(next_hop, pkt, size_bytes)

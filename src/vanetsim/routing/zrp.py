@@ -183,7 +183,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             self.bump("ierp_queries_sent")
             self.send_control_unicast(
                 path[1], QUERY_KIND, msg,
-                MSG_BASE_BYTES + ADDR_BYTES * len(route_so_far), ttl=4)
+                MSG_BASE_BYTES + ADDR_BYTES * len(route_so_far))
 
     def _process_query(self, msg, prev_hop):
         me = self.node.id
@@ -199,7 +199,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             self.bump("ierp_queries_relayed")
             self.send_control_unicast(
                 remaining[0], QUERY_KIND, fwd,
-                MSG_BASE_BYTES + ADDR_BYTES * len(fwd.route_so_far), ttl=4)
+                MSG_BASE_BYTES + ADDR_BYTES * len(fwd.route_so_far))
             return
         # bordercast endpoint
         if msg.query_id in self.query_seen:
@@ -217,7 +217,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             if idx > 0:
                 self.send_control_unicast(
                     full[idx - 1], REPLY_KIND, reply,
-                    MSG_BASE_BYTES + ADDR_BYTES * len(full), ttl=4)
+                    MSG_BASE_BYTES + ADDR_BYTES * len(full))
             return
         if msg.stage < MAX_BORDERCAST_STAGES:
             self._bordercast(msg.query_id, msg.orig, msg.dest, here,
@@ -235,7 +235,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             return
         self.send_control_unicast(
             msg.route[idx - 1], REPLY_KIND, msg,
-            MSG_BASE_BYTES + ADDR_BYTES * len(msg.route), ttl=4)
+            MSG_BASE_BYTES + ADDR_BYTES * len(msg.route))
 
     def _install_from_route(self, route, dest):
         me = self.node.id
@@ -269,7 +269,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         self.bump("ierp_errors_sent")
         self.send_control_unicast(
             entry.route[idx - 1], ERROR_KIND, msg,
-            MSG_BASE_BYTES + ADDR_BYTES * len(entry.route), ttl=4)
+            MSG_BASE_BYTES + ADDR_BYTES * len(entry.route))
 
     def _process_error(self, msg, prev_hop):
         e = self.table.entries.get(msg.dest)

@@ -127,6 +127,10 @@ class ScenarioConfig:
                       else self.sessions)
         if n_sessions > 0 and self.num_nodes < 2:
             fail("num_nodes", "sessions need at least 2 nodes")
+        pairs = self.num_nodes * (self.num_nodes - 1)
+        if not self.explicit_sessions and self.sessions > pairs:
+            fail("sessions", "more than the %d distinct (src, dst) pairs"
+                 % pairs)
         for src, dst in self.explicit_sessions:
             if src == dst:
                 fail("session", "src and dst must differ (%d)" % src)
@@ -136,10 +140,16 @@ class ScenarioConfig:
         for nid in list(self.positions) + list(self.waypoints):
             if not 0 <= nid < self.num_nodes:
                 fail("position/waypoints", "node %d out of range" % nid)
-        for nid, (x, y) in self.positions.items():
+        points = [("position.%d" % nid, x, y, None)
+                  for nid, (x, y) in self.positions.items()]
+        points += [("waypoints.%d" % nid, x, y, v)
+                   for nid, wps in self.waypoints.items() for x, y, v in wps]
+        for key, x, y, v in points:
             if not (0 <= x <= self.terrain_width_m
                     and 0 <= y <= self.terrain_height_m):
-                fail("position.%d" % nid, "outside terrain")
+                fail(key, "must be a point inside the terrain")
+            if v is not None and not (0 < v < math.inf):
+                fail(key, "speed must be finite and positive")
         return self
 
     # -- serialization -----------------------------------------------------
@@ -236,9 +246,11 @@ def _parse_waypoints(key, value):
         bits = [b for b in part.split(",") if b.strip()]
         if len(bits) not in (2, 3):
             raise ScenarioError("%s: expected x,y[,speed] groups" % key)
-        x, y = float(bits[0]), float(bits[1])
-        v = float(bits[2]) if len(bits) == 3 else None
-        out.append((x, y, v))
+        try:
+            x, y, *v = (float(b) for b in bits)
+        except ValueError:
+            raise ScenarioError("%s: cannot parse %r" % (key, part))
+        out.append((x, y, v[0] if v else None))
     return out
 
 

@@ -6,14 +6,14 @@ from dataclasses import replace
 from .engine import Simulator, us
 from .mac import DcfMac
 from .metrics import MetricsLedger
-from .mobility import MobilityManager, RandomWaypoint, Terrain
+from .mobility import Mobility
 from .node import Node
 from .phy import Channel
 from .routing.aodv import AodvAgent
 from .routing.dymo import DymoAgent
 from .routing.olsr import OlsrAgent
 from .routing.zrp import ZrpAgent
-from .traffic import Battery, CbrSession, CbrSource
+from .traffic import Battery, CbrSource
 
 AGENTS = {
     "aodv": AodvAgent,
@@ -31,13 +31,9 @@ def draw_sessions(config, rng):
         return list(config.explicit_sessions)
     pairs = []
     used = set()
-    guard = 0
     while len(pairs) < config.sessions:
         src = rng.randrange(config.num_nodes)
         dst = rng.randrange(config.num_nodes)
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("cannot draw distinct session pairs")
         if src == dst or (src, dst) in used:
             continue
         used.add((src, dst))
@@ -59,29 +55,15 @@ class Simulation:
         if trace:
             self.sim.trace = []
 
-        # Sessions start at staggered offsets so equal-interval sources do
-        # not tick in lockstep (synchronized ticks make hidden senders
-        # collide at every interval).
-        sessions = draw_sessions(config, self.sim.rng.stream("topology"))
-        self.sessions = [
-            CbrSession(session_id=i, src=src, dst=dst,
-                       payload_bytes=config.payload_bytes,
-                       interval_us=us(config.interval_ms / 1000.0),
-                       start_us=i * SESSION_STAGGER_US, stop_us=self.end_us)
-            for i, (src, dst) in enumerate(sessions)]
-
+        pairs = draw_sessions(config, self.sim.rng.stream("topology"))
         self.ledger = MetricsLedger(
             node_ids=range(config.num_nodes),
-            session_ids=[s.session_id for s in self.sessions],
+            session_ids=range(len(pairs)),
             protocol=config.protocol, seed=config.seed,
             scenario_id=config.scenario_id())
 
-        self.nodes = {}
-        for nid in range(config.num_nodes):
-            battery = Battery(capacity_mah=config.capacity_mah,
-                              tx_ma=config.tx_ma, rx_ma=config.rx_ma,
-                              idle_ma=config.idle_ma)
-            self.nodes[nid] = Node(self.sim, nid, battery, self.ledger)
+        self.nodes = {nid: Node(self.sim, nid, Battery(config), self.ledger)
+                      for nid in range(config.num_nodes)}
 
         self.channel = Channel(self.sim, config, self.nodes)
         backoff_rng = self.sim.rng.stream("backoff")
@@ -93,31 +75,21 @@ class Simulation:
             node.agent = agent_cls(self.sim, node, self.ledger, config)
             node.mac.upper = node.agent
 
-        terrain = Terrain(config.terrain_width_m, config.terrain_height_m)
-        model = RandomWaypoint(terrain, config.speed_min_mps,
-                               config.speed_max_mps, config.pause_s,
-                               rng=self.sim.rng.stream("mobility"))
-        fixed = {}
-        for nid, pos in config.positions.items():
-            fixed[nid] = {"position": pos, "waypoints": []}
-        for nid, wps in config.waypoints.items():
-            fixed.setdefault(nid, {"position": None})["waypoints"] = wps
-        self.mobility = MobilityManager(
-            self.sim, self.nodes, model,
-            tick_us=us(config.mobility_tick_ms / 1000.0),
-            end_us=self.end_us)
-        self._fixed = fixed
-
-        self.sources = [CbrSource(self.sim, s, self.nodes[s.src].agent,
-                                  self.ledger)
-                        for s in self.sessions]
+        self.mobility = Mobility(self.sim, self.nodes, config)
+        # Sessions start at staggered offsets so equal-interval sources do
+        # not tick in lockstep (synchronized ticks make hidden senders
+        # collide at every interval).
+        self.sessions = [
+            CbrSource(self.sim, config, i, src, dst, i * SESSION_STAGGER_US,
+                      self.nodes[src].agent, self.ledger)
+            for i, (src, dst) in enumerate(pairs)]
 
     def run(self):
         started = time.perf_counter()
-        self.mobility.start(self._fixed)
+        self.mobility.start()
         for nid in sorted(self.nodes):
             self.nodes[nid].agent.start()
-        for source in self.sources:
+        for source in self.sessions:
             source.start()
         self.sim.run_until(self.end_us)
         for nid in sorted(self.nodes):

@@ -50,7 +50,7 @@ class MacWorld:
         self.uppers = {}
         rng = random.Random(seed)
         for nid, pos in positions.items():
-            node = Node(self.sim, nid, Battery(), self.ledger)
+            node = Node(self.sim, nid, Battery(self.config), self.ledger)
             node.pos = pos
             self.nodes[nid] = node
         self.channel = Channel(self.sim, self.config, self.nodes)

@@ -1,131 +1,152 @@
 """Random-waypoint legs, scripted paths, and the position sampler."""
 
-import random
-
 from vanetsim.engine import Simulator, us
-from vanetsim.mobility import (MobilityManager, RandomWaypoint, Terrain,
-                               WaypointState, position_at)
+from vanetsim.mobility import Leg, Mobility, position_at
+from vanetsim.scenario import ScenarioConfig
 
 
-def make_model(seed=5, pause_s=0.0, smin=3.0, smax=20.0):
-    return RandomWaypoint(Terrain(1500, 1500), smin, smax, pause_s,
-                          rng=random.Random(seed))
+class Shell:
+    pos = None
+
+
+def make_mobility(seed=5, num_nodes=1, **settings):
+    config = ScenarioConfig(num_nodes=num_nodes, sessions=0, seed=seed,
+                            **settings).validate()
+    sim = Simulator(seed)
+    nodes = {i: Shell() for i in range(num_nodes)}
+    return sim, nodes, Mobility(sim, nodes, config)
+
+
+def first_leg(**settings):
+    _, _, mobility = make_mobility(**settings)
+    return mobility, mobility.legs[0][1]
 
 
 def test_position_interpolates_linearly():
-    st = WaypointState(start=(0.0, 0.0), dest=(100.0, 0.0), speed=10.0,
-                       depart_at=0, arrive_at=us(10))
-    assert position_at(st, 0) == (0.0, 0.0)
-    x, y = position_at(st, us(5))
+    leg = Leg(start=(0.0, 0.0), dest=(100.0, 0.0), depart_at=0,
+              arrive_at=us(10), pause_until=0, waypoints=[], done=True)
+    assert position_at(leg, 0) == (0.0, 0.0)
+    x, y = position_at(leg, us(5))
     assert abs(x - 50.0) < 1e-9 and y == 0.0
-    assert position_at(st, us(10)) == (100.0, 0.0)
-    assert position_at(st, us(99)) == (100.0, 0.0)  # clamps past arrival
+    assert position_at(leg, us(10)) == (100.0, 0.0)
+    assert position_at(leg, us(99)) == (100.0, 0.0)  # clamps past arrival
 
 
 def test_leg_duration_matches_speed_and_distance():
-    model = make_model()
-    st = model.initial_state(0, position=(0.0, 0.0))
-    st.scripted = [(300.0, 400.0, 10.0)]  # 500 m at 10 m/s
-    model.next_leg(st, 0)
-    assert st.arrive_at == us(50)
-    assert st.speed == 10.0
+    mobility, leg = first_leg(positions={0: (0.0, 0.0)},
+                              waypoints={0: [(300.0, 400.0, 10.0)]})
+    mobility.next_leg(leg, 0)  # 500 m at 10 m/s
+    assert leg.arrive_at == us(50)
+
+
+def test_random_draw_order_is_x_y_then_destination_then_speed():
+    mobility, leg = first_leg(seed=9, num_nodes=3,
+                              positions={1: (5.0, 5.0)})
+    rng = Simulator(9).rng.stream("mobility")
+    starts = [(rng.uniform(0, 1500.0), rng.uniform(0, 1500.0))
+              for _ in (0, 2)]  # node 1 is pinned and draws nothing
+    assert [leg.start for _, leg in mobility.legs] == \
+        [starts[0], (5.0, 5.0), starts[1]]
+    dest = (rng.uniform(0, 1500.0), rng.uniform(0, 1500.0))
+    speed = rng.uniform(3.0, 20.0)
+    mobility.next_leg(leg, 0)
+    dist = ((dest[0] - starts[0][0]) ** 2
+            + (dest[1] - starts[0][1]) ** 2) ** 0.5
+    assert (leg.start, leg.dest) == (starts[0], dest)
+    assert leg.arrive_at == int(round(dist / speed * 1_000_000))
 
 
 def test_positions_stay_inside_terrain():
-    model = make_model(seed=11)
-    st = model.initial_state(0)
+    mobility, leg = first_leg(seed=11)
     for t in range(0, us(2000), us(10)):
-        x, y = model.advance(st, t)
+        x, y = mobility.advance(leg, t)
         assert 0.0 <= x <= 1500.0
         assert 0.0 <= y <= 1500.0
 
 
 def test_speeds_respect_configured_bounds():
-    model = make_model(seed=2, smin=3.0, smax=20.0)
-    st = model.initial_state(0)
+    mobility, leg = first_leg(seed=2, speed_min_mps=3.0, speed_max_mps=20.0)
     seen = []
     for _ in range(50):
-        model.next_leg(st, st.arrive_at)
-        seen.append(st.speed)
-    assert all(3.0 <= v <= 20.0 for v in seen)
+        mobility.next_leg(leg, leg.arrive_at)
+        (x0, y0), (x1, y1) = leg.start, leg.dest
+        dist = ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+        duration = leg.arrive_at - leg.depart_at
+        # the arrival is rounded to the nearest us
+        assert dist / 20.0 * 1e6 - 0.5 <= duration <= dist / 3.0 * 1e6 + 0.5
+        seen.append(dist * 1e6 / duration)
     assert max(seen) > 10.0 and min(seen) < 10.0  # both halves exercised
 
 
 def test_zero_pause_moves_continuously():
-    model = make_model(seed=8, pause_s=0.0)
-    st = model.initial_state(0)
-    model.advance(st, us(100))
+    mobility, leg = first_leg(seed=8, pause_s=0.0)
+    mobility.advance(leg, us(100))
     # never waiting: the active leg always covers "now"
-    assert st.depart_at <= us(100) <= max(st.arrive_at, us(100))
+    assert leg.depart_at <= us(100) <= max(leg.arrive_at, us(100))
+
+
+def test_every_node_pauses_at_its_start():
+    mobility, leg = first_leg(seed=8, pause_s=2.5)
+    start = leg.start
+    assert mobility.advance(leg, us(2.4)) == start
+    assert mobility.advance(leg, us(2.6)) != start
+    assert leg.depart_at == us(2.5)
 
 
 def test_pause_holds_position_at_waypoint():
-    model = make_model(seed=4, pause_s=5.0)
-    st = model.initial_state(0, position=(0.0, 0.0))
-    st.scripted = [(30.0, 40.0, 10.0), (500.0, 500.0, 10.0)]
-    model.next_leg(st, 0)  # arrives at (30, 40) at t=5 s
-    arrive = st.arrive_at
-    pos = model.advance(st, arrive + us(2))
-    assert pos == (30.0, 40.0)  # paused
-    pos = model.advance(st, arrive + us(6))
-    assert pos != (30.0, 40.0)  # moving again after the 5 s pause
+    mobility, leg = first_leg(
+        seed=4, pause_s=5.0, positions={0: (0.0, 0.0)},
+        waypoints={0: [(30.0, 40.0, 10.0), (500.0, 500.0, 10.0)]})
+    mobility.next_leg(leg, 0)  # arrives at (30, 40) at t=5 s
+    arrive = leg.arrive_at
+    assert mobility.advance(leg, arrive + us(2)) == (30.0, 40.0)  # paused
+    # moving again after the 5 s pause
+    assert mobility.advance(leg, arrive + us(6)) != (30.0, 40.0)
 
 
 def test_scripted_node_becomes_static_after_last_waypoint():
-    model = make_model(seed=3)
-    st = model.initial_state(0, position=(10.0, 10.0),
-                             scripted=[(100.0, 10.0, 10.0)])
-    model.advance(st, us(9))  # leg takes 9 s
-    pos = model.advance(st, us(500))
-    assert pos == (100.0, 10.0)
-    assert st.static
+    mobility, leg = first_leg(seed=3, positions={0: (10.0, 10.0)},
+                              waypoints={0: [(100.0, 10.0, 10.0)]})
+    assert not leg.done
+    mobility.advance(leg, us(9))  # leg takes 9 s
+    assert leg.done
+    assert mobility.advance(leg, us(500)) == (100.0, 10.0)
 
 
-def test_fixed_position_without_waypoints_is_static():
-    model = make_model(seed=3)
-    st = model.initial_state(0, position=(7.0, 8.0), scripted=[])
-    assert st.static
-    assert model.advance(st, us(1000)) == (7.0, 8.0)
+def test_waypoints_alone_start_at_the_first_one():
+    mobility, leg = first_leg(
+        seed=3, waypoints={0: [(20.0, 30.0, 99.0), (20.0, 130.0, None)]})
+    assert leg.start == (20.0, 30.0)  # its speed is never used
+    mobility.next_leg(leg, 0)  # unspeeded: one uniform 3-20 m/s draw
+    assert us(100 / 20.0) <= leg.arrive_at <= us(100 / 3.0)
+    assert leg.done
+
+
+def test_pinned_position_without_waypoints_is_static():
+    mobility, leg = first_leg(seed=3, positions={0: (7.0, 8.0)})
+    assert leg.done
+    assert mobility.advance(leg, us(1000)) == (7.0, 8.0)
 
 
 def test_same_seed_reproduces_trajectories():
-    a, b = make_model(seed=21), make_model(seed=21)
-    sta, stb = a.initial_state(0), b.initial_state(0)
+    (a, leg_a), (b, leg_b) = first_leg(seed=21), first_leg(seed=21)
     for t in range(0, us(500), us(25)):
-        assert a.advance(sta, t) == b.advance(stb, t)
+        assert a.advance(leg_a, t) == b.advance(leg_b, t)
 
 
 def test_manager_updates_all_node_positions():
-    sim = Simulator(seed=1)
-    model = RandomWaypoint(Terrain(1500, 1500),
-                           rng=sim.rng.stream("mobility"))
-
-    class Shell:
-        def __init__(self):
-            self.pos = None
-            self.mobility = None
-
-    nodes = {i: Shell() for i in range(4)}
-    mgr = MobilityManager(sim, nodes, model, tick_us=100_000, end_us=us(10))
-    mgr.start()
+    sim, nodes, mobility = make_mobility(seed=1, num_nodes=4, sim_time_s=10)
     first = {i: nodes[i].pos for i in nodes}
+    assert all(pos is not None for pos in first.values())
+    mobility.start()
     sim.run_until(us(10))
-    assert all(nodes[i].pos is not None for i in nodes)
     assert any(nodes[i].pos != first[i] for i in nodes)  # somebody moved
 
 
-def test_manager_honours_fixed_spec():
-    sim = Simulator(seed=1)
-    model = RandomWaypoint(Terrain(1500, 1500),
-                           rng=sim.rng.stream("mobility"))
-
-    class Shell:
-        pos = None
-        mobility = None
-
-    nodes = {0: Shell(), 1: Shell()}
-    mgr = MobilityManager(sim, nodes, model, tick_us=100_000, end_us=us(5))
-    mgr.start({0: {"position": (5.0, 6.0), "waypoints": []}})
+def test_manager_honours_pinned_position():
+    sim, nodes, mobility = make_mobility(seed=1, num_nodes=2, sim_time_s=5,
+                                         positions={0: (5.0, 6.0)})
     assert nodes[0].pos == (5.0, 6.0)
+    mobility.start()
     sim.run_until(us(5))
-    assert nodes[0].pos == (5.0, 6.0)  # pinned node never moves
+    assert nodes[0].pos == (5.0, 6.0)

@@ -7,6 +7,7 @@ import pytest
 from vanetsim.cli import main, parse_seeds
 from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
+from vanetsim.simulation import Simulation
 
 BUNDLED = "src/vanetsim/scenarios/table1.cfg"
 
@@ -72,10 +73,25 @@ def test_unparseable_value_names_the_key():
     ("cw_min = -1", "cw_min"),
     ("frequency_hz = 0", "frequency_hz"),
     ("antenna_height_m = 0", "antenna_height_m"),
+    ("num_nodes = 2\nsessions = 3", "sessions"),
+    ("waypoints.0 = 10,10;nan,20", "waypoints.0"),
+    ("waypoints.0 = 10,10;50,10,0", "waypoints.0"),
+    ("waypoints.0 = 10,10;50,10,-5", "waypoints.0"),
+    ("waypoints.0 = 10,10;50,10,inf", "waypoints.0"),
+    ("waypoints.0 = 10,10;5000,20", "waypoints.0"),
+    ("waypoints.0 = 10,10;ten,20", "waypoints.0"),
 ])
 def test_validation_failures_name_offending_key(line, key):
     with pytest.raises(ScenarioError, match=key):
         parse_scenario(line + "\n")
+
+
+def test_every_distinct_pair_can_be_drawn():
+    config = ScenarioConfig(num_nodes=60, sessions=60 * 59, sim_time_s=1.0)
+    simulation = Simulation(config)
+    pairs = {(s.src, s.dst) for s in simulation.sessions}
+    assert len(pairs) == 60 * 59
+    assert all(src != dst for src, dst in pairs)
 
 
 def test_comments_and_blank_lines_ignored():

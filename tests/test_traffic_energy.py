@@ -5,7 +5,10 @@ import pytest
 from vanetsim.engine import Simulator, us
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
-from vanetsim.traffic import Battery, CbrSession, CbrSource
+from vanetsim.scenario import ScenarioConfig
+from vanetsim.traffic import Battery, CbrSource
+
+CONFIG = ScenarioConfig()
 
 
 class CollectingAgent:
@@ -18,12 +21,11 @@ class CollectingAgent:
 
 def make_source(start_s=0.0, stop_s=10.0, interval_s=0.25):
     sim = Simulator(seed=1)
-    session = CbrSession(session_id=0, src=0, dst=1, payload_bytes=512,
-                         interval_us=us(interval_s), start_us=us(start_s),
-                         stop_us=us(stop_s))
+    config = ScenarioConfig(payload_bytes=300, interval_ms=interval_s * 1e3,
+                            sim_time_s=stop_s)
     ledger = MetricsLedger(node_ids=[0], session_ids=[0])
     agent = CollectingAgent()
-    source = CbrSource(sim, session, agent, ledger)
+    source = CbrSource(sim, config, 0, 0, 1, us(start_s), agent, ledger)
     return sim, source, agent, ledger
 
 
@@ -36,6 +38,8 @@ def test_cbr_emits_one_packet_per_interval():
     assert agent.packets[0].sent_at == 0
     assert agent.packets[1].sent_at == us(0.25)
     assert [p.seq for p in agent.packets[:3]] == [1, 2, 3]
+    assert {(p.src, p.dst, p.size_bytes, p.session_id)
+            for p in agent.packets} == {(0, 1, 300, 0)}
 
 
 def test_cbr_respects_start_offset_and_stop():
@@ -46,27 +50,29 @@ def test_cbr_respects_start_offset_and_stop():
         [us(1.0), us(1.25), us(1.5), us(1.75)]
 
 
-def test_cbr_rejects_self_session():
-    with pytest.raises(ValueError):
-        CbrSession(session_id=0, src=3, dst=3)
+def test_cbr_source_starting_at_its_stop_sends_nothing():
+    sim, source, agent, _ = make_source(start_s=2.0, stop_s=2.0)
+    source.start()
+    sim.run_until(us(10))
+    assert agent.packets == []
 
 
 def test_battery_idle_oracle():
-    b = Battery()
+    b = Battery(CONFIG)
     b.account("idle", 3_600_000_000)  # one hour at 1 mA
     assert abs(b.drawn_mah - 1.0) < 1e-9
     assert abs(b.residual_mah - 1499.0) < 1e-9
 
 
 def test_battery_mode_currents_differ():
-    tx, rx = Battery(), Battery()
+    tx, rx = Battery(CONFIG), Battery(CONFIG)
     tx.account("tx", us(10))
     rx.account("rx", us(10))
     assert abs(tx.drawn_mah / rx.drawn_mah - 280.0 / 180.0) < 1e-9
 
 
 def test_battery_never_goes_negative():
-    b = Battery(capacity_mah=0.001)
+    b = Battery(ScenarioConfig(capacity_mah=0.001))
     b.account("tx", 3_600_000_000)
     assert b.residual_mah == 0.0
     assert b.dead
@@ -74,12 +80,12 @@ def test_battery_never_goes_negative():
 
 def test_battery_rejects_negative_duration():
     with pytest.raises(ValueError):
-        Battery().account("idle", -1)
+        Battery(CONFIG).account("idle", -1)
 
 
 def test_node_power_mode_priority():
     sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(), MetricsLedger(node_ids=[0],
+    node = Node(sim, 0, Battery(CONFIG), MetricsLedger(node_ids=[0],
                                                  session_ids=[]))
     assert node.power_mode() == "idle"
     node.active_rx.append(object())
@@ -91,7 +97,7 @@ def test_node_power_mode_priority():
 def test_node_mode_times_sum_to_sim_time():
     sim = Simulator(seed=1)
     ledger = MetricsLedger(node_ids=[0], session_ids=[])
-    node = Node(sim, 0, Battery(), ledger)
+    node = Node(sim, 0, Battery(CONFIG), ledger)
     sim.run_until(1_000)
     node.accrue_power(sim.now)
     node.transmitting = True
@@ -107,7 +113,7 @@ def test_node_mode_times_sum_to_sim_time():
 
 def test_dead_battery_disables_radio():
     sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(capacity_mah=1e-9),
+    node = Node(sim, 0, Battery(ScenarioConfig(capacity_mah=1e-9)),
                 MetricsLedger(node_ids=[0], session_ids=[]))
     sim.run_until(1_000_000)
     node.accrue_power(sim.now)
@@ -116,7 +122,7 @@ def test_dead_battery_disables_radio():
 
 def test_power_accounting_rejects_time_reversal():
     sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(), MetricsLedger(node_ids=[0],
+    node = Node(sim, 0, Battery(CONFIG), MetricsLedger(node_ids=[0],
                                                  session_ids=[]))
     sim.run_until(500)
     node.accrue_power(sim.now)
