@@ -25,13 +25,14 @@ GOLDEN_SEEDS = (1, 2)
 # there against 2227 here), so a denser, shorter variant is pinned as well.
 DENSE = {"num_nodes": 40, "terrain_width_m": 600.0,
          "terrain_height_m": 600.0, "sim_time_s": 30.0, "sessions": 10}
+# Every other pinned scenario has pause_s = 0, so none of them takes the
+# path where a node waits at a waypoint before drawing its next leg.
+PAUSED = dict(DENSE, pause_s=2.5)
+SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED}
 
 
 def scenario(name):
-    config = ScenarioConfig()
-    if name == "dense":
-        config = replace(config, **DENSE)
-    return config.validate()
+    return replace(ScenarioConfig(), **SCENARIOS.get(name, {})).validate()
 
 
 def digests(name, protocol):
@@ -60,9 +61,15 @@ def test_dense_digests(protocol):
     assert digests("dense", protocol) == pinned("dense")[protocol]
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_dense_paused_digests(protocol):
+    assert digests("dense_paused", protocol) == \
+        pinned("dense_paused")[protocol]
+
+
 if __name__ == "__main__":
     table = {name: {p: digests(name, p) for p in PROTOCOLS}
-             for name in ("table1", "dense")}
+             for name in ("table1", *SCENARIOS)}
     with open(GOLDEN, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
