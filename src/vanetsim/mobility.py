@@ -1,5 +1,6 @@
 """Random waypoint mobility over the scenario's rectangular terrain."""
 
+import math
 from dataclasses import dataclass
 
 from .engine import US_PER_S, us
@@ -11,7 +12,6 @@ class Leg:
     dest: tuple       # (x, y) leg destination
     depart_at: int    # us
     arrive_at: int    # us
-    pause_until: int  # us; 0 until the pause after arrival is set
     waypoints: list   # scripted (x, y, speed|None) not yet taken
     done: bool        # scripted and out of waypoints: holds dest for ever
 
@@ -29,13 +29,18 @@ def position_at(leg, t):
 
 
 class Mobility:
-    """Moves every node along waypoint legs and samples it on a fixed tick.
+    """Moves every node along waypoint legs, sampled on a fixed tick.
 
     A node with a `position` or `waypoints` entry is scripted: it starts at
     that position (else at its first waypoint), takes its waypoints in order
     and then holds the last one. Every other node starts at a uniform point
     and goes on drawing a uniform destination, then a uniform speed. Each
     arrival, the start included, is followed by a `pause_s` pause.
+
+    A tick only notes the sampling time and draws the legs that fall due;
+    `sync` computes the positions at that time when a frame needs them.
+    Due legs are drawn in node-id order, so the draws come out in (tick,
+    node id) order however rarely positions are read.
     """
 
     def __init__(self, sim, nodes, config):
@@ -45,6 +50,8 @@ class Mobility:
         self.tick_us = us(config.mobility_tick_ms / 1000.0)
         self.pause_us = us(config.pause_s)
         self.end_us = us(config.sim_time_s)
+        self.sampled_at = self.synced_at = sim.now
+        self.on_move = lambda: None  # told when a sync moves some node
         self.legs = []  # (node, leg) in node-id order
         for nid in sorted(nodes):
             pos = config.positions.get(nid)
@@ -58,8 +65,9 @@ class Mobility:
                        self.rng.uniform(0, config.terrain_height_m))
             nodes[nid].pos = pos
             self.legs.append((nodes[nid], Leg(
-                pos, pos, sim.now, sim.now, 0, waypoints,
+                pos, pos, sim.now, sim.now, waypoints,
                 scripted and not waypoints)))
+        self.next_due = self._next_due()
 
     def start(self):
         self._schedule_tick()
@@ -84,25 +92,45 @@ class Mobility:
         leg.depart_at = now
         leg.arrive_at = now + int(round(dist / speed * US_PER_S)) if dist else now
 
+    def due_at(self, leg):
+        """When the pause after the leg's arrival ends: the next leg starts."""
+        return math.inf if leg.done else leg.arrive_at + self.pause_us
+
+    def _next_due(self):
+        return min((self.due_at(leg) for _, leg in self.legs),
+                   default=math.inf)
+
     def advance(self, leg, now):
         """Bring the leg up to time now; returns the position then."""
-        while leg.arrive_at <= now and not leg.done:
-            if leg.pause_until == 0 and self.pause_us:
-                leg.pause_until = leg.arrive_at + self.pause_us
-            if leg.pause_until > now:
-                return leg.dest
-            depart = max(leg.arrive_at, leg.pause_until)
-            leg.pause_until = 0
-            self.next_leg(leg, depart)
+        while self.due_at(leg) <= now:
+            self.next_leg(leg, leg.arrive_at + self.pause_us)
         return position_at(leg, now)
 
+    def sync(self):
+        """Set every node.pos to the last tick's sample, at most once a tick;
+        calls on_move if some node moved."""
+        if self.synced_at == self.sampled_at:
+            return
+        t = self.synced_at = self.sampled_at
+        moved = False
+        for node, leg in self.legs:
+            pos = position_at(leg, t)
+            if pos != node.pos:
+                node.pos = pos
+                moved = True
+        if moved:
+            self.on_move()
+
     def _schedule_tick(self):
-        if self.sim.now + self.tick_us <= self.end_us:
-            self.sim.schedule_after(self.tick_us, self._tick,
-                                    kind="mobility-update")
+        at = self.sim.now + self.tick_us
+        if at <= self.end_us:
+            self.sim.schedule_at(at, self._tick, kind="mobility-update")
 
     def _tick(self):
-        now = self.sim.now
-        for node, leg in self.legs:
-            node.pos = self.advance(leg, now)
+        now = self.sampled_at = self.sim.now
+        if self.next_due <= now:
+            for _, leg in self.legs:
+                if self.due_at(leg) <= now:
+                    self.advance(leg, now)
+            self.next_due = self._next_due()
         self._schedule_tick()

@@ -10,6 +10,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 # range gate still uses the true distance.
 MIN_PATHLOSS_DISTANCE = 1.0
 
+# Pairs this close (relative) to the reach radius take the exact range and
+# power test, so rounding in the radius can never decide a pair.
+REACH_BAND = 1e-9
+
 # Unit (0 dBi) antennas at both ends: 10*log10(1*1) is exactly 0.0.
 ANTENNA_GAINS_DB = 0.0
 
@@ -46,6 +50,35 @@ def received_power_dbm(d, config):
             - 40 * math.log10(d))
 
 
+def received(d, config):
+    """The exact reception test for a pair d > 0 metres apart."""
+    return (d <= config.max_range_m
+            and received_power_dbm(d, config) >= config.rx_threshold_dbm)
+
+
+def reach_m(config):
+    """Radius within which a frame is received: the range gate, or where the
+    received power falls to the threshold if that comes first.
+
+    Received power falls monotonically with distance, so both tests reduce
+    to this one radius. The threshold distance is the free-space or the
+    two-ray formula solved for the threshold, in logs so that no power of
+    ten can overflow; 0 if even the clamped power at MIN_PATHLOSS_DISTANCE
+    is below the threshold.
+    """
+    if received_power_dbm(MIN_PATHLOSS_DISTANCE, config) \
+            < config.rx_threshold_dbm:
+        return 0.0
+    margin_db = config.tx_power_dbm + ANTENNA_GAINS_DB \
+        - config.rx_threshold_dbm
+    log_d = math.log10(wavelength_m(config) / (4 * math.pi)) + margin_db / 20
+    if log_d >= math.log10(crossover_m(config)):
+        log_d = math.log10(config.antenna_height_m) + margin_db / 40
+    if log_d >= math.log10(config.max_range_m):
+        return config.max_range_m
+    return max(10 ** log_d, MIN_PATHLOSS_DISTANCE)
+
+
 class Reception:
     __slots__ = ("frame", "sender", "start", "end", "errored")
 
@@ -69,7 +102,14 @@ class Channel:
         self.sim = sim
         self.config = config
         self.nodes = nodes  # id -> Node
-        self._node_order = None
+        # Brings node.pos up to date before a frame goes on the air; a
+        # Simulation sets it to Mobility.sync. By default nobody moves.
+        self.sync = lambda: None
+        reach = reach_m(config)
+        inside, outside = reach * (1 - REACH_BAND), reach * (1 + REACH_BAND)
+        self._inside_sq = inside * inside  # inf, not OverflowError
+        self._outside_sq = outside * outside
+        self._in_reach = {}  # node id -> nodes in reach, in node-id order
 
     def carrier_busy(self, node_id):
         return self.nodes[node_id].busy_count > 0
@@ -92,23 +132,39 @@ class Channel:
             self.sim.trace.append(
                 ("tx", now, node.id, frame.kind, frame.src, frame.dst,
                  frame.frame_id, end))
-        if self._node_order is None:
-            self._node_order = sorted(self.nodes)
-        for nid in self._node_order:
-            other = self.nodes[nid]
-            if other is node or not other.radio_enabled:
-                continue
-            dx = other.pos[0] - node.pos[0]
-            dy = other.pos[1] - node.pos[1]
-            d = math.hypot(dx, dy)
-            if d > self.config.max_range_m or d == 0.0:
-                continue
-            if received_power_dbm(d, self.config) < self.config.rx_threshold_dbm:
-                continue
-            self._begin_reception(other, Reception(frame, node.id, now, end))
+        self.sync()
+        in_reach = self._in_reach.get(node.id)
+        if in_reach is None:
+            in_reach = self._in_reach[node.id] = self._reach_of(node)
+        for other in in_reach:
+            if other.radio_enabled:
+                self._begin_reception(other,
+                                      Reception(frame, node.id, now, end))
         self.sim.schedule_at(end, lambda: self._end_transmit(node),
                              kind="tx-end", target=node.id)
         return end
+
+    def moved(self):
+        """Node positions changed: every receiver list is stale."""
+        self._in_reach.clear()
+
+    def _reach_of(self, node):
+        """Every other node that a frame from `node` reaches, by node id."""
+        x, y = node.pos
+        out = []
+        for nid in sorted(self.nodes):
+            other = self.nodes[nid]
+            dx = other.pos[0] - x
+            dy = other.pos[1] - y
+            if dx == 0.0 and dy == 0.0:
+                continue  # co-located, the sender itself included
+            d_sq = dx * dx + dy * dy
+            if d_sq >= self._inside_sq and (
+                    d_sq > self._outside_sq
+                    or not received(math.hypot(dx, dy), self.config)):
+                continue
+            out.append(other)
+        return out
 
     def _begin_reception(self, node, rec):
         node.accrue_power(self.sim.now)

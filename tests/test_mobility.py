@@ -24,7 +24,7 @@ def first_leg(**settings):
 
 def test_position_interpolates_linearly():
     leg = Leg(start=(0.0, 0.0), dest=(100.0, 0.0), depart_at=0,
-              arrive_at=us(10), pause_until=0, waypoints=[], done=True)
+              arrive_at=us(10), waypoints=[], done=True)
     assert position_at(leg, 0) == (0.0, 0.0)
     x, y = position_at(leg, us(5))
     assert abs(x - 50.0) < 1e-9 and y == 0.0
@@ -140,7 +140,38 @@ def test_manager_updates_all_node_positions():
     assert all(pos is not None for pos in first.values())
     mobility.start()
     sim.run_until(us(10))
+    mobility.sync()  # positions are computed only when asked for
     assert any(nodes[i].pos != first[i] for i in nodes)  # somebody moved
+
+
+def test_tick_draws_the_next_leg_only_once_the_pause_ends():
+    sim, nodes, mobility = make_mobility(seed=8, pause_s=2.5, sim_time_s=5)
+    leg = mobility.legs[0][1]
+    start, state = leg.start, mobility.rng.getstate()
+    mobility.start()
+    sim.run_until(us(2.4))
+    assert mobility.rng.getstate() == state  # nothing drawn while paused
+    sim.run_until(us(2.5))
+    assert leg.depart_at == us(2.5) and leg.dest != start
+
+
+def test_ticks_draw_legs_in_tick_then_node_id_order():
+    sim, nodes, mobility = make_mobility(
+        seed=4, num_nodes=4, sim_time_s=60, terrain_width_m=50.0,
+        terrain_height_m=50.0, speed_min_mps=10.0, speed_max_mps=20.0)
+    ids = {id(leg): nid for nid, (_, leg) in enumerate(mobility.legs)}
+    drawn = []
+    next_leg = mobility.next_leg
+
+    def recorded(leg, now):
+        drawn.append((sim.now, ids[id(leg)]))
+        next_leg(leg, now)
+
+    mobility.next_leg = recorded
+    mobility.start()
+    sim.run_until(us(60))
+    assert drawn[:4] == [(us(0.1), nid) for nid in range(4)]
+    assert len(drawn) > 100 and drawn == sorted(drawn)
 
 
 def test_manager_honours_pinned_position():

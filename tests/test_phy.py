@@ -8,13 +8,17 @@ Airtime oracles below are hand-computed for the default radio
 """
 
 import math
+import os
 
 import pytest
 
+import vanetsim
+from vanetsim import phy
 from vanetsim.engine import SimulationError
 from vanetsim.mac import BROADCAST, DATA, MacFrame
-from vanetsim.phy import airtime_us, crossover_m, received_power_dbm
-from vanetsim.scenario import ScenarioConfig
+from vanetsim.phy import (airtime_us, crossover_m, reach_m, received,
+                          received_power_dbm)
+from vanetsim.scenario import ScenarioConfig, load_scenario
 
 from conftest import MacWorld
 
@@ -141,3 +145,66 @@ def test_carrier_sense_follows_channel_activity():
     assert w.channel.carrier_busy(0)  # own transmission counts
     w.run(100_000)
     assert not w.channel.carrier_busy(1)
+
+
+# Radios whose threshold binds before the 100 m range gate: in free space
+# (~56 m), and in two-ray ground beyond the ~226 m crossover (~299 m).
+THRESHOLD_BINDS = (ScenarioConfig(rx_threshold_dbm=-60.0),
+                   ScenarioConfig(max_range_m=300.0, rx_threshold_dbm=-77.0))
+
+
+def test_table1_reach_is_the_range_gate():
+    config = load_scenario(os.path.join(os.path.dirname(vanetsim.__file__),
+                                        "scenarios", "table1.cfg"))
+    assert reach_m(config) == config.max_range_m
+
+
+@pytest.mark.parametrize("config", THRESHOLD_BINDS)
+def test_reach_is_where_power_meets_the_threshold(config):
+    r = reach_m(config)
+    assert r < config.max_range_m
+    assert received_power_dbm(r * (1 - 1e-6), config) \
+        > config.rx_threshold_dbm > received_power_dbm(r * (1 + 1e-6), config)
+
+
+@pytest.mark.parametrize("config", THRESHOLD_BINDS)
+def test_reach_decides_pairs_as_received_power_does(config):
+    r = reach_m(config)
+    inside, outside = r * (1 - 1e-6), r * (1 + 1e-6)
+    w = MacWorld({0: (0.0, 0.0), 1: (inside, 0.0), 2: (0.0, outside)},
+                 config=config)
+    w.channel.transmit(w.nodes[0], bcast(0))
+    w.run(10_000)
+    assert w.ledger.node[1].signals_received_without_errors == 1
+    assert w.ledger.node[2].signals_received_without_errors == 0
+
+
+def test_reach_is_zero_when_even_one_metre_is_too_far():
+    config = ScenarioConfig(rx_threshold_dbm=-20.0)
+    assert received_power_dbm(1.0, config) < -20.0
+    assert reach_m(config) == 0.0
+    w = MacWorld({0: (0.0, 0.0), 1: (0.5, 0.0)}, config=config)
+    w.channel.transmit(w.nodes[0], bcast(0))
+    w.run(10_000)
+    assert w.ledger.node[1].signals_received_without_errors == 0
+
+
+@pytest.mark.parametrize("config", (ScenarioConfig(),) + THRESHOLD_BINDS)
+def test_pair_on_the_reach_boundary_takes_the_exact_test(config,
+                                                         monkeypatch):
+    r = reach_m(config)
+    decided = []
+
+    def spy(d, cfg):
+        decided.append(d)
+        return received(d, cfg)
+
+    monkeypatch.setattr(phy, "received", spy)
+    w = MacWorld({0: (0.0, 0.0), 1: (r / 2, 0.0), 2: (0.0, r)},
+                 config=config)
+    w.channel.transmit(w.nodes[0], bcast(0))
+    w.run(10_000)
+    assert decided == [r]  # the pair well inside needs no power test
+    assert w.ledger.node[1].signals_received_without_errors == 1
+    assert w.ledger.node[2].signals_received_without_errors == \
+        int(received(r, config))
