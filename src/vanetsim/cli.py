@@ -142,10 +142,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationError as exc:

@@ -18,18 +18,6 @@ class SimulationError(Exception):
     """Internal invariant violation (contract breach inside the simulator)."""
 
 
-class Event:
-    __slots__ = ("fire_at", "seq", "fn", "kind", "target", "cancelled")
-
-    def __init__(self, fire_at, seq, fn, kind, target):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.fn = fn
-        self.kind = kind
-        self.target = target
-        self.cancelled = False
-
-
 class RngStreams:
     """Named, independently seeded random substreams.
 
@@ -57,7 +45,8 @@ class Simulator:
 
     Ties between events scheduled for the same instant are broken by
     insertion order, which makes dispatch order a pure function of the
-    schedule (and therefore of the seed and scenario).
+    schedule (and therefore of the seed and scenario). An event is its heap
+    entry, the list [fire_at, seq, fn]; cancelling it sets fn to None.
     """
 
     def __init__(self, seed=0):
@@ -75,9 +64,9 @@ class Simulator:
                 "scheduling into the past: t=%d < now=%d (%s/%s)"
                 % (fire_at, self.now, kind, target)
             )
-        ev = Event(fire_at, self._seq, fn, kind, target)
+        ev = [fire_at, self._seq, fn]
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
 
     def schedule_after(self, delay, fn, kind="timer", target="world"):
@@ -88,18 +77,18 @@ class Simulator:
     def cancel(self, ev):
         """Cancel a pending event. Cancelling an already-fired one is a no-op."""
         if ev is not None:
-            ev.cancelled = True
+            ev[2] = None
 
     def run_until(self, end):
         """Dispatch all events with fire_at <= end in (fire_at, seq) order."""
         heap = self._heap
         while heap and heap[0][0] <= end:
-            fire_at, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
+            fire_at, _, fn = heapq.heappop(heap)
+            if fn is None:
                 continue
             if fire_at < self.now:
                 raise SimulationError("clock went backwards")
             self.now = fire_at
-            ev.fn()
+            fn()
         if end > self.now:
             self.now = end

@@ -123,6 +123,14 @@ class DcfMac:
         if self._contending:
             self._wait_idle()
 
+    def on_tx_end(self, frame):
+        """One of this node's frames left the air; a broadcast is done."""
+        if frame.dst == BROADCAST:
+            self._post_tx = True
+            self.phase = IDLE
+            self.current = None
+            self._serve_next()
+
     # -- contention --------------------------------------------------------
 
     def _serve_next(self):
@@ -222,8 +230,6 @@ class DcfMac:
                 self._drop_current(notify=False)
                 return
             self.counters.dcf_broadcasts_sent += 1
-            self.sim.schedule_at(end, self._broadcast_done,
-                                 kind="tx-end", target=self.node.id)
             return
         data_air = airtime_us(
             (DATA_HEADER_BYTES + cur.payload_bytes) * 8, self.config)
@@ -263,12 +269,6 @@ class DcfMac:
         self._timeout_timer = self.sim.schedule_at(
             end + self.config.sifs_us + self._ack_air + self.config.slot_us,
             self._exchange_timeout, kind="timer-expiry", target=self.node.id)
-
-    def _broadcast_done(self):
-        self._post_tx = True
-        self.phase = IDLE
-        self.current = None
-        self._serve_next()
 
     def _exchange_timeout(self):
         self._timeout_timer = None

@@ -2,17 +2,6 @@
 
 from dataclasses import dataclass, fields
 
-NODE_COUNTERS = (
-    "dcf_broadcasts_sent",
-    "dcf_broadcasts_received",
-    "mac_packets_from_network",
-    "signals_received_without_errors",
-    "signals_received_with_errors",
-    "mac_unicast_drops",
-    "queue_drops",
-    "route_drops",
-)
-
 RANKED_METRICS = (
     "dcf_broadcasts_received",
     "mac_packets_from_network",
@@ -111,16 +100,12 @@ class MetricsLedger:
         return "\n".join(lines) + "\n"
 
     def totals(self):
-        """Run-level aggregates used for ranking and acceptance checks."""
-        agg = {name: 0 for name in NODE_COUNTERS}
-        residual = 0.0
-        for c in self.node.values():
-            for name in NODE_COUNTERS:
-                agg[name] += getattr(c, name)
-            residual += c.residual_battery_mah
+        """Run-level aggregates used for ranking and acceptance checks: every
+        node counter summed over nodes, then the session totals."""
+        agg = {f.name: sum(getattr(c, f.name) for c in self.node.values())
+               for f in fields(NodeCounters)}
         sent = sum(s.app_sent for s in self.session.values())
         received = sum(s.app_received for s in self.session.values())
-        agg["residual_battery_mah"] = residual
         agg["app_sent"] = sent
         agg["app_received"] = received
         agg["delivery_ratio"] = received / sent if sent else 0.0

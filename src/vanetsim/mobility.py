@@ -37,10 +37,12 @@ class Mobility:
     and goes on drawing a uniform destination, then a uniform speed. Each
     arrival, the start included, is followed by a `pause_s` pause.
 
-    A tick only notes the sampling time and draws the legs that fall due;
-    `sync` computes the positions at that time when a frame needs them.
-    Due legs are drawn in node-id order, so the draws come out in (tick,
-    node id) order however rarely positions are read.
+    Positions are sampled on a fixed tick: `sync` sets them to their values
+    at the last tick at or before now, when a frame needs them. Legs are
+    drawn only at ticks where one falls due, all those due in node-id order,
+    so the draws come out in (tick, node id) order however rarely positions
+    are read. One event waits for the first tick at which a leg falls due;
+    there is none while every node holds still for good.
     """
 
     def __init__(self, sim, nodes, config):
@@ -50,7 +52,7 @@ class Mobility:
         self.tick_us = us(config.mobility_tick_ms / 1000.0)
         self.pause_us = us(config.pause_s)
         self.end_us = us(config.sim_time_s)
-        self.sampled_at = self.synced_at = sim.now
+        self.synced_at = 0
         self.on_move = lambda: None  # told when a sync moves some node
         self.legs = []  # (node, leg) in node-id order
         for nid in sorted(nodes):
@@ -70,7 +72,7 @@ class Mobility:
         self.next_due = self._next_due()
 
     def start(self):
-        self._schedule_tick()
+        self._schedule_draw()
 
     def next_leg(self, leg, now):
         """Start a new leg from the node's current (arrived) position."""
@@ -107,11 +109,14 @@ class Mobility:
         return position_at(leg, now)
 
     def sync(self):
-        """Set every node.pos to the last tick's sample, at most once a tick;
-        calls on_move if some node moved."""
-        if self.synced_at == self.sampled_at:
+        """Set every node.pos to its sample at the last tick, at most once a
+        tick, after drawing the legs due by then; calls on_move if some node
+        moved."""
+        t = min(self.sim.now, self.end_us) // self.tick_us * self.tick_us
+        if t == self.synced_at:
             return
-        t = self.synced_at = self.sampled_at
+        self.synced_at = t
+        self._draw_due(t)
         moved = False
         for node, leg in self.legs:
             pos = position_at(leg, t)
@@ -121,16 +126,24 @@ class Mobility:
         if moved:
             self.on_move()
 
-    def _schedule_tick(self):
-        at = self.sim.now + self.tick_us
-        if at <= self.end_us:
-            self.sim.schedule_at(at, self._tick, kind="mobility-update")
-
-    def _tick(self):
-        now = self.sampled_at = self.sim.now
-        if self.next_due <= now:
+    def _draw_due(self, t):
+        """Draw, in node-id order, the legs due by tick t > 0."""
+        if self.next_due <= t:
             for _, leg in self.legs:
-                if self.due_at(leg) <= now:
-                    self.advance(leg, now)
+                if self.due_at(leg) <= t:
+                    self.advance(leg, t)
             self.next_due = self._next_due()
-        self._schedule_tick()
+
+    def _schedule_draw(self):
+        """One event at the first tick k*tick_us (k >= 1) at or after
+        next_due, if it falls within the run."""
+        if self.next_due == math.inf:
+            return
+        k = max(-(-self.next_due // self.tick_us), 1)
+        if k * self.tick_us <= self.end_us:
+            self.sim.schedule_at(k * self.tick_us, self._draw,
+                                 kind="mobility-update")
+
+    def _draw(self):
+        self._draw_due(self.sim.now)
+        self._schedule_draw()

@@ -80,11 +80,10 @@ def reach_m(config):
 
 
 class Reception:
-    __slots__ = ("frame", "sender", "start", "end", "errored")
+    __slots__ = ("frame", "start", "end", "errored")
 
-    def __init__(self, frame, sender, start, end):
+    def __init__(self, frame, start, end):
         self.frame = frame
-        self.sender = sender
         self.start = start
         self.end = end
         self.errored = False
@@ -92,6 +91,9 @@ class Reception:
 
 class Channel:
     """Shared medium: schedules receptions, flags overlaps as errors.
+
+    It tells each node's MAC when the medium turns busy or idle there, and
+    when one of the node's own frames leaves the air.
 
     Collision model is overlap => both errored, no capture. A node is
     half-duplex: its own transmission corrupts anything it was receiving,
@@ -138,9 +140,8 @@ class Channel:
             in_reach = self._in_reach[node.id] = self._reach_of(node)
         for other in in_reach:
             if other.radio_enabled:
-                self._begin_reception(other,
-                                      Reception(frame, node.id, now, end))
-        self.sim.schedule_at(end, lambda: self._end_transmit(node),
+                self._begin_reception(other, Reception(frame, now, end))
+        self.sim.schedule_at(end, lambda: self._end_transmit(node, frame),
                              kind="tx-end", target=node.id)
         return end
 
@@ -179,10 +180,11 @@ class Channel:
         self.sim.schedule_at(rec.end, lambda: self._end_reception(node, rec),
                              kind="frame-arrival", target=node.id)
 
-    def _end_transmit(self, node):
+    def _end_transmit(self, node, frame):
         node.accrue_power(self.sim.now)
         node.transmitting = False
         self._bump_busy(node, -1)
+        node.mac.on_tx_end(frame)
 
     def _end_reception(self, node, rec):
         node.accrue_power(self.sim.now)

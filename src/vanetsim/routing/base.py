@@ -188,12 +188,19 @@ class Agent:
         self.route_or_miss(pkt.hop_copy(), prev_hop=prev_hop)
 
     def route_or_miss(self, pkt, prev_hop=None):
-        entry = self.table.lookup(pkt.dst, self.sim.now)
-        if entry is not None:
-            self.on_route_used(entry)
-            self.send_data_frame(entry.next_hop, pkt)
-        else:
+        hop = self.next_hop(pkt.dst)
+        if hop is None:
             self.on_route_miss(pkt, prev_hop)
+        else:
+            self.send_data_frame(hop, pkt)
+
+    def next_hop(self, dest):
+        """Next hop toward dest from the route table, or None."""
+        entry = self.table.lookup(dest, self.sim.now)
+        if entry is None:
+            return None
+        self.on_route_used(entry)
+        return entry.next_hop
 
     def on_route_used(self, entry):
         pass
@@ -218,12 +225,11 @@ class Agent:
             return
         self._expire_pending(q)
         for pkt, _ in q:
-            entry = self.table.lookup(dest, self.sim.now)
-            if entry is None:
+            hop = self.next_hop(dest)
+            if hop is None:
                 self.ledger.node[self.node.id].route_drops += 1
-                continue
-            self.on_route_used(entry)
-            self.send_data_frame(entry.next_hop, pkt)
+            else:
+                self.send_data_frame(hop, pkt)
 
     def drop_pending(self, dest):
         q = self.pending.pop(dest, None)

@@ -138,27 +138,14 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
 
     # -- data plane --------------------------------------------------------
 
-    def flush_pending(self, dest):
+    def next_hop(self, dest):
+        """The zone path first, then a route found by IERP."""
         path = self.zone_paths.get(dest)
-        if path is None:
-            super().flush_pending(dest)
-            return
-        q = self.pending.pop(dest, None)
-        if not q:
-            return
-        self._expire_pending(q)
-        for pkt, _ in q:
-            self.send_data_frame(path[1], pkt)
-
-    def route_or_miss(self, pkt, prev_hop=None):
-        path = self.zone_paths.get(pkt.dst)
         if path is not None:
-            self.send_data_frame(path[1], pkt)
-            return
-        entry = self.table.lookup(pkt.dst, self.sim.now)
-        if entry is not None:
-            self.send_data_frame(entry.next_hop, pkt)
-            return
+            return path[1]
+        return super().next_hop(dest)
+
+    def on_route_miss(self, pkt, prev_hop):
         if prev_hop is None:
             self.miss_buffer_and_discover(pkt)
         else:

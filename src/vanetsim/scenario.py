@@ -150,6 +150,10 @@ class ScenarioConfig:
                 fail(key, "must be a point inside the terrain")
             if v is not None and not (0 < v < math.inf):
                 fail(key, "speed must be finite and positive")
+        for nid, wps in self.waypoints.items():
+            if nid not in self.positions and wps and wps[0][2] is not None:
+                fail("waypoints.%d" % nid, "the first waypoint is the start "
+                     "point when no position is given and takes no speed")
         return self
 
     # -- serialization -----------------------------------------------------

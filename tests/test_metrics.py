@@ -1,9 +1,11 @@
 """Canonical metric snapshots, aggregation, and cross-run ranking."""
 
+from dataclasses import fields
+
 import pytest
 
-from vanetsim.metrics import (CompareError, MetricsLedger, compare,
-                              ranking_csv, rank_summary)
+from vanetsim.metrics import (CompareError, MetricsLedger, NodeCounters,
+                              compare, ranking_csv, rank_summary)
 
 
 def make_ledger():
@@ -44,9 +46,20 @@ def test_csv_has_header_and_one_line_per_row():
 
 
 def test_totals_aggregates_nodes_and_sessions():
-    t = make_ledger().totals()
+    led = make_ledger()
+    led.node[1].residual_battery_mah = 0.5
+    for nid, (tx, rx, idle) in ((0, (3, 5, 92)), (1, (4, 6, 90))):
+        c = led.node[nid]
+        c.tx_time_us, c.rx_time_us, c.idle_time_us = tx, rx, idle
+    t = led.totals()
     assert t["dcf_broadcasts_sent"] == 7
     assert t["signals_received_without_errors"] == 12
+    assert t["residual_battery_mah"] == 1499.123456789 + 0.5
+    assert (t["tx_time_us"], t["rx_time_us"], t["idle_time_us"]) == \
+        (7, 11, 182)
+    # every node counter is summed, then the session totals follow
+    assert set(t) == {f.name for f in fields(NodeCounters)} | {
+        "app_sent", "app_received", "delivery_ratio"}
     assert t["app_sent"] == 10 and t["app_received"] == 2
     assert t["delivery_ratio"] == 0.2
 

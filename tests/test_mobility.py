@@ -1,8 +1,12 @@
 """Random-waypoint legs, scripted paths, and the position sampler."""
 
 from vanetsim.engine import Simulator, us
+from vanetsim.mac import BROADCAST, DATA, MacFrame
 from vanetsim.mobility import Leg, Mobility, position_at
 from vanetsim.scenario import ScenarioConfig
+from vanetsim.simulation import Simulation
+
+from conftest import line_positions, make_static_config
 
 
 class Shell:
@@ -115,8 +119,8 @@ def test_scripted_node_becomes_static_after_last_waypoint():
 
 def test_waypoints_alone_start_at_the_first_one():
     mobility, leg = first_leg(
-        seed=3, waypoints={0: [(20.0, 30.0, 99.0), (20.0, 130.0, None)]})
-    assert leg.start == (20.0, 30.0)  # its speed is never used
+        seed=3, waypoints={0: [(20.0, 30.0, None), (20.0, 130.0, None)]})
+    assert leg.start == (20.0, 30.0)
     mobility.next_leg(leg, 0)  # unspeeded: one uniform 3-20 m/s draw
     assert us(100 / 20.0) <= leg.arrive_at <= us(100 / 3.0)
     assert leg.done
@@ -181,3 +185,59 @@ def test_manager_honours_pinned_position():
     mobility.start()
     sim.run_until(us(5))
     assert nodes[0].pos == (5.0, 6.0)
+
+
+def test_all_pinned_run_dispatches_no_mobility_event():
+    simulation = Simulation(make_static_config(
+        line_positions(4), sessions=[(0, 3)], sim_time_s=10))
+    sim = simulation.sim
+    dispatched = []
+    schedule_at = sim.schedule_at
+
+    def recorded(fire_at, fn, *args, **kwargs):
+        def fire():
+            dispatched.append(getattr(fn, "__self__", None))
+            fn()
+        return schedule_at(fire_at, fire, *args, **kwargs)
+
+    sim.schedule_at = recorded
+    simulation.run()
+    assert len(dispatched) > 100  # the session ran
+    assert simulation.mobility not in dispatched
+
+
+def test_only_ticks_where_a_leg_falls_due_dispatch_an_event():
+    sim, nodes, mobility = make_mobility(
+        seed=2, num_nodes=2, sim_time_s=20, pause_s=0.0,
+        positions={0: (0.0, 0.0), 1: (10.0, 0.0)},
+        waypoints={0: [(100.0, 0.0, 10.0)], 1: [(10.0, 20.0, 10.0)]})
+    mobility.start()
+    fired = []
+    while sim._heap:
+        fired.append(sim._heap[0][0])
+        sim.run_until(sim._heap[0][0])
+    # both depart on the first tick; node 1 arrives at 2 s and holds there
+    # for good, node 0 at 10 s; neither arrival needs another draw
+    assert fired == [us(0.1)]
+    assert mobility.legs[0][1].done and mobility.legs[1][1].done
+
+
+def test_a_frame_sent_on_a_tick_sees_that_tick():
+    # node 0 waits at its start until 0.25 s, then heads east at 10 m/s;
+    # the tick at 0.3 s draws that leg
+    simulation = Simulation(make_static_config(
+        {0: (0.0, 0.0)}, sim_time_s=1.0, pause_s=0.25,
+        waypoints={0: [(100.0, 0.0, 10.0)]}))
+    node = simulation.nodes[0]
+    seen = []
+
+    def send():
+        simulation.channel.transmit(
+            node, MacFrame(DATA, 0, BROADCAST, 0, 34, "m", 24, frame_id=1))
+        seen.append(node.pos)
+
+    # scheduled before the run starts, so ahead of the mobility event at
+    # 0.3 s: the frame must draw the due leg itself and sample at 0.3 s
+    simulation.sim.schedule_at(us(0.3), send)
+    simulation.run()
+    assert seen == [(0.5, 0.0)]

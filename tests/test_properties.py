@@ -37,7 +37,10 @@ def scenarios(draw):
         if "pinned" in kind:
             positions[nid] = draw(point)
         if "scripted" in kind:
-            waypoints[nid] = draw(st.lists(waypoint, min_size=1, max_size=3))
+            path = draw(st.lists(waypoint, min_size=1, max_size=3))
+            if nid not in positions:  # the first waypoint is the start
+                path[0] = path[0][:2] + (None,)
+            waypoints[nid] = path
     max_range, threshold = draw(st.sampled_from(RADIOS))
     return ScenarioConfig(
         num_nodes=n, terrain_width_m=width, terrain_height_m=height,
@@ -51,13 +54,52 @@ def scenarios(draw):
         positions=positions, waypoints=waypoints).validate()
 
 
+class EagerMobility:
+    """Oracle for Mobility: on every tick, before any other event of that
+    instant, it draws the legs that have fallen due and moves every node.
+
+    It takes over the legs that Mobility built, so the start points are the
+    same, and draws new ones with Mobility.next_leg.
+    """
+
+    def __init__(self, simulation):
+        self.simulation = simulation
+        self.lazy = simulation.mobility
+        self.at = 0
+        self.samples = [node.pos for node, _ in self.lazy.legs]
+        simulation.mobility = self
+        simulation.channel.sync = lambda: None
+
+    def start(self):
+        # Called first in Simulation.run, so each tick precedes every other
+        # event at its instant.
+        lazy = self.lazy
+        for t in range(lazy.tick_us, lazy.end_us + 1, lazy.tick_us):
+            self.simulation.sim.schedule_at(t, self.tick)
+
+    def tick(self):
+        lazy = self.lazy
+        now = self.at = self.simulation.sim.now
+        moved = False
+        for node, leg in lazy.legs:
+            while not leg.done and leg.arrive_at + lazy.pause_us <= now:
+                lazy.next_leg(leg, leg.arrive_at + lazy.pause_us)
+            pos = position_at(leg, now)
+            if pos != node.pos:
+                node.pos = pos
+                moved = True
+        if moved:
+            self.simulation.channel.moved()
+        self.samples += [node.pos for node, _ in lazy.legs]
+
+
 def brute_force_receivers(simulation, sender):
     """Enabled nodes a frame from `sender` reaches, by hypot and power,
-    at positions computed afresh for the last mobility tick."""
+    at positions computed afresh for the oracle's last tick."""
     config = simulation.config
     mobility = simulation.mobility
-    pos = {node.id: position_at(leg, mobility.sampled_at)
-           for node, leg in mobility.legs}
+    pos = {node.id: position_at(leg, mobility.at)
+           for node, leg in mobility.lazy.legs}
     if not sender.radio_enabled:
         return []
     out = []
@@ -73,9 +115,11 @@ def brute_force_receivers(simulation, sender):
     return out
 
 
-def run_checking_receivers(config):
-    """A plain run whose every transmission is checked by brute force."""
+def run_eager_and_checked(config):
+    """A run under EagerMobility whose every transmission reaches exactly
+    the nodes brute force selects; returns the ledger and the oracle."""
     simulation = Simulation(config)
+    oracle = EagerMobility(simulation)
     channel = simulation.channel
     transmit, begin = channel.transmit, channel._begin_reception
     reached = []
@@ -93,27 +137,19 @@ def run_checking_receivers(config):
 
     channel.transmit = checked_transmit
     channel._begin_reception = recorded_begin
-    return simulation.run()
+    return simulation.run(), oracle
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(scenarios())
 def test_run_invariants(config):
     simulation = Simulation(config)
-    samples = [node.pos for node in simulation.nodes.values()]
-    mobility = simulation.mobility
-    tick = mobility._tick
-
-    def sampled_tick():
-        tick()
-        mobility.sync()
-        samples.extend(node.pos for node in simulation.nodes.values())
-
-    mobility._tick = sampled_tick
     ledger = simulation.run()
-    # Positions computed on every tick or only when a frame is sent, and
-    # receivers taken from the reach radius or by brute force: same bytes.
-    assert csv_digest(run_checking_receivers(config)) == csv_digest(ledger)
+    # Legs drawn only when due and positions computed only when a frame is
+    # sent, receivers taken from the reach radius; or every node moved on
+    # every tick and receivers found by brute force: the same bytes.
+    eager, oracle = run_eager_and_checked(config)
+    assert csv_digest(eager) == csv_digest(ledger)
 
     end_us = us(config.sim_time_s)
     for c in ledger.node.values():
@@ -123,6 +159,7 @@ def test_run_invariants(config):
         schedule = range(sid * SESSION_STAGGER_US, end_us, interval_us)
         assert c.app_sent == len(schedule)
         assert c.app_received <= c.app_sent
+    samples = oracle.samples
     assert len(samples) > len(simulation.nodes)  # ticks were sampled
     samples += [leg.dest for _, leg in simulation.mobility.legs]
     for x, y in samples:

@@ -1,15 +1,18 @@
 """Scenario parsing/validation and the command-line front end."""
 
 import json
+import os
 
 import pytest
 
+import vanetsim
 from vanetsim.cli import main, parse_seeds
 from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
 from vanetsim.simulation import Simulation
 
-BUNDLED = "src/vanetsim/scenarios/table1.cfg"
+BUNDLED = os.path.join(os.path.dirname(vanetsim.__file__),
+                       "scenarios", "table1.cfg")
 
 
 def test_bundled_scenario_loads_with_expected_defaults():
@@ -80,6 +83,10 @@ def test_unparseable_value_names_the_key():
     ("waypoints.0 = 10,10;50,10,inf", "waypoints.0"),
     ("waypoints.0 = 10,10;5000,20", "waypoints.0"),
     ("waypoints.0 = 10,10;ten,20", "waypoints.0"),
+    # with no position.N the first waypoint is the start and has no speed
+    ("waypoints.0 = 10,10,5;50,10", "waypoints.0"),
+    ("waypoints.3 = 10,10,5", "waypoints.3"),
+    ("position.0 = 1,1\nwaypoints.1 = 10,10,5;50,10,2", "waypoints.1"),
 ])
 def test_validation_failures_name_offending_key(line, key):
     with pytest.raises(ScenarioError, match=key):
@@ -105,17 +112,17 @@ def test_session_position_and_waypoint_parsing():
         "session = 0,2\n"
         "position.0 = 10,20\n"
         "position.1 = 30.5,40\n"
-        "waypoints.2 = 100,200,5; 300,400\n")
+        "waypoints.2 = 100,200; 300,400,5\n")
     assert cfg.explicit_sessions == [(0, 2)]
     assert cfg.positions[0] == (10.0, 20.0)
     assert cfg.positions[1] == (30.5, 40.0)
-    assert cfg.waypoints[2] == [(100.0, 200.0, 5.0), (300.0, 400.0, None)]
+    assert cfg.waypoints[2] == [(100.0, 200.0, None), (300.0, 400.0, 5.0)]
 
 
 def test_echo_round_trips_to_identical_config():
     cfg = parse_scenario(
         "num_nodes = 4\nseed = 7\nprotocol = olsr\n"
-        "session = 0,3\nposition.1 = 5,6\nwaypoints.2 = 1,2,3\n")
+        "session = 0,3\nposition.1 = 5,6\nwaypoints.2 = 1,2;3,4,5\n")
     again = parse_scenario(cfg.echo())
     assert again == cfg
     assert again.echo() == cfg.echo()
