@@ -280,16 +280,21 @@ class LinkStateAgent(Agent):
     """Neighbour table, link-state store and expiry sweep (OLSR and ZRP).
 
     Subclasses set neighbor_hold_us, fill link_state from their link
-    advertisements and rebuild routes in _recompute.
+    advertisements and rebuild what they derive from it (routes, MPRs, the
+    zone) when it is read after a call to _links_changed.
     """
 
     def __init__(self, sim, node, ledger):
         super().__init__(sim, node, ledger)
         self.neighbors = {}    # id -> NeighborRecord
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
+        self._changes = 0      # link-set changes so far
+        self._changed_at = 0   # time of the last one
 
-    def _recompute(self):
-        raise NotImplementedError
+    def _links_changed(self):
+        """Mark the derived state stale as of now."""
+        self._changes += 1
+        self._changed_at = self.sim.now
 
     def _heard(self, sender, sym, heard):
         """Refresh sender's record from its HELLO or advert; return it."""
@@ -342,7 +347,7 @@ class LinkStateAgent(Agent):
                 del self.link_state[orig]
                 changed = True
         if changed:
-            self._recompute()
+            self._links_changed()
         self.sim.schedule_after(SWEEP_US, self._sweep,
                                 kind="timer-expiry", target=self.node.id)
 
@@ -352,4 +357,4 @@ class LinkStateAgent(Agent):
     def on_link_failure(self, neighbor):
         if neighbor in self.neighbors:
             self._drop_neighbor(neighbor)
-            self._recompute()
+            self._links_changed()

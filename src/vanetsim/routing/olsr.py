@@ -73,7 +73,8 @@ class OlsrAgent(LinkStateAgent):
         self.tc_us = us(config.tc_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
         self.topo_hold_us = HOLD_FACTOR * self.tc_us
-        self.mpr_set = set()
+        self._mpr_set = set()
+        self._mprs_built = self._routes_built = 0  # _changes when built
         self.mpr_selector_set = set()
         self.ansn = 0
         self.tc_counter = 0
@@ -132,7 +133,7 @@ class OlsrAgent(LinkStateAgent):
         elif was and not selected:
             self.mpr_selector_set.discard(msg.sender)
             self.ansn += 1
-        self._recompute()
+        self._links_changed()
 
     def _process_tc(self, msg, prev_hop):
         if msg.orig == self.node.id:
@@ -145,16 +146,34 @@ class OlsrAgent(LinkStateAgent):
             return  # stale advertised-neighbor sequence number
         self.link_state[msg.orig] = (msg.ansn, frozenset(msg.advertised),
                                      self.sim.now + self.topo_hold_us)
-        self._recompute()
+        self._links_changed()
         if prev_hop in self.mpr_selector_set and msg.ttl > 1:
             self.bump("tc_forwarded")
             fwd = replace(msg, ttl=msg.ttl - 1)
             size = MSG_BASE_BYTES + ADDR_BYTES * len(fwd.advertised)
             self.forward_control_broadcast(TC_KIND, fwd, size)
 
-    # -- route computation -------------------------------------------------
+    # -- derived state, rebuilt when read ----------------------------------
 
-    def _recompute(self):
+    @property
+    def mpr_set(self):
+        if self._mprs_built != self._changes:
+            self._mprs_built = self._changes
+            self._mpr_set = self._select_mprs()
+        return self._mpr_set
+
+    @property
+    def table(self):
+        if self._routes_built != self._changes:
+            self._routes_built = self._changes
+            self._compute_routes()
+        return self._table
+
+    @table.setter
+    def table(self, table):
+        self._table = table
+
+    def _select_mprs(self):
         me = self.node.id
         sym = self._sym_neighbors()
         coverage = {}
@@ -163,8 +182,7 @@ class OlsrAgent(LinkStateAgent):
             rec = self.neighbors[n]
             coverage[n] = {x for x in rec.sym_set if x != me and x not in sym}
             degree[n] = len(rec.sym_set)
-        self.mpr_set = select_mprs(coverage, degree)
-        self._compute_routes()
+        return select_mprs(coverage, degree)
 
     def _compute_routes(self):
         me = self.node.id
@@ -188,14 +206,16 @@ class OlsrAgent(LinkStateAgent):
                     first[v] = v if u == me else first[u]
                     nxt.append(v)
             frontier = nxt
-        expires = self.sim.now + self.topo_hold_us
+        # stamped as of the change, so the entries are those an eager
+        # rebuild at that instant would have made
+        expires = self._changed_at + self.topo_hold_us
         for dest in sorted(dist):
             if dest == me:
                 continue
             table[dest] = RouteEntry(dest=dest, next_hop=first[dest],
                                      seq_no=0, hop_count=dist[dest],
                                      expires_at=expires)
-        self.table.entries = table
+        self._table.entries = table
 
     # -- maintenance -------------------------------------------------------
 

@@ -61,8 +61,8 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         self.radius = config.zone_radius
         self.iarp_us = us(config.iarp_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us
-        self.zone_paths = {}     # dest (<= rho hops) -> full path tuple
-        self.peripheral_set = set()
+        self._zone_paths = {}    # dest (<= rho hops) -> full path tuple
+        self._zone_built = 0     # _changes when it was built
         self.adv_counter = 0
         self.query_counter = 0
         self.adv_seen = DupCache(sim, us(DUP_CACHE_S))
@@ -103,7 +103,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         if current is None or msg.seq >= current[0]:
             self.link_state[msg.orig] = (msg.seq, frozenset(msg.sym),
                                          self.sim.now + self.neighbor_hold_us)
-        self._recompute()
+        self._links_changed()
         if msg.ttl > 1:
             fwd = replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
             size = MSG_BASE_BYTES + ADDR_BYTES * (len(fwd.sym)
@@ -111,7 +111,31 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             self.bump("iarp_forwarded")
             self.forward_control_broadcast(ADVERT_KIND, fwd, size)
 
-    def _recompute(self):
+    def _links_changed(self):
+        """A buffered packet goes out in the instant its destination enters
+        the zone, so the zone is rebuilt at once only if packets wait; else
+        the next_hop miss that buffers one reads the zone first."""
+        super()._links_changed()
+        if self.pending:
+            paths = self.zone_paths
+            # destinations the zone now covers no longer need a query
+            for dest in sorted(self.pending):
+                if dest in paths:
+                    self.discovery_succeeded(dest)
+
+    @property
+    def zone_paths(self):
+        if self._zone_built != self._changes:
+            self._zone_built = self._changes
+            self._zone_paths = self._build_zone()
+        return self._zone_paths
+
+    @property
+    def peripheral_set(self):
+        return {d for d, p in self.zone_paths.items()
+                if len(p) - 1 == self.radius}
+
+    def _build_zone(self):
         me = self.node.id
         adj = self._adjacency(self._sym_neighbors())
         paths = {me: (me,)}
@@ -128,13 +152,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
                     nxt.append(v)
             frontier = nxt
         del paths[me]
-        self.zone_paths = paths
-        self.peripheral_set = {d for d, p in paths.items()
-                               if len(p) - 1 == self.radius}
-        # destinations the zone now covers no longer need a query
-        for dest in sorted(self.pending):
-            if dest in paths:
-                self.discovery_succeeded(dest)
+        return paths
 
     # -- data plane --------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """MPR selection, TC flooding, and proactive route computation."""
 
 import random
+from types import SimpleNamespace
 
-from vanetsim.routing.olsr import select_mprs
+from vanetsim.engine import Simulator, us
+from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
+from vanetsim.scenario import ScenarioConfig
+from vanetsim.simulation import Simulation
 
-from conftest import line_positions, run_static
+from conftest import line_positions, make_static_config, run_static
 
 
 def test_select_mprs_empty_when_no_two_hop_nodes():
@@ -100,3 +104,46 @@ def test_periodic_rates_on_short_run():
         tc = node.agent.stats.get("tc_sent", 0)
         assert abs(hello - 21 / 2.0) <= 1.0
         assert abs(tc - 21 / 5.0) <= 1.0
+
+
+def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
+    # One HELLO makes 1 a symmetric neighbour at t0; nothing changes after
+    # it, so the first read of the table comes long after the change.
+    sim = Simulator(seed=1)
+    agent = OlsrAgent(sim, SimpleNamespace(id=0), None, ScenarioConfig())
+    hold = agent.topo_hold_us
+    t0 = us(1.0)
+    seen = {}
+    sim.schedule_at(t0, lambda: agent._process_hello(
+        Hello(sender=1, sym=(0,), heard=(), mprs=())))
+    for at in (t0 + hold - 1, t0 + hold + 1):
+        sim.schedule_at(at, lambda at=at: seen.update(
+            {at: agent.table.lookup(1, sim.now)}))
+    sim.run_until(t0 + hold + 1)
+    hit = seen[t0 + hold - 1]
+    assert hit is not None and hit.next_hop == 1
+    assert hit.expires_at == t0 + hold
+    assert seen[t0 + hold + 1] is None
+
+
+def test_routes_are_computed_only_when_the_table_is_read():
+    simulation = Simulation(make_static_config(
+        line_positions(4), protocol="olsr", sim_time_s=20.0))
+    calls = {}
+    for nid, node in simulation.nodes.items():
+        agent = node.agent
+
+        def counted(agent=agent, nid=nid):
+            calls[nid] = calls.get(nid, 0) + 1
+            type(agent)._compute_routes(agent)
+
+        agent._compute_routes = counted
+    simulation.run()
+    # HELLOs and TCs changed every link set, and MPRs were selected for
+    # every HELLO, but with no traffic nothing looked a route up.
+    assert calls == {}
+    assert simulation.nodes[0].agent.mpr_set == {1}
+    entry = simulation.nodes[0].agent.table.lookup(3, simulation.sim.now)
+    assert entry is not None and entry.next_hop == 1
+    simulation.nodes[0].agent.table.lookup(2, simulation.sim.now)
+    assert calls == {0: 1}

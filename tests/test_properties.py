@@ -6,14 +6,18 @@ identities every run must keep whatever its numbers are.
 """
 
 import math
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from vanetsim.engine import us
 from vanetsim.mobility import position_at
 from vanetsim.phy import received_power_dbm
+from vanetsim.routing.base import LinkStateAgent
+from vanetsim.routing.olsr import OlsrAgent
+from vanetsim.routing.zrp import ZrpAgent
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import SESSION_STAGGER_US, Simulation
+from vanetsim.simulation import AGENTS, SESSION_STAGGER_US, Simulation
 
 from conftest import PROTOCOLS, csv_digest
 
@@ -93,6 +97,30 @@ class EagerMobility:
         self.samples += [node.pos for node, _ in lazy.legs]
 
 
+class EagerOlsr(OlsrAgent):
+    """Oracle for OlsrAgent: selects MPRs and computes routes on every
+    change to the link sets, as RFC 3626 section 10 words it."""
+
+    def _links_changed(self):
+        super()._links_changed()
+        self._mpr_set = self._select_mprs()
+        self._compute_routes()
+        self._mprs_built = self._routes_built = self._changes
+
+
+class EagerZrp(ZrpAgent):
+    """Oracle for ZrpAgent: rebuilds the zone on every change to the link
+    sets, then ends discovery for each waiting destination it covers."""
+
+    def _links_changed(self):
+        LinkStateAgent._links_changed(self)
+        self._zone_paths = paths = self._build_zone()
+        self._zone_built = self._changes
+        for dest in sorted(self.pending):
+            if dest in paths:
+                self.discovery_succeeded(dest)
+
+
 def brute_force_receivers(simulation, sender):
     """Enabled nodes a frame from `sender` reaches, by hypot and power,
     at positions computed afresh for the oracle's last tick."""
@@ -116,9 +144,11 @@ def brute_force_receivers(simulation, sender):
 
 
 def run_eager_and_checked(config):
-    """A run under EagerMobility whose every transmission reaches exactly
-    the nodes brute force selects; returns the ledger and the oracle."""
-    simulation = Simulation(config)
+    """A run under EagerMobility and the eager link-state agents whose
+    every transmission reaches exactly the nodes brute force selects;
+    returns the ledger and the mobility oracle."""
+    with patch.dict(AGENTS, olsr=EagerOlsr, zrp=EagerZrp):
+        simulation = Simulation(config)
     oracle = EagerMobility(simulation)
     channel = simulation.channel
     transmit, begin = channel.transmit, channel._begin_reception
@@ -146,8 +176,9 @@ def test_run_invariants(config):
     simulation = Simulation(config)
     ledger = simulation.run()
     # Legs drawn only when due and positions computed only when a frame is
-    # sent, receivers taken from the reach radius; or every node moved on
-    # every tick and receivers found by brute force: the same bytes.
+    # sent, receivers taken from the reach radius, routes and zones built
+    # when read; or every node moved on every tick, receivers found by
+    # brute force, routes and zones built on every change: the same bytes.
     eager, oracle = run_eager_and_checked(config)
     assert csv_digest(eager) == csv_digest(ledger)
 

@@ -4,6 +4,7 @@ import pytest
 
 from vanetsim.routing.base import DUP_CACHE_CAP
 from vanetsim.scenario import ScenarioError
+from vanetsim.simulation import Simulation
 from conftest import line_positions, make_static_config, run_static
 
 
@@ -104,3 +105,34 @@ def test_advert_cache_stays_bounded_on_a_long_run():
                    iarp_interval_s=0.5)
     for node in s.nodes.values():
         assert len(node.agent.adv_seen) <= DUP_CACHE_CAP + 1
+
+
+def test_buffered_packets_leave_when_the_destination_enters_the_zone():
+    # 2 drives in from out of reach and becomes 1's neighbour; 0 buffers
+    # its packets for 2 until 1's advert brings 2 into 0's zone.
+    positions = {0: (50.0, 100.0), 1: (130.0, 100.0), 2: (600.0, 100.0)}
+    simulation = Simulation(make_static_config(
+        positions, sessions=[(0, 2)], protocol="zrp", sim_time_s=30.0,
+        waypoints={2: [(210.0, 100.0, 20.0)]}))
+    agent = simulation.nodes[0].agent
+    links_changed, send = agent._links_changed, agent.send_data_frame
+    entered, sent = [], []
+
+    def watched_links_changed():
+        was_outside = 2 not in agent.zone_paths
+        waiting = 2 in agent.pending
+        links_changed()
+        if was_outside and 2 in agent.zone_paths:
+            entered.append((simulation.sim.now, waiting, 2 in agent.pending))
+
+    def recorded_send(hop, pkt):
+        sent.append((simulation.sim.now, pkt.dst))
+        send(hop, pkt)
+
+    agent._links_changed = watched_links_changed
+    agent.send_data_frame = recorded_send
+    simulation.run()
+    assert len(entered) == 1
+    at, waiting, still_waiting = entered[0]
+    assert waiting and not still_waiting
+    assert sent[0] == (at, 2)  # 0's first data frame
