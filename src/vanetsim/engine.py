@@ -47,6 +47,10 @@ class Simulator:
     insertion order, which makes dispatch order a pure function of the
     schedule (and therefore of the seed and scenario). An event is its heap
     entry, the list [fire_at, seq, fn]; cancelling it sets fn to None.
+
+    The callback names the event. Only perfbench's tracer reads kind (to
+    tell "frame-arrival" from other channel ends) and its wrapper passes
+    kind and target by position, so both stay until the tracer stops.
     """
 
     def __init__(self, seed=0):
@@ -61,8 +65,8 @@ class Simulator:
     def schedule_at(self, fire_at, fn, kind="timer", target="world"):
         if fire_at < self.now:
             raise SimulationError(
-                "scheduling into the past: t=%d < now=%d (%s/%s)"
-                % (fire_at, self.now, kind, target)
+                "scheduling into the past: t=%d < now=%d (%s)"
+                % (fire_at, self.now, fn.__qualname__)
             )
         ev = [fire_at, self._seq, fn]
         self._seq += 1

@@ -111,8 +111,7 @@ class DcfMac:
             return
         self.queue.append(
             PendingFrame(dst, packet, payload_bytes, self.sim.next_frame_id()))
-        if self.current is None and not self._contending:
-            self._serve_next()
+        self._serve_next()
 
     # -- medium notifications (from the channel) ---------------------------
 
@@ -177,13 +176,11 @@ class DcfMac:
         if self.sim.now < self.nav_until:
             if self._nav_timer is None:
                 self._nav_timer = self.sim.schedule_at(
-                    self.nav_until, self._nav_expired,
-                    kind="timer-expiry", target=self.node.id)
+                    self.nav_until, self._nav_expired)
             return
         if self._difs_timer is None and self._backoff_timer is None:
             self._difs_timer = self.sim.schedule_after(
-                self.config.difs_us, self._difs_done,
-                kind="timer-expiry", target=self.node.id)
+                self.config.difs_us, self._difs_done)
 
     def _nav_expired(self):
         self._nav_timer = None
@@ -203,8 +200,7 @@ class DcfMac:
         if self.backoff_slots:
             self._backoff_started = self.sim.now
             self._backoff_timer = self.sim.schedule_after(
-                self.backoff_slots * self.config.slot_us, self._backoff_done,
-                kind="timer-expiry", target=self.node.id)
+                self.backoff_slots * self.config.slot_us, self._backoff_done)
         else:
             self._transmit_attempt()
 
@@ -245,9 +241,7 @@ class DcfMac:
             self.phase = WAIT_CTS
             self._timeout_timer = self.sim.schedule_at(
                 end + self.config.sifs_us + self._cts_air
-                + self.config.slot_us,
-                self._exchange_timeout, kind="timer-expiry",
-                target=self.node.id)
+                + self.config.slot_us, self._exchange_timeout)
         else:
             self._send_data_stage()
 
@@ -268,7 +262,7 @@ class DcfMac:
         self.phase = WAIT_ACK
         self._timeout_timer = self.sim.schedule_at(
             end + self.config.sifs_us + self._ack_air + self.config.slot_us,
-            self._exchange_timeout, kind="timer-expiry", target=self.node.id)
+            self._exchange_timeout)
 
     def _exchange_timeout(self):
         self._timeout_timer = None
@@ -280,7 +274,6 @@ class DcfMac:
             self.counters.mac_unicast_drops += 1
             self._drop_current(notify=True)
         else:
-            self.phase = CONTEND
             self._start_access(force_backoff=True)
 
     def _drop_current(self, notify):
@@ -344,9 +337,7 @@ class DcfMac:
                 self.sim.cancel(self._timeout_timer)
                 self._timeout_timer = None
                 self.sim.schedule_after(self.config.sifs_us,
-                                        self._send_data_stage,
-                                        kind="timer-expiry",
-                                        target=self.node.id)
+                                        self._send_data_stage)
         elif frame.kind == DATA:
             ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
             self._schedule_response(ack)
@@ -361,8 +352,7 @@ class DcfMac:
 
     def _schedule_response(self, frame):
         self.sim.schedule_after(self.config.sifs_us,
-                                lambda: self._send_response(frame),
-                                kind="timer-expiry", target=self.node.id)
+                                lambda: self._send_response(frame))
 
     def _send_response(self, frame):
         # SIFS responses skip contention but still honour NAV and half-duplex

@@ -141,8 +141,7 @@ class Mobility:
             return
         k = max(-(-self.next_due // self.tick_us), 1)
         if k * self.tick_us <= self.end_us:
-            self.sim.schedule_at(k * self.tick_us, self._draw,
-                                 kind="mobility-update")
+            self.sim.schedule_at(k * self.tick_us, self._draw)
 
     def _draw(self):
         self._draw_due(self.sim.now)

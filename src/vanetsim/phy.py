@@ -141,8 +141,7 @@ class Channel:
         for other in in_reach:
             if other.radio_enabled:
                 self._begin_reception(other, Reception(frame, now, end))
-        self.sim.schedule_at(end, lambda: self._end_transmit(node, frame),
-                             kind="tx-end", target=node.id)
+        self.sim.schedule_at(end, lambda: self._end_transmit(node, frame))
         return end
 
     def moved(self):
@@ -178,7 +177,7 @@ class Channel:
         node.active_rx.append(rec)
         self._bump_busy(node, 1)
         self.sim.schedule_at(rec.end, lambda: self._end_reception(node, rec),
-                             kind="frame-arrival", target=node.id)
+                             kind="frame-arrival")
 
     def _end_transmit(self, node, frame):
         node.accrue_power(self.sim.now)

@@ -154,9 +154,7 @@ class Agent:
             self.send_control_broadcast(kind, msg, size_bytes)
             return
         self.sim.schedule_after(
-            delay,
-            lambda: self.send_control_broadcast(kind, msg, size_bytes),
-            kind="timer-expiry", target=self.node.id)
+            delay, lambda: self.send_control_broadcast(kind, msg, size_bytes))
 
     def send_control_unicast(self, next_hop, kind, msg, size_bytes):
         pkt = Packet(src=self.node.id, dst=next_hop, kind=kind,
@@ -348,8 +346,6 @@ class LinkStateAgent(Agent):
                 changed = True
         if changed:
             self._links_changed()
-        self.sim.schedule_after(SWEEP_US, self._sweep,
-                                kind="timer-expiry", target=self.node.id)
 
     def _drop_neighbor(self, neighbor):
         del self.neighbors[neighbor]
@@ -358,3 +354,18 @@ class LinkStateAgent(Agent):
         if neighbor in self.neighbors:
             self._drop_neighbor(neighbor)
             self._links_changed()
+
+
+def start_sweeps(sim, nodes):
+    """One event a second sweeps every link-state agent, in node-id order.
+    A sweep touches only its own agent's tables and schedules nothing."""
+    swept = [nodes[nid].agent for nid in sorted(nodes)
+             if isinstance(nodes[nid].agent, LinkStateAgent)]
+
+    def sweep():
+        for agent in swept:
+            agent._sweep()
+        sim.schedule_after(SWEEP_US, sweep)
+
+    if swept:
+        sim.schedule_after(SWEEP_US, sweep)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import SWEEP_US, DupCache, LinkStateAgent, RouteEntry
+from .base import DupCache, LinkStateAgent, RouteEntry
 
 HELLO_KIND = "olsr-hello"
 TC_KIND = "olsr-tc"
@@ -82,12 +82,8 @@ class OlsrAgent(LinkStateAgent):
 
     def start(self):
         phase = self.node.id * PHASE_STEP_US
-        self.sim.schedule_after(phase, self._hello_tick,
-                                kind="timer-expiry", target=self.node.id)
-        self.sim.schedule_after(phase + self.hello_us // 2, self._tc_tick,
-                                kind="timer-expiry", target=self.node.id)
-        self.sim.schedule_after(SWEEP_US, self._sweep,
-                                kind="timer-expiry", target=self.node.id)
+        self.sim.schedule_after(phase, self._hello_tick)
+        self.sim.schedule_after(phase + self.hello_us // 2, self._tc_tick)
 
     # -- periodic emission -------------------------------------------------
 
@@ -98,8 +94,7 @@ class OlsrAgent(LinkStateAgent):
                                               + len(msg.mprs))
         self.bump("hello_sent")
         self.send_control_broadcast(HELLO_KIND, msg, size)
-        self.sim.schedule_after(self.hello_us, self._hello_tick,
-                                kind="timer-expiry", target=self.node.id)
+        self.sim.schedule_after(self.hello_us, self._hello_tick)
 
     def _tc_tick(self):
         # Emitted every interval even when the selector set is empty, so the
@@ -111,8 +106,7 @@ class OlsrAgent(LinkStateAgent):
         size = MSG_BASE_BYTES + ADDR_BYTES * len(msg.advertised)
         self.bump("tc_sent")
         self.send_control_broadcast(TC_KIND, msg, size)
-        self.sim.schedule_after(self.tc_us, self._tc_tick,
-                                kind="timer-expiry", target=self.node.id)
+        self.sim.schedule_after(self.tc_us, self._tc_tick)
 
     # -- control plane -----------------------------------------------------
 

@@ -43,8 +43,7 @@ class ReactiveDiscoveryMixin:
         if self.sim.now < until:
             if dest not in self._holdoff_timers:
                 self._holdoff_timers[dest] = self.sim.schedule_at(
-                    until, lambda: self._holdoff_elapsed(dest),
-                    kind="timer-expiry", target=self.node.id)
+                    until, lambda: self._holdoff_elapsed(dest))
             return
         self._begin_round(dest)
 
@@ -63,8 +62,7 @@ class ReactiveDiscoveryMixin:
         self.emit_discovery(dest, state["attempt"])
         wait = INITIAL_WAIT_US << (state["attempt"] - 1)
         state["timer"] = self.sim.schedule_after(
-            wait, lambda: self._discovery_timeout(dest),
-            kind="timer-expiry", target=self.node.id)
+            wait, lambda: self._discovery_timeout(dest))
 
     def _discovery_timeout(self, dest):
         state = self._discoveries.get(dest)

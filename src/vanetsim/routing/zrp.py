@@ -3,8 +3,7 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import (PENDING_LIFETIME_US, SWEEP_US, DupCache, LinkStateAgent,
-                   RouteEntry)
+from .base import PENDING_LIFETIME_US, DupCache, LinkStateAgent, RouteEntry
 from .reactive import DUP_CACHE_S, ReactiveDiscoveryMixin
 
 ADVERT_KIND = "zrp-iarp"
@@ -70,10 +69,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
 
     def start(self):
         phase = self.node.id * PHASE_STEP_US
-        self.sim.schedule_after(phase, self._advert_tick,
-                                kind="timer-expiry", target=self.node.id)
-        self.sim.schedule_after(SWEEP_US, self._sweep,
-                                kind="timer-expiry", target=self.node.id)
+        self.sim.schedule_after(phase, self._advert_tick)
 
     # -- IARP: intrazone link state ---------------------------------------
 
@@ -87,8 +83,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         size = MSG_BASE_BYTES + ADDR_BYTES * (len(sym) + len(heard))
         self.bump("iarp_sent")
         self.send_control_broadcast(ADVERT_KIND, msg, size)
-        self.sim.schedule_after(self.iarp_us, self._advert_tick,
-                                kind="timer-expiry", target=self.node.id)
+        self.sim.schedule_after(self.iarp_us, self._advert_tick)
 
     def _process_advert(self, msg, prev_hop):
         if msg.orig == self.node.id:

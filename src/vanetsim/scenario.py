@@ -4,7 +4,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .engine import us
+from .engine import US_PER_S, us
 
 PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
 
@@ -79,6 +79,13 @@ class ScenarioConfig:
             fail("num_nodes", "must be at least 1")
         if not (0 < self.speed_min_mps <= self.speed_max_mps):
             fail("speed_min_mps", "need 0 < speed_min_mps <= speed_max_mps")
+        # Mobility.next_leg times legs up to the diagonal in us: keep finite.
+        diagonal_m = (self.terrain_width_m * self.terrain_width_m
+                      + self.terrain_height_m * self.terrain_height_m) ** 0.5
+        if not math.isfinite(diagonal_m):
+            fail("terrain_width_m/terrain_height_m", "diagonal too long")
+        if not math.isfinite(diagonal_m / self.speed_min_mps * US_PER_S):
+            fail("speed_min_mps", "too slow to cross the terrain")
         if self.pause_s < 0:
             fail("pause_s", "must be non-negative")
         if self.protocol not in PROTOCOLS:
@@ -148,8 +155,9 @@ class ScenarioConfig:
             if not (0 <= x <= self.terrain_width_m
                     and 0 <= y <= self.terrain_height_m):
                 fail(key, "must be a point inside the terrain")
-            if v is not None and not (0 < v < math.inf):
-                fail(key, "speed must be finite and positive")
+            if v is not None and not (0 < v < math.inf and math.isfinite(
+                    diagonal_m / v * US_PER_S)):
+                fail(key, "speed is not finite, positive or fast enough")
         for nid, wps in self.waypoints.items():
             if nid not in self.positions and wps and wps[0][2] is not None:
                 fail("waypoints.%d" % nid, "the first waypoint is the start "

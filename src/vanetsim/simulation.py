@@ -10,6 +10,7 @@ from .mobility import Mobility
 from .node import Node
 from .phy import Channel
 from .routing.aodv import AodvAgent
+from .routing.base import start_sweeps
 from .routing.dymo import DymoAgent
 from .routing.olsr import OlsrAgent
 from .routing.zrp import ZrpAgent
@@ -93,6 +94,7 @@ class Simulation:
         self.mobility.start()
         for nid in sorted(self.nodes):
             self.nodes[nid].agent.start()
+        start_sweeps(self.sim, self.nodes)
         for source in self.sessions:
             source.start()
         self.sim.run_until(self.end_us)

@@ -26,8 +26,7 @@ class CbrSource:
     def start(self):
         if self.stop_us <= self.start_us:
             return
-        self.sim.schedule_at(self.start_us, self._tick, kind="app-send",
-                             target=self.src)
+        self.sim.schedule_at(self.start_us, self._tick)
 
     def _tick(self):
         self.seq += 1
@@ -38,8 +37,7 @@ class CbrSource:
         self.agent.handle_app_packet(pkt)
         nxt = self.sim.now + self.interval_us
         if nxt < self.stop_us:
-            self.sim.schedule_at(nxt, self._tick, kind="app-send",
-                                 target=self.src)
+            self.sim.schedule_at(nxt, self._tick)
 
 
 class Battery:

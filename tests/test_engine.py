@@ -69,6 +69,16 @@ def test_scheduling_into_the_past_raises(sim):
         sim.schedule_after(-1, lambda: None)
 
 
+def test_scheduling_into_the_past_names_the_callback(sim):
+    def expire():
+        pass
+
+    sim.run_until(100)
+    with pytest.raises(SimulationError) as raised:
+        sim.schedule_at(50, expire)
+    assert "(%s)" % expire.__qualname__ in str(raised.value)
+
+
 def test_run_until_is_resumable(sim):
     fired = []
     sim.schedule_at(10, lambda: fired.append("a"))

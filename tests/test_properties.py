@@ -8,12 +8,13 @@ identities every run must keep whatever its numbers are.
 import math
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vanetsim.engine import us
 from vanetsim.mobility import position_at
 from vanetsim.phy import received_power_dbm
-from vanetsim.routing.base import LinkStateAgent
+from vanetsim.routing.base import SWEEP_US, LinkStateAgent
 from vanetsim.routing.olsr import OlsrAgent
 from vanetsim.routing.zrp import ZrpAgent
 from vanetsim.scenario import ScenarioConfig
@@ -97,7 +98,20 @@ class EagerMobility:
         self.samples += [node.pos for node, _ in lazy.legs]
 
 
-class EagerOlsr(OlsrAgent):
+class OwnSweep:
+    """Each agent schedules its own expiry sweep a second after start and
+    reschedules it every second, instead of the one shared sweep event."""
+
+    def start(self):
+        super().start()
+        self.sim.schedule_after(SWEEP_US, self._sweep)
+
+    def _sweep(self):
+        super()._sweep()
+        self.sim.schedule_after(SWEEP_US, self._sweep)
+
+
+class EagerOlsr(OwnSweep, OlsrAgent):
     """Oracle for OlsrAgent: selects MPRs and computes routes on every
     change to the link sets, as RFC 3626 section 10 words it."""
 
@@ -108,7 +122,7 @@ class EagerOlsr(OlsrAgent):
         self._mprs_built = self._routes_built = self._changes
 
 
-class EagerZrp(ZrpAgent):
+class EagerZrp(OwnSweep, ZrpAgent):
     """Oracle for ZrpAgent: rebuilds the zone on every change to the link
     sets, then ends discovery for each waiting destination it covers."""
 
@@ -144,9 +158,9 @@ def brute_force_receivers(simulation, sender):
 
 
 def run_eager_and_checked(config):
-    """A run under EagerMobility and the eager link-state agents whose
-    every transmission reaches exactly the nodes brute force selects;
-    returns the ledger and the mobility oracle."""
+    """A run under EagerMobility and the eager link-state agents, each
+    sweeping on its own timer, whose every transmission reaches exactly the
+    nodes brute force selects; returns the ledger and the mobility oracle."""
     with patch.dict(AGENTS, olsr=EagerOlsr, zrp=EagerZrp):
         simulation = Simulation(config)
     oracle = EagerMobility(simulation)
@@ -167,7 +181,8 @@ def run_eager_and_checked(config):
 
     channel.transmit = checked_transmit
     channel._begin_reception = recorded_begin
-    return simulation.run(), oracle
+    with patch("vanetsim.simulation.start_sweeps", lambda sim, nodes: None):
+        return simulation.run(), oracle
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -177,8 +192,9 @@ def test_run_invariants(config):
     ledger = simulation.run()
     # Legs drawn only when due and positions computed only when a frame is
     # sent, receivers taken from the reach radius, routes and zones built
-    # when read; or every node moved on every tick, receivers found by
-    # brute force, routes and zones built on every change: the same bytes.
+    # when read, one event sweeping every agent; or every node moved on
+    # every tick, receivers found by brute force, routes and zones built on
+    # every change, each agent sweeping on its own timer: the same bytes.
     eager, oracle = run_eager_and_checked(config)
     assert csv_digest(eager) == csv_digest(ledger)
 
@@ -196,3 +212,27 @@ def test_run_invariants(config):
     for x, y in samples:
         assert 0.0 <= x <= config.terrain_width_m
         assert 0.0 <= y <= config.terrain_height_m
+
+
+@pytest.mark.parametrize("protocol", ("olsr", "zrp"))
+def test_shared_sweep_matches_own_sweeps_where_links_expire(protocol):
+    # Fast nodes on a small terrain break links all run long, so the sweeps
+    # keep expiring neighbours and link-state entries.
+    config = ScenarioConfig(
+        num_nodes=12, terrain_width_m=400.0, terrain_height_m=400.0,
+        speed_min_mps=10.0, speed_max_mps=30.0, pause_s=0.0,
+        sim_time_s=120.0, sessions=3, protocol=protocol, seed=1).validate()
+    simulation = Simulation(config)
+    expired = []
+    sweep = LinkStateAgent._sweep
+
+    def counted(agent):
+        before = len(agent.neighbors) + len(agent.link_state)
+        sweep(agent)
+        expired.append(before - len(agent.neighbors) - len(agent.link_state))
+
+    with patch.object(LinkStateAgent, "_sweep", counted):
+        ledger = simulation.run()
+    assert sum(expired) > 100
+    eager, _ = run_eager_and_checked(config)
+    assert csv_digest(eager) == csv_digest(ledger)

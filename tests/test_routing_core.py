@@ -1,5 +1,7 @@
-"""Route table freshness rules, packets, the pending-packet buffer and the
-duplicate cache."""
+"""Route table freshness rules, packets, the pending-packet buffer, the
+duplicate cache and the shared expiry sweep."""
+
+import pytest
 
 from vanetsim.engine import Simulator, us
 from vanetsim.mac import BROADCAST
@@ -9,6 +11,9 @@ from vanetsim.routing.base import (DUP_CACHE_CAP, Agent, DupCache, Packet,
 from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
                                    OlsrAgent, TcMessage)
 from vanetsim.scenario import ScenarioConfig
+from vanetsim.simulation import Simulation
+
+from conftest import line_positions, make_static_config
 
 
 def entry(dest=5, next_hop=1, seq=1, hops=2, expires=10_000_000, valid=True):
@@ -195,3 +200,35 @@ def test_olsr_suppresses_newest_low_originator_tc_after_8192_others():
     assert relayed == 8193
     agent.on_receive(tc(1, 0), prev_hop=5)
     assert agent.stats["tc_forwarded"] == relayed
+
+
+@pytest.mark.parametrize("protocol", ("olsr", "zrp"))
+@pytest.mark.parametrize("num_nodes", (2, 7))
+def test_one_sweep_event_a_second_serves_every_link_state_agent(
+        protocol, num_nodes):
+    simulation = Simulation(make_static_config(
+        line_positions(num_nodes), protocol=protocol, sim_time_s=5))
+    sim = simulation.sim
+    dispatched = [0]
+    swept = {}  # dispatch number -> (time, ids of the agents swept)
+    schedule_at = sim.schedule_at
+
+    def counted(fire_at, fn, *args, **kwargs):
+        def fire():
+            dispatched[0] += 1
+            fn()
+        return schedule_at(fire_at, fire, *args, **kwargs)
+
+    def recorded(agent, sweep):
+        def record():
+            swept.setdefault(dispatched[0], (sim.now, []))[1].append(
+                agent.node.id)
+            sweep()
+        return record
+
+    sim.schedule_at = counted
+    for node in simulation.nodes.values():
+        node.agent._sweep = recorded(node.agent, node.agent._sweep)
+    simulation.run()
+    assert list(swept.values()) == [
+        (us(s), list(range(num_nodes))) for s in range(1, 6)]

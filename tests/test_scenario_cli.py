@@ -87,6 +87,11 @@ def test_unparseable_value_names_the_key():
     ("waypoints.0 = 10,10,5;50,10", "waypoints.0"),
     ("waypoints.3 = 10,10,5", "waypoints.3"),
     ("position.0 = 1,1\nwaypoints.1 = 10,10,5;50,10,2", "waypoints.1"),
+    # legs whose length or duration in us would overflow
+    ("speed_min_mps = 1e-300\nspeed_max_mps = 1e-300", "speed_min_mps"),
+    ("terrain_width_m = 1e160", "terrain_width_m"),
+    ("terrain_height_m = 1e160", "terrain_height_m"),
+    ("position.0 = 0,0\nwaypoints.0 = 1500,1500,1e-303", "waypoints.0"),
 ])
 def test_validation_failures_name_offending_key(line, key):
     with pytest.raises(ScenarioError, match=key):
