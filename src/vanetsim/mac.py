@@ -50,18 +50,6 @@ class MacFrame:
         return (self.header_bytes + self.payload_bytes) * 8
 
 
-class PendingFrame:
-    """A network packet waiting for (or undergoing) MAC service."""
-
-    __slots__ = ("dst", "packet", "payload_bytes", "frame_id")
-
-    def __init__(self, dst, packet, payload_bytes, frame_id):
-        self.dst = dst
-        self.packet = packet
-        self.payload_bytes = payload_bytes
-        self.frame_id = frame_id
-
-
 class DcfMac:
     """Per-node DCF state machine.
 
@@ -85,17 +73,15 @@ class DcfMac:
         self.retry = 0
         self.backoff_slots = None
         self.nav_until = 0
-        self.current = None
+        self.current = None  # the DATA frame in service
 
-        self._contending = False
         self._difs_timer = None
         self._backoff_timer = None
         self._backoff_started = None
         self._nav_timer = None
         self._timeout_timer = None
         self._post_tx = False
-        self._seen_ids = set()
-        self._seen_order = deque()
+        self._seen = {}  # the last 256 DATA frame ids received, oldest first
         self.cw_log = None  # populated only when tracing
 
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
@@ -109,8 +95,11 @@ class DcfMac:
         if len(self.queue) >= self.config.queue_depth:
             self.counters.queue_drops += 1
             return
-        self.queue.append(
-            PendingFrame(dst, packet, payload_bytes, self.sim.next_frame_id()))
+        duration = (0 if dst == BROADCAST
+                    else self.config.sifs_us + self._ack_air)
+        self.queue.append(MacFrame(DATA, self.node.id, dst, duration,
+                                   DATA_HEADER_BYTES, packet, payload_bytes,
+                                   self.sim.next_frame_id()))
         self._serve_next()
 
     # -- medium notifications (from the channel) ---------------------------
@@ -119,16 +108,12 @@ class DcfMac:
         self._interrupt_contention()
 
     def on_medium_idle(self):
-        if self._contending:
-            self._wait_idle()
+        self._wait_idle()
 
     def on_tx_end(self, frame):
         """One of this node's frames left the air; a broadcast is done."""
         if frame.dst == BROADCAST:
-            self._post_tx = True
-            self.phase = IDLE
-            self.current = None
-            self._serve_next()
+            self._end_service()
 
     # -- contention --------------------------------------------------------
 
@@ -136,12 +121,10 @@ class DcfMac:
         if self.current is not None or not self.queue:
             return
         self.current = self.queue.popleft()
-        self.retry = 0
         force = self._post_tx or self.current.dst == BROADCAST
         self._start_access(force_backoff=force)
 
     def _start_access(self, force_backoff):
-        self._contending = True
         self.phase = CONTEND
         if force_backoff or self._medium_busy():
             self._ensure_backoff_drawn()
@@ -159,8 +142,7 @@ class DcfMac:
         if self._difs_timer is not None:
             self.sim.cancel(self._difs_timer)
             self._difs_timer = None
-            if self._contending:
-                self._ensure_backoff_drawn()  # post-busy rule
+            self._ensure_backoff_drawn()  # post-busy rule
         if self._backoff_timer is not None:
             elapsed = ((self.sim.now - self._backoff_started)
                        // self.config.slot_us)
@@ -169,7 +151,7 @@ class DcfMac:
             self._backoff_timer = None
 
     def _wait_idle(self):
-        if not self._contending:
+        if self.phase != CONTEND:
             return
         if self.channel.carrier_busy(self.node.id):
             return  # resumed by on_medium_idle
@@ -184,16 +166,14 @@ class DcfMac:
 
     def _nav_expired(self):
         self._nav_timer = None
-        if self._contending:
-            self._wait_idle()
+        self._wait_idle()
 
     def _nav_changed(self):
         if self._nav_timer is not None:
             self.sim.cancel(self._nav_timer)
             self._nav_timer = None
-        if self._contending:
-            self._interrupt_contention()
-            self._wait_idle()
+        self._interrupt_contention()
+        self._wait_idle()
 
     def _difs_done(self):
         self._difs_timer = None
@@ -214,51 +194,37 @@ class DcfMac:
     def _transmit_attempt(self):
         if self.sim.now < self.nav_until:
             raise SimulationError("transmission attempted under NAV")
-        self._contending = False
+        self.phase = IDLE
         self.backoff_slots = None
         cur = self.current
-        if cur.dst == BROADCAST:
-            frame = MacFrame(DATA, self.node.id, BROADCAST, 0,
-                             DATA_HEADER_BYTES, cur.packet,
-                             cur.payload_bytes, cur.frame_id)
-            end = self.channel.transmit(self.node, frame)
-            if end is None:
-                self._drop_current(notify=False)
-                return
-            self.counters.dcf_broadcasts_sent += 1
-            return
-        data_air = airtime_us(
-            (DATA_HEADER_BYTES + cur.payload_bytes) * 8, self.config)
-        if cur.payload_bytes >= self.config.rts_threshold_bytes:
-            duration = (3 * self.config.sifs_us + self._cts_air + data_air
-                        + self._ack_air)
-            frame = MacFrame(RTS, self.node.id, cur.dst, duration,
-                             RTS_BYTES, None, 0, cur.frame_id)
-            end = self.channel.transmit(self.node, frame)
-            if end is None:
-                self._drop_current(notify=False)
-                return
-            self.phase = WAIT_CTS
-            self._timeout_timer = self.sim.schedule_at(
-                end + self.config.sifs_us + self._cts_air
-                + self.config.slot_us, self._exchange_timeout)
-        else:
+        if (cur.dst == BROADCAST
+                or cur.payload_bytes < self.config.rts_threshold_bytes):
             self._send_data_stage()
+            return
+        duration = (3 * self.config.sifs_us + self._cts_air
+                    + airtime_us(cur.bits, self.config) + self._ack_air)
+        end = self.channel.transmit(
+            self.node, MacFrame(RTS, self.node.id, cur.dst, duration,
+                                RTS_BYTES, None, 0, cur.frame_id))
+        if end is None:
+            self._end_service()
+            return
+        self.phase = WAIT_CTS
+        self._timeout_timer = self.sim.schedule_at(
+            end + self.config.sifs_us + self._cts_air + self.config.slot_us,
+            self._exchange_timeout)
 
     def _send_data_stage(self):
         cur = self.current
         if cur is None:
             return
-        data_air = airtime_us(
-            (DATA_HEADER_BYTES + cur.payload_bytes) * 8, self.config)
-        duration = self.config.sifs_us + self._ack_air
-        frame = MacFrame(DATA, self.node.id, cur.dst, duration,
-                         DATA_HEADER_BYTES, cur.packet,
-                         cur.payload_bytes, cur.frame_id)
-        end = self.channel.transmit(self.node, frame)
+        end = self.channel.transmit(self.node, cur)
         if end is None:
-            self._drop_current(notify=False)
+            self._end_service()
             return
+        if cur.dst == BROADCAST:
+            self.counters.dcf_broadcasts_sent += 1
+            return  # served when it leaves the air (on_tx_end)
         self.phase = WAIT_ACK
         self._timeout_timer = self.sim.schedule_at(
             end + self.config.sifs_us + self._ack_air + self.config.slot_us,
@@ -272,35 +238,28 @@ class DcfMac:
             self.cw_log.append(self.cw)
         if self.retry > self.config.retry_limit:
             self.counters.mac_unicast_drops += 1
-            self._drop_current(notify=True)
+            self._end_service(delivered=False)
         else:
             self._start_access(force_backoff=True)
 
-    def _drop_current(self, notify):
-        failed = self.current
-        self.current = None
-        self.phase = IDLE
-        self.cw = self.config.cw_min
-        self.retry = 0
-        self._post_tx = True
-        if notify and self.upper is not None:
-            self.upper.on_unicast_failure(failed.dst, failed.packet)
-        self._serve_next()
+    def _end_service(self, delivered=None):
+        """Release the frame in service and start on the next one.
 
-    def _exchange_success(self):
-        if self._timeout_timer is not None:
-            self.sim.cancel(self._timeout_timer)
-            self._timeout_timer = None
+        `delivered` is True or False for a unicast that was acknowledged or
+        ran out of retries, and tells the agent which; it is None for a
+        broadcast and for a frame the radio could not send.
+        """
         done = self.current
         self.current = None
         self.phase = IDLE
         self.cw = self.config.cw_min
-        if self.cw_log is not None:
-            self.cw_log.append(self.cw)
         self.retry = 0
         self._post_tx = True
-        if self.upper is not None:
-            self.upper.on_unicast_success(done.dst, done.packet)
+        if delivered is not None and self.upper is not None:
+            if delivered:
+                self.upper.on_unicast_success(done.dst, done.payload)
+            else:
+                self.upper.on_unicast_failure(done.dst, done.payload)
         self._serve_next()
 
     # -- reception ---------------------------------------------------------
@@ -332,8 +291,7 @@ class DcfMac:
                                CTS_BYTES)
                 self._schedule_response(cts)
         elif frame.kind == CTS:
-            if self.phase == WAIT_CTS and self.current is not None \
-                    and frame.src == self.current.dst:
+            if self.phase == WAIT_CTS and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
                 self._timeout_timer = None
                 self.sim.schedule_after(self.config.sifs_us,
@@ -341,14 +299,19 @@ class DcfMac:
         elif frame.kind == DATA:
             ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
             self._schedule_response(ack)
-            if frame.frame_id not in self._seen_ids:
-                self._remember(frame.frame_id)
+            if frame.frame_id not in self._seen:
+                self._seen[frame.frame_id] = None
+                if len(self._seen) > 256:
+                    del self._seen[next(iter(self._seen))]
                 if self.upper is not None:
                     self.upper.on_receive(frame.payload, frame.src)
         elif frame.kind == ACK:
-            if self.phase == WAIT_ACK and self.current is not None \
-                    and frame.src == self.current.dst:
-                self._exchange_success()
+            if self.phase == WAIT_ACK and frame.src == self.current.dst:
+                self.sim.cancel(self._timeout_timer)
+                self._timeout_timer = None
+                if self.cw_log is not None:
+                    self.cw_log.append(self.config.cw_min)
+                self._end_service(delivered=True)
 
     def _schedule_response(self, frame):
         self.sim.schedule_after(self.config.sifs_us,
@@ -361,9 +324,3 @@ class DcfMac:
         if not self.node.radio_enabled:
             return
         self.channel.transmit(self.node, frame)
-
-    def _remember(self, frame_id):
-        self._seen_ids.add(frame_id)
-        self._seen_order.append(frame_id)
-        if len(self._seen_order) > 256:
-            self._seen_ids.discard(self._seen_order.popleft())

@@ -1,5 +1,6 @@
 """Common routing contract: route table, network packets, agent base."""
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -332,6 +333,25 @@ class LinkStateAgent(Agent):
         for a, peers in links:
             add_edges(a, peers)
         return adj
+
+    def _shortest_paths(self, adj, order, radius=math.inf):
+        """Hop-count shortest paths from this node, as node tuples, to each
+        node within radius hops. A level is expanded in `order` of its
+        paths and each node's neighbours in id order; the first path to
+        reach a node keeps it."""
+        me = self.node.id
+        paths = {me: (me,)}
+        level = [paths[me]]
+        while level and len(level[0]) <= radius:
+            nxt = []
+            for path in sorted(level, key=order):
+                for v in sorted(adj.get(path[-1], ())):
+                    if v not in paths:
+                        paths[v] = path + (v,)
+                        nxt.append(paths[v])
+            level = nxt
+        del paths[me]
+        return paths
 
     def _sweep(self):
         now = self.sim.now

@@ -179,37 +179,18 @@ class OlsrAgent(LinkStateAgent):
         return select_mprs(coverage, degree)
 
     def _compute_routes(self):
-        me = self.node.id
         sym = self._sym_neighbors()
         adj = self._adjacency(
             sym, ((n, self.neighbors[n].sym_set) for n in sym))
-        # hop-count shortest paths, lower-id first hop on ties
-        table = {}
-        dist = {me: 0}
-        first = {me: None}
-        frontier = [me]
-        while frontier:
-            nxt = []
-            frontier.sort(key=lambda u: (first[u] if first[u] is not None
-                                         else -1, u))
-            for u in frontier:
-                for v in sorted(adj.get(u, ())):
-                    if v in dist:
-                        continue
-                    dist[v] = dist[u] + 1
-                    first[v] = v if u == me else first[u]
-                    nxt.append(v)
-            frontier = nxt
+        # lower-id first hop on ties
+        paths = self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))
         # stamped as of the change, so the entries are those an eager
         # rebuild at that instant would have made
         expires = self._changed_at + self.topo_hold_us
-        for dest in sorted(dist):
-            if dest == me:
-                continue
-            table[dest] = RouteEntry(dest=dest, next_hop=first[dest],
-                                     seq_no=0, hop_count=dist[dest],
-                                     expires_at=expires)
-        self._table.entries = table
+        self._table.entries = {
+            dest: RouteEntry(dest=dest, next_hop=p[1], seq_no=0,
+                             hop_count=len(p) - 1, expires_at=expires)
+            for dest, p in sorted(paths.items())}
 
     # -- maintenance -------------------------------------------------------
 

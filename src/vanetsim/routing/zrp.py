@@ -131,23 +131,8 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
                 if len(p) - 1 == self.radius}
 
     def _build_zone(self):
-        me = self.node.id
-        adj = self._adjacency(self._sym_neighbors())
-        paths = {me: (me,)}
-        frontier = [me]
-        depth = 0
-        while frontier and depth < self.radius:
-            depth += 1
-            nxt = []
-            for u in sorted(frontier):
-                for v in sorted(adj.get(u, ())):
-                    if v in paths:
-                        continue
-                    paths[v] = paths[u] + (v,)
-                    nxt.append(v)
-            frontier = nxt
-        del paths[me]
-        return paths
+        return self._shortest_paths(self._adjacency(self._sym_neighbors()),
+                                    lambda p: p[-1], self.radius)
 
     # -- data plane --------------------------------------------------------
 

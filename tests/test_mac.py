@@ -219,6 +219,39 @@ def test_duplicate_data_is_acked_but_delivered_once():
     assert len(w.tx_records(node_id=1, kind=ACK)) == 2
 
 
+def test_sender_with_radio_off_ends_each_service_silently():
+    # The radio refuses the RTS stage, the DATA stage and a broadcast alike;
+    # each ends its service without a drop, a count or an upcall.
+    w = pair_world()
+    w.nodes[0].radio_enabled = False
+    w.send(0, 1, payload_bytes=512)
+    w.send(0, 1, payload_bytes=100)
+    w.send(0, BROADCAST, payload_bytes=100)
+    w.run(100_000)
+    assert not w.tx_records()
+    c = w.ledger.node[0]
+    assert c.mac_unicast_drops == 0 and c.dcf_broadcasts_sent == 0
+    assert not w.uppers[0].successes and not w.uppers[0].failures
+    mac = w.nodes[0].mac
+    assert mac.current is None and not mac.queue
+
+
+def test_duplicate_memory_holds_the_last_256_ids():
+    w = pair_world(trace=False)
+    mac = w.nodes[1].mac
+
+    def deliver(frame_id):
+        mac.observe_frame(MacFrame(DATA, 0, 1, 258, 34, frame_id, 100,
+                                   frame_id=frame_id), errored=False)
+
+    for frame_id in range(1, 258):
+        deliver(frame_id)
+    deliver(257)  # still remembered
+    deliver(2)  # the oldest id remembered
+    deliver(1)  # evicted by the 257th id
+    assert [p for p, _ in w.uppers[1].received] == list(range(1, 258)) + [1]
+
+
 def test_frame_invariants():
     with pytest.raises(SimulationError):
         MacFrame(ACK, 0, 1, 0, 14, payload="nope")

@@ -30,6 +30,8 @@ RADIOS = ((100.0, -75.0), (100.0, -60.0), (300.0, -77.0))
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(2, 8))
+    # fast nodes and short HELLO/IARP intervals let neighbours expire
+    speed_min, speed_max = draw(st.sampled_from(((3.0, 20.0), (20.0, 40.0))))
     width = draw(st.sampled_from((100.0, 200.0, 400.0)))
     height = draw(st.sampled_from((100.0, 200.0, 400.0)))
     point = st.tuples(st.floats(0.0, width), st.floats(0.0, height))
@@ -47,6 +49,7 @@ def scenarios(draw):
                 path[0] = path[0][:2] + (None,)
             waypoints[nid] = path
     max_range, threshold = draw(st.sampled_from(RADIOS))
+    hello_s = draw(st.sampled_from((0.5, 1.0)))
     return ScenarioConfig(
         num_nodes=n, terrain_width_m=width, terrain_height_m=height,
         sim_time_s=draw(st.floats(5.0, 20.0)),
@@ -54,6 +57,8 @@ def scenarios(draw):
         sessions=draw(st.integers(0, min(4, n * (n - 1)))),
         interval_ms=draw(st.sampled_from((20.0, 250.0))),
         max_range_m=max_range, rx_threshold_dbm=threshold,
+        hello_interval_s=hello_s, iarp_interval_s=hello_s,
+        speed_min_mps=speed_min, speed_max_mps=speed_max,
         protocol=draw(st.sampled_from(PROTOCOLS)),
         seed=draw(st.integers(1, 10 ** 6)),
         positions=positions, waypoints=waypoints).validate()
