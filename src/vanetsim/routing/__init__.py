@@ -1,4 +1,4 @@
-"""Routing protocol agents sharing a common table and pending-packet base."""
+"""Routing protocol agents on a common table and forwarding base."""
 
 from .aodv import AodvAgent
 from .dymo import DymoAgent

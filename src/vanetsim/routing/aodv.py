@@ -41,7 +41,7 @@ class AodvAgent(DistanceVectorAgent):
 
     # -- discovery ---------------------------------------------------------
 
-    def emit_discovery(self, dest, attempt):
+    def emit_discovery(self, dest):
         self.own_seq += 1
         self.rreq_counter += 1
         entry = self.table.entries.get(dest)

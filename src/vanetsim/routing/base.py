@@ -1,15 +1,12 @@
 """Common routing contract: route table, network packets, agent base."""
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..engine import us
 from ..mac import BROADCAST
 
 DEFAULT_TTL = 64
-PENDING_PER_DEST = 5
-PENDING_LIFETIME_US = us(10.0)
 FORWARD_STAGGER_US = 2_000
 DUP_CACHE_CAP = 4096
 SWEEP_US = us(1.0)
@@ -116,7 +113,7 @@ class DupCache:
 
 
 class Agent:
-    """Base routing agent: local delivery, forwarding, pending buffer.
+    """Base routing agent: local delivery, forwarding, drop on a route miss.
 
     Agents talk to the world only through the MAC (send/receive) and
     engine timers; there is no topology peeking.
@@ -129,7 +126,6 @@ class Agent:
         self.node = node
         self.ledger = ledger
         self.table = RoutingTable()
-        self.pending = {}  # dest -> deque of (packet, buffered_at)
         self.stats = {}
 
     # -- helpers -----------------------------------------------------------
@@ -205,41 +201,8 @@ class Agent:
         pass
 
     def on_route_miss(self, pkt, prev_hop):
-        """Proactive default: drop and count. Reactive agents override."""
+        """Drop and count. ReactiveAgent buffers at a source instead."""
         self.ledger.node[self.node.id].route_drops += 1
-
-    # -- pending-packet buffer (reactive agents) ---------------------------
-
-    def buffer_packet(self, pkt):
-        q = self.pending.setdefault(pkt.dst, deque())
-        self._expire_pending(q)
-        if len(q) >= PENDING_PER_DEST:
-            q.popleft()
-            self.ledger.node[self.node.id].route_drops += 1
-        q.append((pkt, self.sim.now))
-
-    def flush_pending(self, dest):
-        q = self.pending.pop(dest, None)
-        if not q:
-            return
-        self._expire_pending(q)
-        for pkt, _ in q:
-            hop = self.next_hop(dest)
-            if hop is None:
-                self.ledger.node[self.node.id].route_drops += 1
-            else:
-                self.send_data_frame(hop, pkt)
-
-    def drop_pending(self, dest):
-        q = self.pending.pop(dest, None)
-        if q:
-            self.ledger.node[self.node.id].route_drops += len(q)
-
-    def _expire_pending(self, q):
-        cutoff = self.sim.now - PENDING_LIFETIME_US
-        while q and q[0][1] < cutoff:
-            q.popleft()
-            self.ledger.node[self.node.id].route_drops += 1
 
     # -- contract hooks ----------------------------------------------------
 

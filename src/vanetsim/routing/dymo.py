@@ -41,7 +41,7 @@ class DymoAgent(DistanceVectorAgent):
         super().__init__(sim, node, ledger, config)
         self.query_counter = 0
 
-    def emit_discovery(self, dest, attempt):
+    def emit_discovery(self, dest):
         self.own_seq += 1
         self.query_counter += 1
         msg = DymoRouteMessage(

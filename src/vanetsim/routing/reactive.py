@@ -1,16 +1,24 @@
-"""Shared discovery scheduling for the on-demand agents (AODV, DYMO, ZRP/IERP).
+"""The on-demand base (AODV, DYMO, ZRP's IERP): what a node does with a
+packet it has no route for.
 
-One discovery round is the initial request plus two retries with
-binary-exponential waits starting at 500 ms. After a failed round the
-buffered packets for the destination are dropped and further rounds for
-that destination are held off (exponential, capped) so a persistently
-unreachable peer does not turn the source into a flood generator.
+A relay drops it. A source buffers it and starts a discovery round unless
+one is running or held off. One round is the initial request plus two
+retries with binary-exponential waits starting at 500 ms (RFC 3561
+section 6.3). After a failed round the buffered packets for the
+destination are dropped and further rounds for that destination are held
+off (exponential, capped) so a persistently unreachable peer does not
+turn the source into a flood generator.
 
 AODV and DYMO also share their route maintenance: DistanceVectorAgent.
 """
 
+from collections import deque
+
 from ..engine import us
 from .base import Agent, DupCache
+
+PENDING_PER_DEST = 5
+PENDING_LIFETIME_US = us(10.0)
 
 INITIAL_WAIT_US = us(0.5)
 DISCOVERY_RETRIES = 2
@@ -23,76 +31,110 @@ RERR_BASE_BYTES = 8
 RERR_ENTRY_BYTES = 8
 
 
-class ReactiveDiscoveryMixin:
-    def init_discovery(self):
-        self._discoveries = {}   # dest -> {"attempt", "timer"}
-        self._holdoff = {}       # dest -> (until_us, next_len_us)
-        self._holdoff_timers = {}
+class ReactiveAgent(Agent):
+    """Subclasses send one request in emit_discovery and call
+    discovery_succeeded once a route to the destination appears."""
 
-    def emit_discovery(self, dest, attempt):
+    def __init__(self, sim, node, ledger):
+        super().__init__(sim, node, ledger)
+        self.pending = {}        # dest -> deque of (packet, buffered_at)
+        self._discoveries = {}   # dest -> [attempts, timeout event]
+        self._holdoff = {}       # dest -> [until_us, length_us, timer]
+
+    def emit_discovery(self, dest):
         raise NotImplementedError
 
-    def miss_buffer_and_discover(self, pkt):
+    def on_route_miss(self, pkt, prev_hop):
+        if prev_hop is not None:
+            super().on_route_miss(pkt, prev_hop)
+            return
         self.buffer_packet(pkt)
-        self.maybe_start_discovery(pkt.dst)
-
-    def maybe_start_discovery(self, dest):
+        dest = pkt.dst
         if dest in self._discoveries:
             return
-        until, _ = self._holdoff.get(dest, (0, 0))
-        if self.sim.now < until:
-            if dest not in self._holdoff_timers:
-                self._holdoff_timers[dest] = self.sim.schedule_at(
-                    until, lambda: self._holdoff_elapsed(dest))
+        hold = self._holdoff.get(dest)
+        if hold is not None and self.sim.now < hold[0]:
+            if hold[2] is None:
+                hold[2] = self.sim.schedule_at(
+                    hold[0], lambda: self._holdoff_elapsed(dest))
             return
-        self._begin_round(dest)
+        self._attempt(dest)
+
+    # -- discovery rounds --------------------------------------------------
 
     def _holdoff_elapsed(self, dest):
-        self._holdoff_timers.pop(dest, None)
+        self._holdoff[dest][2] = None
         if dest in self.pending and dest not in self._discoveries:
-            self._begin_round(dest)
+            self._attempt(dest)
 
-    def _begin_round(self, dest):
-        state = {"attempt": 0, "timer": None}
-        self._discoveries[dest] = state
-        self._attempt(dest, state)
-
-    def _attempt(self, dest, state):
-        state["attempt"] += 1
-        self.emit_discovery(dest, state["attempt"])
-        wait = INITIAL_WAIT_US << (state["attempt"] - 1)
-        state["timer"] = self.sim.schedule_after(
-            wait, lambda: self._discovery_timeout(dest))
+    def _attempt(self, dest):
+        """Send the next request of dest's round, starting one if none runs."""
+        state = self._discoveries.setdefault(dest, [0, None])
+        state[0] += 1
+        self.emit_discovery(dest)
+        state[1] = self.sim.schedule_after(
+            INITIAL_WAIT_US << (state[0] - 1),
+            lambda: self._discovery_timeout(dest))
 
     def _discovery_timeout(self, dest):
-        state = self._discoveries.get(dest)
-        if state is None:
-            return
+        state = self._discoveries[dest]
         if self.table.lookup(dest, self.sim.now) is not None:
             self.discovery_succeeded(dest)
             return
-        if state["attempt"] <= DISCOVERY_RETRIES:
-            self._attempt(dest, state)
+        if state[0] <= DISCOVERY_RETRIES:
+            self._attempt(dest)
             return
         del self._discoveries[dest]
         self.drop_pending(dest)
-        _, nxt = self._holdoff.get(dest, (0, 0))
-        nxt = max(HOLDOFF_START_US, min(nxt * 2, HOLDOFF_CAP_US)) \
-            if nxt else HOLDOFF_START_US
-        self._holdoff[dest] = (self.sim.now + nxt, nxt)
+        hold = self._holdoff.get(dest)
+        length = (min(2 * hold[1], HOLDOFF_CAP_US) if hold
+                  else HOLDOFF_START_US)
+        self._holdoff[dest] = [self.sim.now + length, length, None]
 
     def discovery_succeeded(self, dest):
         state = self._discoveries.pop(dest, None)
-        if state is not None and state["timer"] is not None:
-            self.sim.cancel(state["timer"])
-        self._holdoff.pop(dest, None)
-        timer = self._holdoff_timers.pop(dest, None)
-        if timer is not None:
-            self.sim.cancel(timer)
+        if state is not None:
+            self.sim.cancel(state[1])
+        hold = self._holdoff.pop(dest, None)
+        if hold is not None:
+            self.sim.cancel(hold[2])
         self.flush_pending(dest)
 
+    # -- pending-packet buffer ---------------------------------------------
 
-class DistanceVectorAgent(Agent, ReactiveDiscoveryMixin):
+    def buffer_packet(self, pkt):
+        q = self.pending.setdefault(pkt.dst, deque())
+        self._expire_pending(q)
+        if len(q) >= PENDING_PER_DEST:
+            q.popleft()
+            self.ledger.node[self.node.id].route_drops += 1
+        q.append((pkt, self.sim.now))
+
+    def flush_pending(self, dest):
+        q = self.pending.pop(dest, None)
+        if not q:
+            return
+        self._expire_pending(q)
+        for pkt, _ in q:
+            hop = self.next_hop(dest)
+            if hop is None:
+                self.ledger.node[self.node.id].route_drops += 1
+            else:
+                self.send_data_frame(hop, pkt)
+
+    def drop_pending(self, dest):
+        q = self.pending.pop(dest, None)
+        if q:
+            self.ledger.node[self.node.id].route_drops += len(q)
+
+    def _expire_pending(self, q):
+        cutoff = self.sim.now - PENDING_LIFETIME_US
+        while q and q[0][1] < cutoff:
+            q.popleft()
+            self.ledger.node[self.node.id].route_drops += 1
+
+
+class DistanceVectorAgent(ReactiveAgent):
     """Sequence-numbered routes, flooded discovery, RERR toward sources.
 
     A route error carries a tuple of (dest, seq_no) pairs; subclasses name
@@ -103,7 +145,6 @@ class DistanceVectorAgent(Agent, ReactiveDiscoveryMixin):
 
     def __init__(self, sim, node, ledger, config):
         super().__init__(sim, node, ledger)
-        self.init_discovery()
         self.own_seq = 0
         self.lifetime_us = us(config.route_lifetime_s)
         self.dup_cache = DupCache(sim, us(DUP_CACHE_S))
@@ -112,11 +153,9 @@ class DistanceVectorAgent(Agent, ReactiveDiscoveryMixin):
         entry.expires_at = self.sim.now + self.lifetime_us
 
     def on_route_miss(self, pkt, prev_hop):
-        if prev_hop is None:
-            self.miss_buffer_and_discover(pkt)
-        else:
+        super().on_route_miss(pkt, prev_hop)
+        if prev_hop is not None:
             # forwarding miss: report back rather than discovering on behalf
-            self.ledger.node[self.node.id].route_drops += 1
             entry = self.table.entries.get(pkt.dst)
             seq = entry.seq_no if entry is not None else 0
             self._broadcast_rerr(((pkt.dst, seq),))

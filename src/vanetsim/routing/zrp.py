@@ -3,8 +3,8 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import PENDING_LIFETIME_US, DupCache, LinkStateAgent, RouteEntry
-from .reactive import DUP_CACHE_S, ReactiveDiscoveryMixin
+from .base import DupCache, LinkStateAgent, RouteEntry
+from .reactive import DUP_CACHE_S, PENDING_LIFETIME_US, ReactiveAgent
 
 ADVERT_KIND = "zrp-iarp"
 QUERY_KIND = "zrp-ierp-query"
@@ -53,10 +53,9 @@ class IerpError:
     route: tuple
 
 
-class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
+class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def __init__(self, sim, node, ledger, config):
         super().__init__(sim, node, ledger)
-        self.init_discovery()
         self.radius = config.zone_radius
         self.iarp_us = us(config.iarp_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us
@@ -143,15 +142,9 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             return path[1]
         return super().next_hop(dest)
 
-    def on_route_miss(self, pkt, prev_hop):
-        if prev_hop is None:
-            self.miss_buffer_and_discover(pkt)
-        else:
-            self.ledger.node[self.node.id].route_drops += 1
-
     # -- IERP: bordercast query -------------------------------------------
 
-    def emit_discovery(self, dest, attempt):
+    def emit_discovery(self, dest):
         self.query_counter += 1
         qid = (self.node.id, self.query_counter)
         self.bump("ierp_query_rounds")
@@ -198,11 +191,7 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
             reply = IerpReply(msg.query_id, msg.orig, msg.dest, full)
             self._install_from_route(full, msg.dest)
             self.bump("ierp_replies_sent")
-            idx = full.index(me)
-            if idx > 0:
-                self.send_control_unicast(
-                    full[idx - 1], REPLY_KIND, reply,
-                    MSG_BASE_BYTES + ADDR_BYTES * len(full))
+            self._send_back(full, REPLY_KIND, reply)
             return
         if msg.stage < MAX_BORDERCAST_STAGES:
             self._bordercast(msg.query_id, msg.orig, msg.dest, here,
@@ -213,14 +202,18 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
         if me not in msg.route:
             return
         self._install_from_route(msg.route, msg.dest)
-        idx = msg.route.index(me)
+        if not self._send_back(msg.route, REPLY_KIND, msg) and msg.orig == me:
+            self.discovery_succeeded(msg.dest)
+
+    def _send_back(self, route, kind, msg):
+        """Unicast msg to this node's predecessor on the source route;
+        False, sending nothing, when this node is the route's first."""
+        idx = route.index(self.node.id)
         if idx == 0:
-            if msg.orig == me:
-                self.discovery_succeeded(msg.dest)
-            return
-        self.send_control_unicast(
-            msg.route[idx - 1], REPLY_KIND, msg,
-            MSG_BASE_BYTES + ADDR_BYTES * len(msg.route))
+            return False
+        self.send_control_unicast(route[idx - 1], kind, msg,
+                                  MSG_BASE_BYTES + ADDR_BYTES * len(route))
+        return True
 
     def _install_from_route(self, route, dest):
         me = self.node.id
@@ -244,17 +237,10 @@ class ZrpAgent(LinkStateAgent, ReactiveDiscoveryMixin):
                 self._send_error_back(e)
 
     def _send_error_back(self, entry):
-        me = self.node.id
-        if not entry.route or me not in entry.route:
-            return
-        idx = entry.route.index(me)
-        if idx == 0:
-            return
-        msg = IerpError(entry.dest, tuple(entry.route))
-        self.bump("ierp_errors_sent")
-        self.send_control_unicast(
-            entry.route[idx - 1], ERROR_KIND, msg,
-            MSG_BASE_BYTES + ADDR_BYTES * len(entry.route))
+        route = tuple(entry.route)
+        if self.node.id in route and route[0] != self.node.id:
+            self.bump("ierp_errors_sent")
+            self._send_back(route, ERROR_KIND, IerpError(entry.dest, route))
 
     def _process_error(self, msg, prev_hop):
         e = self.table.entries.get(msg.dest)

@@ -58,6 +58,7 @@ def scenarios(draw):
         interval_ms=draw(st.sampled_from((20.0, 250.0))),
         max_range_m=max_range, rx_threshold_dbm=threshold,
         hello_interval_s=hello_s, iarp_interval_s=hello_s,
+        zone_radius=draw(st.sampled_from((2, 3))),
         speed_min_mps=speed_min, speed_max_mps=speed_max,
         protocol=draw(st.sampled_from(PROTOCOLS)),
         seed=draw(st.integers(1, 10 ** 6)),

@@ -1,15 +1,17 @@
-"""Route table freshness rules, packets, the pending-packet buffer, the
-duplicate cache and the shared expiry sweep."""
+"""Route table freshness rules, packets, the pending-packet buffer and
+discovery schedule of the on-demand agents, the duplicate cache and the
+shared expiry sweep."""
 
 import pytest
 
 from vanetsim.engine import Simulator, us
 from vanetsim.mac import BROADCAST
 from vanetsim.metrics import MetricsLedger
-from vanetsim.routing.base import (DUP_CACHE_CAP, Agent, DupCache, Packet,
-                                   RouteEntry, RoutingTable, PENDING_PER_DEST)
+from vanetsim.routing.base import (DUP_CACHE_CAP, DupCache, Packet,
+                                   RouteEntry, RoutingTable)
 from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
                                    OlsrAgent, TcMessage)
+from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
@@ -78,7 +80,7 @@ class Shell:
 def make_agent():
     sim = Simulator(seed=1)
     ledger = MetricsLedger(node_ids=[0], session_ids=[])
-    agent = Agent(sim, Shell(), ledger)
+    agent = ReactiveAgent(sim, Shell(), ledger)
     return sim, ledger, agent
 
 
@@ -120,6 +122,30 @@ def test_flush_pending_sends_via_fresh_route():
     agent.flush_pending(9)
     assert sent == [(4, 0), (4, 1)]
     assert 9 not in agent.pending
+
+
+@pytest.mark.parametrize("protocol", ("aodv", "dymo", "zrp"))
+def test_partitioned_destination_discovery_schedule(protocol):
+    config = make_static_config({0: (100.0, 100.0), 1: (1400.0, 1400.0)},
+                                sessions=[(0, 1)], protocol=protocol,
+                                sim_time_s=80.0)
+    simulation = Simulation(config)
+    agent = simulation.nodes[0].agent
+    emitted, emit = [], agent.emit_discovery
+
+    def recording(dest):
+        emitted.append(simulation.sim.now / us(1))
+        emit(dest)
+
+    agent.emit_discovery = recording
+    simulation.run()
+    # rounds of 3 attempts 0.5 s and 1 s apart, each failed round holding
+    # the next off for 2, 4, 8, then the 16 s cap
+    assert emitted == [0, 0.5, 1.5, 5.5, 6.0, 7.0, 13.0, 13.5, 14.5,
+                       24.5, 25.0, 26.0, 44.0, 44.5, 45.5, 63.5, 64.0, 65.0]
+    assert simulation.ledger.session[0].app_sent == 320
+    assert simulation.ledger.session[0].app_received == 0
+    assert simulation.ledger.node[0].route_drops == 315
 
 
 def test_data_ttl_exhaustion_drops():

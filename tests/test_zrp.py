@@ -13,14 +13,22 @@ def test_zone_radius_zero_rejected():
         make_static_config(line_positions(3), protocol="zrp", zone_radius=0)
 
 
-def test_zone_paths_and_peripherals_on_line():
-    s = run_static(line_positions(5), protocol="zrp", sim_time_s=15.0)
+@pytest.mark.parametrize("radius, zone0, peripheral0, peripheral2, relayed", [
+    (2, {1: (0, 1), 2: (0, 1, 2)}, {2}, {0, 4}, (0, 0)),
+    # adverts travel radius - 1 hops, so only radius 3 relays them
+    (3, {1: (0, 1), 2: (0, 1, 2), 3: (0, 1, 2, 3)}, {3}, set(), (5, 10)),
+], ids=("radius2", "radius3"))
+def test_zone_paths_and_peripherals_on_line(radius, zone0, peripheral0,
+                                             peripheral2, relayed):
+    s = run_static(line_positions(5), protocol="zrp", sim_time_s=15.0,
+                   zone_radius=radius)
     a = {nid: n.agent for nid, n in s.nodes.items()}
-    assert set(a[0].zone_paths) == {1, 2}
-    assert a[0].zone_paths[2] == (0, 1, 2)
-    assert a[0].peripheral_set == {2}
+    assert a[0].zone_paths == zone0
+    assert a[0].peripheral_set == peripheral0
     assert set(a[2].zone_paths) == {0, 1, 3, 4}
-    assert a[2].peripheral_set == {0, 4}
+    assert a[2].peripheral_set == peripheral2
+    assert (a[0].stats.get("iarp_forwarded", 0),
+            a[2].stats.get("iarp_forwarded", 0)) == relayed
 
 
 def test_zone_on_star_topology():
