@@ -28,7 +28,10 @@ DENSE = {"num_nodes": 40, "terrain_width_m": 600.0,
 # Every other pinned scenario has pause_s = 0, so none of them takes the
 # path where a node waits at a waypoint before drawing its next leg.
 PAUSED = dict(DENSE, pause_s=2.5)
-SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED}
+# The others draw far below capacity; here about a quarter of the radios
+# run flat and switch off mid-run.
+DRAINED = dict(DENSE, capacity_mah=0.1)
+SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED, "dense_drained": DRAINED}
 
 
 def scenario(name):
@@ -57,14 +60,9 @@ def test_table1_digests(sweep):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_dense_digests(protocol):
-    assert digests("dense", protocol) == pinned("dense")[protocol]
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_dense_paused_digests(protocol):
-    assert digests("dense_paused", protocol) == \
-        pinned("dense_paused")[protocol]
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_digests(name, protocol):
+    assert digests(name, protocol) == pinned(name)[protocol]
 
 
 if __name__ == "__main__":
