@@ -2,7 +2,7 @@
 routing protocols (AODV, DYMO, OLSR, ZRP) under random-waypoint mobility."""
 
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
-from .simulation import Simulation, run_scenario
+from .simulation import Simulation
 from .metrics import MetricsLedger, compare
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "Simulation",
-    "run_scenario",
     "MetricsLedger",
     "compare",
 ]

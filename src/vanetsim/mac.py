@@ -58,13 +58,13 @@ class DcfMac:
     single contention-gated transmission with no control frames.
     """
 
-    def __init__(self, sim, node, channel, config, rng, counters):
+    def __init__(self, sim, node, channel, config, rng):
         self.sim = sim
         self.node = node
         self.channel = channel
         self.config = config
         self.rng = rng
-        self.counters = counters
+        self.counters = node.counters
         self.upper = None  # routing agent, set by the node wiring
 
         self.queue = deque()
@@ -82,7 +82,7 @@ class DcfMac:
         self._timeout_timer = None
         self._post_tx = False
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
-        self.cw_log = None  # populated only when tracing
+        self.cw_log = None  # set to a list to record each CW change
 
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
         self._ack_air = airtime_us(ACK_BYTES * 8, config)

@@ -1,15 +1,22 @@
-"""Per-vehicle state: radio flags, MAC, routing agent, battery timeline."""
+"""Per-vehicle state: radio flags, MAC, routing agent, ledger row, charge."""
+
+US_PER_HOUR = 3_600_000_000
 
 
 class Node:
-    def __init__(self, sim, node_id, battery, ledger):
+    def __init__(self, sim, node_id, config, ledger):
         self.sim = sim
         self.id = node_id
         self.pos = (0.0, 0.0)
-        self.battery = battery
         self.ledger = ledger
+        self.counters = ledger.node[node_id]
         self.mac = None
         self.agent = None
+
+        # Charge is counted in mAh, so the supply voltage does not enter it.
+        self.capacity_mah = config.capacity_mah
+        self.currents = (config.tx_ma, config.rx_ma, config.idle_ma)
+        self.drawn_mah = 0.0
 
         self.radio_enabled = True
         self.transmitting = False
@@ -17,31 +24,32 @@ class Node:
         self.busy_count = 0
         self._last_account_us = 0
 
-    def power_mode(self):
-        if self.transmitting:
-            return "tx"
-        if self.active_rx:
-            return "rx"
-        return "idle"
-
     def accrue_power(self, now):
-        """Charge the elapsed interval to the mode in force before a change."""
+        """Charge the elapsed interval to the mode in force before a change:
+        tx while transmitting, else rx while receiving, else idle."""
         elapsed = now - self._last_account_us
         if elapsed > 0:
-            self.battery.account(self.power_mode(), elapsed)
+            counters = self.counters
+            if self.transmitting:
+                counters.tx_time_us += elapsed
+                current = self.currents[0]
+            elif self.active_rx:
+                counters.rx_time_us += elapsed
+                current = self.currents[1]
+            else:
+                counters.idle_time_us += elapsed
+                current = self.currents[2]
             self._last_account_us = now
-            if self.battery.dead and self.radio_enabled:
+            self.drawn_mah += current * elapsed / US_PER_HOUR
+            if self.drawn_mah >= self.capacity_mah:
+                self.drawn_mah = self.capacity_mah
                 self.radio_enabled = False
         elif elapsed < 0:
             raise RuntimeError("power accounting moved backwards")
 
     def finalize(self, end_us):
         self.accrue_power(end_us)
-        counters = self.ledger.node[self.id]
-        counters.residual_battery_mah = self.battery.residual_mah
-        counters.tx_time_us = self.battery.mode_time_us["tx"]
-        counters.rx_time_us = self.battery.mode_time_us["rx"]
-        counters.idle_time_us = self.battery.mode_time_us["idle"]
+        self.counters.residual_battery_mah = self.capacity_mah - self.drawn_mah
 
     def on_app_delivery(self, pkt):
         if pkt.session_id is not None:

@@ -35,8 +35,8 @@ class Rrep:
 class AodvAgent(DistanceVectorAgent):
     rerr_kind = RERR_KIND
 
-    def __init__(self, sim, node, ledger, config):
-        super().__init__(sim, node, ledger, config)
+    def __init__(self, sim, node, config):
+        super().__init__(sim, node, config)
         self.rreq_counter = 0
 
     # -- discovery ---------------------------------------------------------

@@ -121,10 +121,9 @@ class Agent:
 
     control_sizes = {}
 
-    def __init__(self, sim, node, ledger):
+    def __init__(self, sim, node):
         self.sim = sim
         self.node = node
-        self.ledger = ledger
         self.table = RoutingTable()
         self.stats = {}
 
@@ -178,7 +177,7 @@ class Agent:
             self.deliver_local(pkt)
             return
         if pkt.ttl <= 1:
-            self.ledger.node[self.node.id].route_drops += 1
+            self.node.counters.route_drops += 1
             return
         self.route_or_miss(pkt.hop_copy(), prev_hop=prev_hop)
 
@@ -202,7 +201,7 @@ class Agent:
 
     def on_route_miss(self, pkt, prev_hop):
         """Drop and count. ReactiveAgent buffers at a source instead."""
-        self.ledger.node[self.node.id].route_drops += 1
+        self.node.counters.route_drops += 1
 
     # -- contract hooks ----------------------------------------------------
 
@@ -246,8 +245,8 @@ class LinkStateAgent(Agent):
     zone) when it is read after a call to _links_changed.
     """
 
-    def __init__(self, sim, node, ledger):
-        super().__init__(sim, node, ledger)
+    def __init__(self, sim, node):
+        super().__init__(sim, node)
         self.neighbors = {}    # id -> NeighborRecord
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
         self._changes = 0      # link-set changes so far

@@ -37,8 +37,8 @@ class DymoAgent(DistanceVectorAgent):
 
     rerr_kind = RERR_KIND
 
-    def __init__(self, sim, node, ledger, config):
-        super().__init__(sim, node, ledger, config)
+    def __init__(self, sim, node, config):
+        super().__init__(sim, node, config)
         self.query_counter = 0
 
     def emit_discovery(self, dest):

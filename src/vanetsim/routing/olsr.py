@@ -67,8 +67,8 @@ def select_mprs(coverage, degree=None):
 
 
 class OlsrAgent(LinkStateAgent):
-    def __init__(self, sim, node, ledger, config):
-        super().__init__(sim, node, ledger)
+    def __init__(self, sim, node, config):
+        super().__init__(sim, node)
         self.hello_us = us(config.hello_interval_s)
         self.tc_us = us(config.tc_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us

@@ -35,8 +35,8 @@ class ReactiveAgent(Agent):
     """Subclasses send one request in emit_discovery and call
     discovery_succeeded once a route to the destination appears."""
 
-    def __init__(self, sim, node, ledger):
-        super().__init__(sim, node, ledger)
+    def __init__(self, sim, node):
+        super().__init__(sim, node)
         self.pending = {}        # dest -> deque of (packet, buffered_at)
         self._discoveries = {}   # dest -> [attempts, timeout event]
         self._holdoff = {}       # dest -> [until_us, length_us, timer]
@@ -107,7 +107,7 @@ class ReactiveAgent(Agent):
         self._expire_pending(q)
         if len(q) >= PENDING_PER_DEST:
             q.popleft()
-            self.ledger.node[self.node.id].route_drops += 1
+            self.node.counters.route_drops += 1
         q.append((pkt, self.sim.now))
 
     def flush_pending(self, dest):
@@ -118,20 +118,20 @@ class ReactiveAgent(Agent):
         for pkt, _ in q:
             hop = self.next_hop(dest)
             if hop is None:
-                self.ledger.node[self.node.id].route_drops += 1
+                self.node.counters.route_drops += 1
             else:
                 self.send_data_frame(hop, pkt)
 
     def drop_pending(self, dest):
         q = self.pending.pop(dest, None)
         if q:
-            self.ledger.node[self.node.id].route_drops += len(q)
+            self.node.counters.route_drops += len(q)
 
     def _expire_pending(self, q):
         cutoff = self.sim.now - PENDING_LIFETIME_US
         while q and q[0][1] < cutoff:
             q.popleft()
-            self.ledger.node[self.node.id].route_drops += 1
+            self.node.counters.route_drops += 1
 
 
 class DistanceVectorAgent(ReactiveAgent):
@@ -143,8 +143,8 @@ class DistanceVectorAgent(ReactiveAgent):
 
     rerr_kind = None
 
-    def __init__(self, sim, node, ledger, config):
-        super().__init__(sim, node, ledger)
+    def __init__(self, sim, node, config):
+        super().__init__(sim, node)
         self.own_seq = 0
         self.lifetime_us = us(config.route_lifetime_s)
         self.dup_cache = DupCache(sim, us(DUP_CACHE_S))

@@ -54,8 +54,8 @@ class IerpError:
 
 
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
-    def __init__(self, sim, node, ledger, config):
-        super().__init__(sim, node, ledger)
+    def __init__(self, sim, node, config):
+        super().__init__(sim, node)
         self.radius = config.zone_radius
         self.iarp_us = us(config.iarp_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us

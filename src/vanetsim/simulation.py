@@ -14,7 +14,7 @@ from .routing.base import start_sweeps
 from .routing.dymo import DymoAgent
 from .routing.olsr import OlsrAgent
 from .routing.zrp import ZrpAgent
-from .traffic import Battery, CbrSource
+from .traffic import CbrSource
 
 AGENTS = {
     "aodv": AodvAgent,
@@ -63,7 +63,7 @@ class Simulation:
             protocol=config.protocol, seed=config.seed,
             scenario_id=config.scenario_id())
 
-        self.nodes = {nid: Node(self.sim, nid, Battery(config), self.ledger)
+        self.nodes = {nid: Node(self.sim, nid, config, self.ledger)
                       for nid in range(config.num_nodes)}
 
         self.channel = Channel(self.sim, config, self.nodes)
@@ -72,8 +72,8 @@ class Simulation:
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             node.mac = DcfMac(self.sim, node, self.channel, config,
-                              backoff_rng, self.ledger.node[nid])
-            node.agent = agent_cls(self.sim, node, self.ledger, config)
+                              backoff_rng)
+            node.agent = agent_cls(self.sim, node, config)
             node.mac.upper = node.agent
 
         self.mobility = Mobility(self.sim, self.nodes, config)
@@ -104,7 +104,3 @@ class Simulation:
         self.ledger.wallclock_s = time.perf_counter() - started
         return self.ledger
 
-
-def run_scenario(config, protocol=None, seed=None, trace=False):
-    simulation = Simulation(config, protocol=protocol, seed=seed, trace=trace)
-    return simulation.run()

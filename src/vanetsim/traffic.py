@@ -1,9 +1,7 @@
-"""CBR application traffic and the per-node battery model."""
+"""CBR application traffic: one source per session."""
 
 from .engine import us
 from .routing.base import Packet
-
-US_PER_HOUR = 3_600_000_000
 
 
 class CbrSource:
@@ -39,37 +37,3 @@ class CbrSource:
         if nxt < self.stop_us:
             self.sim.schedule_at(nxt, self._tick)
 
-
-class Battery:
-    """Charge bookkeeping: drawn += mode current x duration.
-
-    Charge is counted in mAh, so the supply voltage (`voltage_v`) does not
-    enter it.
-    """
-
-    MODES = ("tx", "rx", "idle")
-
-    def __init__(self, config):
-        self.capacity_mah = config.capacity_mah
-        self.currents = {"tx": config.tx_ma, "rx": config.rx_ma,
-                         "idle": config.idle_ma}
-        self.drawn_mah = 0.0
-        self.mode_time_us = {m: 0 for m in self.MODES}
-
-    def account(self, mode, duration_us):
-        if duration_us < 0:
-            raise ValueError("negative accounting duration")
-        if duration_us == 0:
-            return
-        self.mode_time_us[mode] += duration_us
-        self.drawn_mah += self.currents[mode] * duration_us / US_PER_HOUR
-        if self.drawn_mah > self.capacity_mah:
-            self.drawn_mah = self.capacity_mah
-
-    @property
-    def residual_mah(self):
-        return self.capacity_mah - self.drawn_mah
-
-    @property
-    def dead(self):
-        return self.drawn_mah >= self.capacity_mah

@@ -12,8 +12,7 @@ from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
 from vanetsim.phy import Channel
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import Simulation, run_scenario
-from vanetsim.traffic import Battery
+from vanetsim.simulation import Simulation
 
 PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
 SWEEP_SEEDS = tuple(range(1, 11))
@@ -50,13 +49,12 @@ class MacWorld:
         self.uppers = {}
         rng = random.Random(seed)
         for nid, pos in positions.items():
-            node = Node(self.sim, nid, Battery(self.config), self.ledger)
+            node = Node(self.sim, nid, self.config, self.ledger)
             node.pos = pos
             self.nodes[nid] = node
         self.channel = Channel(self.sim, self.config, self.nodes)
         for nid, node in self.nodes.items():
-            node.mac = DcfMac(self.sim, node, self.channel, self.config, rng,
-                              self.ledger.node[nid])
+            node.mac = DcfMac(self.sim, node, self.channel, self.config, rng)
             upper = StubUpper()
             node.mac.upper = upper
             self.uppers[nid] = upper
@@ -139,7 +137,7 @@ def sweep():
     started = time.perf_counter()
     for proto in PROTOCOLS:
         for seed in SWEEP_SEEDS:
-            ledger = run_scenario(config, protocol=proto, seed=seed)
+            ledger = Simulation(config, protocol=proto, seed=seed).run()
             records.append({"protocol": proto, "seed": seed,
                             "scenario_id": ledger.scenario_id,
                             "totals": ledger.totals(),

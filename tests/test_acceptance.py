@@ -19,7 +19,7 @@ from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS
 from vanetsim.metrics import RANKED_METRICS, compare
 from vanetsim.routing.olsr import select_mprs
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import Simulation, run_scenario
+from vanetsim.simulation import Simulation
 
 from conftest import PROTOCOLS, SWEEP_SEEDS as SEEDS, MacWorld, run_static
 
@@ -279,7 +279,7 @@ def test_criterion_10_idle_overhead_contrast():
     config = replace(ScenarioConfig(), sessions=0).validate()
     quiet = True
     for proto in ("aodv", "dymo"):
-        totals = run_scenario(config, protocol=proto).totals()
+        totals = Simulation(config, protocol=proto).run().totals()
         quiet = (quiet and totals["dcf_broadcasts_sent"] == 0
                  and totals["mac_packets_from_network"] == 0)
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import run_scenario
+from vanetsim.simulation import Simulation
 
 from conftest import PROTOCOLS, csv_digest
 
@@ -40,8 +40,8 @@ def scenario(name):
 
 def digests(name, protocol):
     config = scenario(name)
-    return {str(seed): csv_digest(run_scenario(config, protocol=protocol,
-                                               seed=seed))
+    return {str(seed): csv_digest(Simulation(config, protocol=protocol,
+                                             seed=seed).run())
             for seed in GOLDEN_SEEDS}
 
 

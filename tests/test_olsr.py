@@ -110,7 +110,7 @@ def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
     # One HELLO makes 1 a symmetric neighbour at t0; nothing changes after
     # it, so the first read of the table comes long after the change.
     sim = Simulator(seed=1)
-    agent = OlsrAgent(sim, SimpleNamespace(id=0), None, ScenarioConfig())
+    agent = OlsrAgent(sim, SimpleNamespace(id=0), ScenarioConfig())
     hold = agent.topo_hold_us
     t0 = us(1.0)
     seen = {}

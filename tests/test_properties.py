@@ -62,6 +62,8 @@ def scenarios(draw):
         speed_min_mps=speed_min, speed_max_mps=speed_max,
         protocol=draw(st.sampled_from(PROTOCOLS)),
         seed=draw(st.integers(1, 10 ** 6)),
+        # a charge so small that some radios run flat mid-run
+        capacity_mah=draw(st.sampled_from((1500.0, 0.02))),
         positions=positions, waypoints=waypoints).validate()
 
 
@@ -205,8 +207,15 @@ def test_run_invariants(config):
     assert csv_digest(eager) == csv_digest(ledger)
 
     end_us = us(config.sim_time_s)
-    for c in ledger.node.values():
+    capacity = config.capacity_mah
+    for nid, c in ledger.node.items():
         assert c.tx_time_us + c.rx_time_us + c.idle_time_us == end_us
+        assert simulation.nodes[nid].radio_enabled == \
+            (c.residual_battery_mah != 0.0)
+        drawn = (config.tx_ma * c.tx_time_us + config.rx_ma * c.rx_time_us
+                 + config.idle_ma * c.idle_time_us) / 3.6e9
+        assert math.isclose(capacity - c.residual_battery_mah,
+                            min(capacity, drawn))
     interval_us = us(config.interval_ms / 1000.0)
     for sid, c in ledger.session.items():
         schedule = range(sid * SESSION_STAGGER_US, end_us, interval_us)

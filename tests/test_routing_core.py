@@ -6,7 +6,7 @@ import pytest
 
 from vanetsim.engine import Simulator, us
 from vanetsim.mac import BROADCAST
-from vanetsim.metrics import MetricsLedger
+from vanetsim.metrics import NodeCounters
 from vanetsim.routing.base import (DUP_CACHE_CAP, DupCache, Packet,
                                    RouteEntry, RoutingTable)
 from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
@@ -76,44 +76,46 @@ class Shell:
     id = 0
     mac = None
 
+    def __init__(self):
+        self.counters = NodeCounters()
+
 
 def make_agent():
     sim = Simulator(seed=1)
-    ledger = MetricsLedger(node_ids=[0], session_ids=[])
-    agent = ReactiveAgent(sim, Shell(), ledger)
-    return sim, ledger, agent
+    agent = ReactiveAgent(sim, Shell())
+    return sim, agent.node.counters, agent
 
 
 def test_pending_buffer_caps_per_destination():
-    sim, ledger, agent = make_agent()
+    sim, counters, agent = make_agent()
     for i in range(PENDING_PER_DEST + 2):
         agent.buffer_packet(Packet(src=0, dst=9, seq=i))
     assert len(agent.pending[9]) == PENDING_PER_DEST
-    assert ledger.node[0].route_drops == 2
+    assert counters.route_drops == 2
     # oldest were evicted first
     assert [p.seq for p, _ in agent.pending[9]] == [2, 3, 4, 5, 6]
 
 
 def test_pending_buffer_expires_stale_packets():
-    sim, ledger, agent = make_agent()
+    sim, counters, agent = make_agent()
     agent.buffer_packet(Packet(src=0, dst=9, seq=1))
     sim.run_until(us(11))  # past the 10 s pending lifetime
     agent.buffer_packet(Packet(src=0, dst=9, seq=2))
     assert [p.seq for p, _ in agent.pending[9]] == [2]
-    assert ledger.node[0].route_drops == 1
+    assert counters.route_drops == 1
 
 
 def test_drop_pending_counts_everything():
-    sim, ledger, agent = make_agent()
+    sim, counters, agent = make_agent()
     for i in range(3):
         agent.buffer_packet(Packet(src=0, dst=9, seq=i))
     agent.drop_pending(9)
     assert 9 not in agent.pending
-    assert ledger.node[0].route_drops == 3
+    assert counters.route_drops == 3
 
 
 def test_flush_pending_sends_via_fresh_route():
-    sim, ledger, agent = make_agent()
+    sim, counters, agent = make_agent()
     sent = []
     agent.send_data_frame = lambda nh, pkt: sent.append((nh, pkt.seq))
     for i in range(2):
@@ -149,9 +151,9 @@ def test_partitioned_destination_discovery_schedule(protocol):
 
 
 def test_data_ttl_exhaustion_drops():
-    sim, ledger, agent = make_agent()
+    sim, counters, agent = make_agent()
     agent.handle_data(Packet(src=1, dst=9, ttl=1), prev_hop=1)
-    assert ledger.node[0].route_drops == 1
+    assert counters.route_drops == 1
 
 
 def test_dup_cache_key_is_a_duplicate_until_its_expiry_passes():
@@ -208,8 +210,7 @@ def test_olsr_suppresses_newest_low_originator_tc_after_8192_others():
     sim = Simulator(seed=1)
     node = Shell()
     node.mac = RecordingMac()
-    agent = OlsrAgent(sim, node, MetricsLedger(node_ids=[0], session_ids=[]),
-                      ScenarioConfig())
+    agent = OlsrAgent(sim, node, ScenarioConfig())
     hello = Hello(sender=5, sym=(0,), heard=(), mprs=(0,))
     agent.on_receive(Packet(src=5, dst=BROADCAST, kind=HELLO_KIND,
                             payload=hello), prev_hop=5)

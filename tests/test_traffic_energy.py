@@ -1,4 +1,4 @@
-"""CBR source scheduling and battery charge accounting."""
+"""CBR source scheduling and the node's battery charge accounting."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from vanetsim.engine import Simulator, us
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.traffic import Battery, CbrSource
+from vanetsim.traffic import CbrSource
 
 CONFIG = ScenarioConfig()
 
@@ -17,6 +17,11 @@ class CollectingAgent:
 
     def handle_app_packet(self, pkt):
         self.packets.append(pkt)
+
+
+def make_node(config=CONFIG):
+    return Node(Simulator(seed=1), 0, config,
+                MetricsLedger(node_ids=[0], session_ids=[]))
 
 
 def make_source(start_s=0.0, stop_s=10.0, interval_s=0.25):
@@ -58,46 +63,43 @@ def test_cbr_source_starting_at_its_stop_sends_nothing():
 
 
 def test_battery_idle_oracle():
-    b = Battery(CONFIG)
-    b.account("idle", 3_600_000_000)  # one hour at 1 mA
-    assert abs(b.drawn_mah - 1.0) < 1e-9
-    assert abs(b.residual_mah - 1499.0) < 1e-9
+    node = make_node()
+    node.finalize(3_600_000_000)  # one hour idle at 1 mA
+    assert abs(node.drawn_mah - 1.0) < 1e-9
+    assert abs(node.counters.residual_battery_mah - 1499.0) < 1e-9
 
 
 def test_battery_mode_currents_differ():
-    tx, rx = Battery(CONFIG), Battery(CONFIG)
-    tx.account("tx", us(10))
-    rx.account("rx", us(10))
+    tx, rx = make_node(), make_node()
+    tx.transmitting = True
+    rx.active_rx.append(object())
+    tx.accrue_power(us(10))
+    rx.accrue_power(us(10))
     assert abs(tx.drawn_mah / rx.drawn_mah - 280.0 / 180.0) < 1e-9
 
 
 def test_battery_never_goes_negative():
-    b = Battery(ScenarioConfig(capacity_mah=0.001))
-    b.account("tx", 3_600_000_000)
-    assert b.residual_mah == 0.0
-    assert b.dead
-
-
-def test_battery_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        Battery(CONFIG).account("idle", -1)
-
-
-def test_node_power_mode_priority():
-    sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(CONFIG), MetricsLedger(node_ids=[0],
-                                                 session_ids=[]))
-    assert node.power_mode() == "idle"
-    node.active_rx.append(object())
-    assert node.power_mode() == "rx"
+    node = make_node(ScenarioConfig(capacity_mah=0.001))
     node.transmitting = True
-    assert node.power_mode() == "tx"  # tx wins over rx
+    node.finalize(3_600_000_000)
+    assert node.counters.residual_battery_mah == 0.0
+    assert not node.radio_enabled
+
+
+def test_node_mode_priority():
+    node = make_node()
+    node.accrue_power(10)  # idle
+    node.active_rx.append(object())
+    node.accrue_power(30)  # rx
+    node.transmitting = True
+    node.accrue_power(60)  # tx wins over rx
+    c = node.counters
+    assert (c.tx_time_us, c.rx_time_us, c.idle_time_us) == (30, 20, 10)
 
 
 def test_node_mode_times_sum_to_sim_time():
-    sim = Simulator(seed=1)
-    ledger = MetricsLedger(node_ids=[0], session_ids=[])
-    node = Node(sim, 0, Battery(CONFIG), ledger)
+    node = make_node()
+    sim = node.sim
     sim.run_until(1_000)
     node.accrue_power(sim.now)
     node.transmitting = True
@@ -105,26 +107,20 @@ def test_node_mode_times_sum_to_sim_time():
     node.accrue_power(sim.now)
     node.transmitting = False
     node.finalize(10_000)
-    c = ledger.node[0]
+    c = node.counters
     assert c.tx_time_us == 500
     assert c.idle_time_us == 9_500
     assert c.tx_time_us + c.rx_time_us + c.idle_time_us == 10_000
 
 
 def test_dead_battery_disables_radio():
-    sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(ScenarioConfig(capacity_mah=1e-9)),
-                MetricsLedger(node_ids=[0], session_ids=[]))
-    sim.run_until(1_000_000)
-    node.accrue_power(sim.now)
+    node = make_node(ScenarioConfig(capacity_mah=1e-9))
+    node.accrue_power(1_000_000)
     assert not node.radio_enabled
 
 
 def test_power_accounting_rejects_time_reversal():
-    sim = Simulator(seed=1)
-    node = Node(sim, 0, Battery(CONFIG), MetricsLedger(node_ids=[0],
-                                                 session_ids=[]))
-    sim.run_until(500)
-    node.accrue_power(sim.now)
+    node = make_node()
+    node.accrue_power(500)
     with pytest.raises(RuntimeError):
         node.accrue_power(100)
