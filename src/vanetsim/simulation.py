@@ -103,4 +103,3 @@ class Simulation:
         self.ledger.sim_time_us = self.end_us
         self.ledger.wallclock_s = time.perf_counter() - started
         return self.ledger
-

@@ -36,4 +36,3 @@ class CbrSource:
         nxt = self.sim.now + self.interval_us
         if nxt < self.stop_us:
             self.sim.schedule_at(nxt, self._tick)
-
