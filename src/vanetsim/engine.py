@@ -48,9 +48,9 @@ class Simulator:
     schedule (and therefore of the seed and scenario). An event is its heap
     entry, the list [fire_at, seq, fn]; cancelling it sets fn to None.
 
-    The callback names the event. Only perfbench's tracer reads kind (to
-    tell "frame-arrival" from other channel ends) and its wrapper passes
-    kind and target by position, so both stay until the tracer stops.
+    The callback names the event. schedule_at also takes a kind and a
+    target, which only perfbench's tracer reads (to tell "frame-arrival"
+    from other channel ends); its wrapper passes both by position.
     """
 
     def __init__(self, seed=0):
@@ -73,10 +73,10 @@ class Simulator:
         heapq.heappush(self._heap, ev)
         return ev
 
-    def schedule_after(self, delay, fn, kind="timer", target="world"):
+    def schedule_after(self, delay, fn):
         if delay < 0:
             raise SimulationError("negative delay %d" % delay)
-        return self.schedule_at(self.now + delay, fn, kind, target)
+        return self.schedule_at(self.now + delay, fn)
 
     def cancel(self, ev):
         """Cancel a pending event. Cancelling an already-fired one is a no-op."""

@@ -65,7 +65,7 @@ class DcfMac:
         self.config = config
         self.rng = rng
         self.counters = node.counters
-        self.upper = None  # routing agent, set by the node wiring
+        self.upper = None  # routing agent, set before the first event
 
         self.queue = deque()
         self.phase = IDLE
@@ -84,6 +84,7 @@ class DcfMac:
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
         self.cw_log = None  # set to a list to record each CW change
 
+        self._difs_us = config.sifs_us + 2 * config.slot_us  # 802.11 DIFS
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
         self._ack_air = airtime_us(ACK_BYTES * 8, config)
 
@@ -162,7 +163,7 @@ class DcfMac:
             return
         if self._difs_timer is None and self._backoff_timer is None:
             self._difs_timer = self.sim.schedule_after(
-                self.config.difs_us, self._difs_done)
+                self._difs_us, self._difs_done)
 
     def _nav_expired(self):
         self._nav_timer = None
@@ -216,8 +217,6 @@ class DcfMac:
 
     def _send_data_stage(self):
         cur = self.current
-        if cur is None:
-            return
         end = self.channel.transmit(self.node, cur)
         if end is None:
             self._end_service()
@@ -231,7 +230,6 @@ class DcfMac:
             self._exchange_timeout)
 
     def _exchange_timeout(self):
-        self._timeout_timer = None
         self.retry += 1
         self.cw = min(2 * (self.cw + 1) - 1, self.config.cw_max)
         if self.cw_log is not None:
@@ -255,7 +253,7 @@ class DcfMac:
         self.cw = self.config.cw_min
         self.retry = 0
         self._post_tx = True
-        if delivered is not None and self.upper is not None:
+        if delivered is not None:
             if delivered:
                 self.upper.on_unicast_success(done.dst, done.payload)
             else:
@@ -273,8 +271,7 @@ class DcfMac:
         if frame.dst == BROADCAST:
             if frame.kind == DATA:
                 self.counters.dcf_broadcasts_received += 1
-                if self.upper is not None:
-                    self.upper.on_receive(frame.payload, frame.src)
+                self.upper.on_receive(frame.payload, frame.src)
             return
         if frame.dst != self.node.id:
             if frame.kind in (RTS, CTS):
@@ -293,7 +290,6 @@ class DcfMac:
         elif frame.kind == CTS:
             if self.phase == WAIT_CTS and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
-                self._timeout_timer = None
                 self.sim.schedule_after(self.config.sifs_us,
                                         self._send_data_stage)
         elif frame.kind == DATA:
@@ -303,12 +299,10 @@ class DcfMac:
                 self._seen[frame.frame_id] = None
                 if len(self._seen) > 256:
                     del self._seen[next(iter(self._seen))]
-                if self.upper is not None:
-                    self.upper.on_receive(frame.payload, frame.src)
+                self.upper.on_receive(frame.payload, frame.src)
         elif frame.kind == ACK:
             if self.phase == WAIT_ACK and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
-                self._timeout_timer = None
                 if self.cw_log is not None:
                     self.cw_log.append(self.config.cw_min)
                 self._end_service(delivered=True)
@@ -318,9 +312,8 @@ class DcfMac:
                                 lambda: self._send_response(frame))
 
     def _send_response(self, frame):
-        # SIFS responses skip contention but still honour NAV and half-duplex
+        # SIFS responses skip contention but still honour NAV and half-duplex;
+        # the channel refuses them from a radio that is off
         if self.node.transmitting or self.sim.now < self.nav_until:
-            return
-        if not self.node.radio_enabled:
             return
         self.channel.transmit(self.node, frame)

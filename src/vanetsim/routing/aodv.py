@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass, replace
 
-from .base import RouteEntry
 from .reactive import RREQ_TTL, DistanceVectorAgent
 
 RREQ_KIND = "aodv-rreq"
@@ -70,40 +69,29 @@ class AodvAgent(DistanceVectorAgent):
         self.dup_cache.add(key)
         if msg.orig == self.node.id:
             return
-        self.table.update_if_fresher(RouteEntry(
-            dest=msg.orig, next_hop=prev_hop, seq_no=msg.orig_seq,
-            hop_count=msg.hop_count + 1,
-            expires_at=self.sim.now + self.lifetime_us))
+        self.learn_route(msg.orig, prev_hop, msg.orig_seq, msg.hop_count + 1)
         if msg.dest == self.node.id:
             self.own_seq = max(self.own_seq, msg.dest_seq_known)
-            reply = Rrep(orig=msg.orig, dest=self.node.id,
+            reply = Rrep(orig=msg.orig, dest=msg.dest,
                          dest_seq=self.own_seq, hop_count=0)
-            self.bump("rrep_sent")
-            self.send_control_unicast(prev_hop, RREP_KIND, reply, RREP_BYTES)
-            return
-        cached = self.table.lookup(msg.dest, self.sim.now)
-        if cached is not None and cached.seq_no >= msg.dest_seq_known:
+        else:
+            cached = self.table.lookup(msg.dest, self.sim.now)
+            if cached is None or cached.seq_no < msg.dest_seq_known:
+                if msg.ttl > 1:
+                    fwd = replace(msg, hop_count=msg.hop_count + 1,
+                                  ttl=msg.ttl - 1)
+                    self.bump("rreq_forwarded")
+                    self.forward_control_broadcast(RREQ_KIND, fwd, RREQ_BYTES)
+                return
             reply = Rrep(orig=msg.orig, dest=msg.dest,
                          dest_seq=cached.seq_no, hop_count=cached.hop_count)
-            self.bump("rrep_sent")
-            self.send_control_unicast(prev_hop, RREP_KIND, reply, RREP_BYTES)
-            return
-        if msg.ttl > 1:
-            fwd = replace(msg, hop_count=msg.hop_count + 1, ttl=msg.ttl - 1)
-            self.bump("rreq_forwarded")
-            self.forward_control_broadcast(RREQ_KIND, fwd, RREQ_BYTES)
+        self.bump("rrep_sent")
+        self.send_control_unicast(prev_hop, RREP_KIND, reply, RREP_BYTES)
 
     def _process_rrep(self, msg, prev_hop):
-        self.table.update_if_fresher(RouteEntry(
-            dest=msg.dest, next_hop=prev_hop, seq_no=msg.dest_seq,
-            hop_count=msg.hop_count + 1,
-            expires_at=self.sim.now + self.lifetime_us))
+        self.learn_route(msg.dest, prev_hop, msg.dest_seq, msg.hop_count + 1)
         if msg.orig == self.node.id:
             self.discovery_succeeded(msg.dest)
             return
-        back = self.table.lookup(msg.orig, self.sim.now)
-        if back is None:
-            self.bump("rrep_drops")
-            return
-        fwd = replace(msg, hop_count=msg.hop_count + 1)
-        self.send_control_unicast(back.next_hop, RREP_KIND, fwd, RREP_BYTES)
+        self.relay_reply(msg.orig, RREP_KIND,
+                         replace(msg, hop_count=msg.hop_count + 1), RREP_BYTES)

@@ -11,6 +11,15 @@ FORWARD_STAGGER_US = 2_000
 DUP_CACHE_CAP = 4096
 SWEEP_US = us(1.0)
 
+# link-state message sizes and hold times (OLSR and ZRP)
+MSG_BASE_BYTES = 12
+ADDR_BYTES = 4
+HOLD_FACTOR = 3
+
+# Deterministic start staggering: nodes do not boot in phase, and phase
+# separation keeps periodic frames from colliding by construction.
+PHASE_STEP_US = 10_000
+
 # network packet kinds
 DATA_KIND = "data"
 
@@ -118,8 +127,6 @@ class Agent:
     Agents talk to the world only through the MAC (send/receive) and
     engine timers; there is no topology peeking.
     """
-
-    control_sizes = {}
 
     def __init__(self, sim, node):
         self.sim = sim
@@ -241,9 +248,13 @@ class LinkStateAgent(Agent):
     """Neighbour table, link-state store and expiry sweep (OLSR and ZRP).
 
     Subclasses set neighbor_hold_us, fill link_state from their link
-    advertisements and rebuild what they derive from it (routes, MPRs, the
-    zone) when it is read after a call to _links_changed.
+    advertisements and rebuild what they derive from it (the shortest
+    paths in _build_paths, OLSR's MPRs) when it is read after a call to
+    _links_changed. next_hop takes a path's first hop until paths_hold_us
+    after the last change, and otherwise asks the route table.
     """
+
+    paths_hold_us = math.inf
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
@@ -251,11 +262,32 @@ class LinkStateAgent(Agent):
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
         self._changes = 0      # link-set changes so far
         self._changed_at = 0   # time of the last one
+        self._paths = {}       # dest -> node tuple from this node
+        self._paths_built = 0  # _changes when _paths was built
 
     def _links_changed(self):
         """Mark the derived state stale as of now."""
         self._changes += 1
         self._changed_at = self.sim.now
+
+    @property
+    def paths(self):
+        if self._paths_built != self._changes:
+            self._paths_built = self._changes
+            self._paths = self._build_paths()
+        return self._paths
+
+    def _build_paths(self):
+        raise NotImplementedError
+
+    def next_hop(self, dest):
+        """First hop of the path to dest while the paths are held, else the
+        route table's."""
+        path = self.paths.get(dest)
+        if (path is not None
+                and self.sim.now <= self._changed_at + self.paths_hold_us):
+            return path[1]
+        return super().next_hop(dest)
 
     def _heard(self, sender, sym, heard):
         """Refresh sender's record from its HELLO or advert; return it."""

@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass, replace
 
-from .base import RouteEntry
 from .reactive import RREQ_TTL, DistanceVectorAgent
 
 RREQ_KIND = "dymo-rreq"
@@ -67,9 +66,7 @@ class DymoAgent(DistanceVectorAgent):
         # every listed node becomes reachable through the frame's sender
         n = len(msg.addr_list)
         for i, (nid, seq, _hop) in enumerate(msg.addr_list):
-            self.table.update_if_fresher(RouteEntry(
-                dest=nid, next_hop=prev_hop, seq_no=seq, hop_count=n - i,
-                expires_at=self.sim.now + self.lifetime_us))
+            self.learn_route(nid, prev_hop, seq, n - i)
         if msg.kind == "RREQ":
             if msg.query_id in self.dup_cache:
                 return
@@ -97,11 +94,6 @@ class DymoAgent(DistanceVectorAgent):
             if msg.orig == me:
                 self.discovery_succeeded(msg.target)
                 return
-            back = self.table.lookup(msg.orig, self.sim.now)
-            if back is None:
-                self.bump("rrep_drops")
-                return
             fwd = replace(msg,
                           addr_list=msg.addr_list + ((me, self.own_seq, n),))
-            self.send_control_unicast(back.next_hop, RREP_KIND, fwd,
-                                      message_bytes(fwd))
+            self.relay_reply(msg.orig, RREP_KIND, fwd, message_bytes(fwd))

@@ -3,21 +3,14 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import DupCache, LinkStateAgent, RouteEntry
+from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
+                   DupCache, LinkStateAgent)
 
 HELLO_KIND = "olsr-hello"
 TC_KIND = "olsr-tc"
 
-MSG_BASE_BYTES = 12
-ADDR_BYTES = 4
-
-HOLD_FACTOR = 3
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
-
-# Deterministic start staggering: nodes do not boot in phase, and phase
-# separation keeps periodic frames from colliding by construction.
-PHASE_STEP_US = 10_000
 
 
 @dataclass
@@ -72,9 +65,10 @@ class OlsrAgent(LinkStateAgent):
         self.hello_us = us(config.hello_interval_s)
         self.tc_us = us(config.tc_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
-        self.topo_hold_us = HOLD_FACTOR * self.tc_us
+        # a route lasts as long as the topology entry that made it could
+        self.topo_hold_us = self.paths_hold_us = HOLD_FACTOR * self.tc_us
         self._mpr_set = set()
-        self._mprs_built = self._routes_built = 0  # _changes when built
+        self._mprs_built = 0  # _changes when _mpr_set was built
         self.mpr_selector_set = set()
         self.ansn = 0
         self.tc_counter = 0
@@ -156,17 +150,6 @@ class OlsrAgent(LinkStateAgent):
             self._mpr_set = self._select_mprs()
         return self._mpr_set
 
-    @property
-    def table(self):
-        if self._routes_built != self._changes:
-            self._routes_built = self._changes
-            self._compute_routes()
-        return self._table
-
-    @table.setter
-    def table(self, table):
-        self._table = table
-
     def _select_mprs(self):
         me = self.node.id
         sym = self._sym_neighbors()
@@ -178,19 +161,12 @@ class OlsrAgent(LinkStateAgent):
             degree[n] = len(rec.sym_set)
         return select_mprs(coverage, degree)
 
-    def _compute_routes(self):
+    def _build_paths(self):
         sym = self._sym_neighbors()
         adj = self._adjacency(
             sym, ((n, self.neighbors[n].sym_set) for n in sym))
         # lower-id first hop on ties
-        paths = self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))
-        # stamped as of the change, so the entries are those an eager
-        # rebuild at that instant would have made
-        expires = self._changed_at + self.topo_hold_us
-        self._table.entries = {
-            dest: RouteEntry(dest=dest, next_hop=p[1], seq_no=0,
-                             hop_count=len(p) - 1, expires_at=expires)
-            for dest, p in sorted(paths.items())}
+        return self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))
 
     # -- maintenance -------------------------------------------------------
 

@@ -9,13 +9,14 @@ destination are dropped and further rounds for that destination are held
 off (exponential, capped) so a persistently unreachable peer does not
 turn the source into a flood generator.
 
-AODV and DYMO also share their route maintenance: DistanceVectorAgent.
+AODV and DYMO also share how they learn routes, relay replies and report
+broken ones: DistanceVectorAgent.
 """
 
 from collections import deque
 
 from ..engine import us
-from .base import Agent, DupCache
+from .base import Agent, DupCache, RouteEntry
 
 PENDING_PER_DEST = 5
 PENDING_LIFETIME_US = us(10.0)
@@ -38,8 +39,8 @@ class ReactiveAgent(Agent):
     def __init__(self, sim, node):
         super().__init__(sim, node)
         self.pending = {}        # dest -> deque of (packet, buffered_at)
-        self._discoveries = {}   # dest -> [attempts, timeout event]
-        self._holdoff = {}       # dest -> [until_us, length_us, timer]
+        self._discoveries = {}   # dest -> [requests sent, next timer event]
+        self._holdoff = {}       # dest -> (until_us, length_us)
 
     def emit_discovery(self, dest):
         raise NotImplementedError
@@ -54,18 +55,13 @@ class ReactiveAgent(Agent):
             return
         hold = self._holdoff.get(dest)
         if hold is not None and self.sim.now < hold[0]:
-            if hold[2] is None:
-                hold[2] = self.sim.schedule_at(
-                    hold[0], lambda: self._holdoff_elapsed(dest))
+            # a round whose first request goes out when the hold-off ends
+            self._discoveries[dest] = [0, self.sim.schedule_at(
+                hold[0], lambda: self._attempt(dest))]
             return
         self._attempt(dest)
 
     # -- discovery rounds --------------------------------------------------
-
-    def _holdoff_elapsed(self, dest):
-        self._holdoff[dest][2] = None
-        if dest in self.pending and dest not in self._discoveries:
-            self._attempt(dest)
 
     def _attempt(self, dest):
         """Send the next request of dest's round, starting one if none runs."""
@@ -89,15 +85,13 @@ class ReactiveAgent(Agent):
         hold = self._holdoff.get(dest)
         length = (min(2 * hold[1], HOLDOFF_CAP_US) if hold
                   else HOLDOFF_START_US)
-        self._holdoff[dest] = [self.sim.now + length, length, None]
+        self._holdoff[dest] = (self.sim.now + length, length)
 
     def discovery_succeeded(self, dest):
         state = self._discoveries.pop(dest, None)
         if state is not None:
             self.sim.cancel(state[1])
-        hold = self._holdoff.pop(dest, None)
-        if hold is not None:
-            self.sim.cancel(hold[2])
+        self._holdoff.pop(dest, None)
         self.flush_pending(dest)
 
     # -- pending-packet buffer ---------------------------------------------
@@ -151,6 +145,21 @@ class DistanceVectorAgent(ReactiveAgent):
 
     def on_route_used(self, entry):
         entry.expires_at = self.sim.now + self.lifetime_us
+
+    def learn_route(self, dest, next_hop, seq_no, hop_count):
+        """Take a route heard in a control message if it is fresher."""
+        self.table.update_if_fresher(RouteEntry(
+            dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
+            expires_at=self.sim.now + self.lifetime_us))
+
+    def relay_reply(self, orig, kind, msg, size):
+        """Unicast a route reply on toward orig; without a reverse route
+        it is dropped and counted."""
+        back = self.table.lookup(orig, self.sim.now)
+        if back is None:
+            self.bump("rrep_drops")
+            return
+        self.send_control_unicast(back.next_hop, kind, msg, size)
 
     def on_route_miss(self, pkt, prev_hop):
         super().on_route_miss(pkt, prev_hop)

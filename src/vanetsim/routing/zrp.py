@@ -3,7 +3,8 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
-from .base import DupCache, LinkStateAgent, RouteEntry
+from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
+                   DupCache, LinkStateAgent, RouteEntry)
 from .reactive import DUP_CACHE_S, PENDING_LIFETIME_US, ReactiveAgent
 
 ADVERT_KIND = "zrp-iarp"
@@ -11,12 +12,7 @@ QUERY_KIND = "zrp-ierp-query"
 REPLY_KIND = "zrp-ierp-reply"
 ERROR_KIND = "zrp-ierp-error"
 
-MSG_BASE_BYTES = 12
-ADDR_BYTES = 4
-
-HOLD_FACTOR = 3
 MAX_BORDERCAST_STAGES = 8
-PHASE_STEP_US = 10_000
 
 
 @dataclass
@@ -54,13 +50,14 @@ class IerpError:
 
 
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
+    """Data goes out along the zone's paths (to nodes at most radius hops
+    away) first, then along a route found by IERP."""
+
     def __init__(self, sim, node, config):
         super().__init__(sim, node)
         self.radius = config.zone_radius
         self.iarp_us = us(config.iarp_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.iarp_us
-        self._zone_paths = {}    # dest (<= rho hops) -> full path tuple
-        self._zone_built = 0     # _changes when it was built
         self.adv_counter = 0
         self.query_counter = 0
         self.adv_seen = DupCache(sim, us(DUP_CACHE_S))
@@ -111,36 +108,20 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         the next_hop miss that buffers one reads the zone first."""
         super()._links_changed()
         if self.pending:
-            paths = self.zone_paths
+            paths = self.paths
             # destinations the zone now covers no longer need a query
             for dest in sorted(self.pending):
                 if dest in paths:
                     self.discovery_succeeded(dest)
 
     @property
-    def zone_paths(self):
-        if self._zone_built != self._changes:
-            self._zone_built = self._changes
-            self._zone_paths = self._build_zone()
-        return self._zone_paths
-
-    @property
     def peripheral_set(self):
-        return {d for d, p in self.zone_paths.items()
+        return {d for d, p in self.paths.items()
                 if len(p) - 1 == self.radius}
 
-    def _build_zone(self):
+    def _build_paths(self):
         return self._shortest_paths(self._adjacency(self._sym_neighbors()),
                                     lambda p: p[-1], self.radius)
-
-    # -- data plane --------------------------------------------------------
-
-    def next_hop(self, dest):
-        """The zone path first, then a route found by IERP."""
-        path = self.zone_paths.get(dest)
-        if path is not None:
-            return path[1]
-        return super().next_hop(dest)
 
     # -- IERP: bordercast query -------------------------------------------
 
@@ -154,7 +135,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         for p in sorted(self.peripheral_set):
             if p in route_so_far:
                 continue
-            path = self.zone_paths[p]
+            path = self.paths[p]
             msg = IerpQuery(query_id=qid, orig=orig, dest=dest,
                             route_so_far=route_so_far, leg=tuple(path[1:]),
                             stage=stage)
@@ -185,7 +166,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         self.query_seen.add(msg.query_id)
         here = msg.route_so_far + (me,)
         self.bump("ierp_stage_seen_%d" % msg.stage)
-        path = self.zone_paths.get(msg.dest)
+        path = self.paths.get(msg.dest)
         if path is not None:
             full = here + path[1:]
             reply = IerpReply(msg.query_id, msg.orig, msg.dest, full)

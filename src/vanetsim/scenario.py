@@ -43,7 +43,6 @@ class ScenarioConfig:
     phy_overhead_us: int = 192
     slot_us: int = 20
     sifs_us: int = 10
-    difs_us: int = 50
     cw_min: int = 31
     cw_max: int = 1023
     rts_threshold_bytes: int = 256
@@ -115,8 +114,6 @@ class ScenarioConfig:
                 fail(key, "must be non-negative")
         if self.slot_us < 1:
             fail("slot_us", "must be at least 1 us")
-        if self.difs_us != self.sifs_us + 2 * self.slot_us:
-            fail("difs_us", "must equal sifs_us + 2*slot_us")
         if self.cw_min >= self.cw_max:
             fail("cw_min", "must be below cw_max")
         if self.retry_limit < 0:

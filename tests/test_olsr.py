@@ -3,6 +3,8 @@
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from vanetsim.engine import Simulator, us
 from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
 from vanetsim.scenario import ScenarioConfig
@@ -62,10 +64,20 @@ def test_line_neighbors_and_mprs():
 
 def test_proactive_routes_exist_without_any_traffic():
     s = run_static(line_positions(4), protocol="olsr", sim_time_s=20.0)
-    table = s.nodes[0].agent.table
-    entry = table.lookup(3, s.sim.now)
-    assert entry is not None
-    assert entry.next_hop == 1 and entry.hop_count == 3
+    agent = s.nodes[0].agent
+    assert agent.paths[3] == (0, 1, 2, 3)
+    assert agent.next_hop(3) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "RFC 3626 section 10 takes first hops only from symmetric neighbours, "
+    "but the undirected link-state edges keep a dropped neighbour as one; "
+    "the fix moves pinned digests (ROADMAP item 2)"))
+def test_dropped_neighbour_is_no_first_hop():
+    s = run_static(line_positions(4), protocol="olsr", sim_time_s=20.0)
+    agent = s.nodes[0].agent
+    agent.on_link_failure(1)
+    assert [path for path in agent.paths.values() if path[1] == 1] == []
 
 
 def test_data_flows_with_no_discovery_latency_after_convergence():
@@ -91,10 +103,9 @@ def test_equal_cost_routes_take_lower_id_first_hop():
     positions = {0: (100.0, 100.0), 1: (170.0, 30.0),
                  2: (170.0, 170.0), 3: (240.0, 100.0)}
     s = run_static(positions, protocol="olsr", sim_time_s=20.0)
-    entry = s.nodes[0].agent.table.lookup(3, s.sim.now)
-    assert entry is not None
-    assert entry.hop_count == 2
-    assert entry.next_hop == 1
+    agent = s.nodes[0].agent
+    assert agent.paths[3] == (0, 1, 3)
+    assert agent.next_hop(3) == 1
 
 
 def test_periodic_rates_on_short_run():
@@ -108,7 +119,7 @@ def test_periodic_rates_on_short_run():
 
 def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
     # One HELLO makes 1 a symmetric neighbour at t0; nothing changes after
-    # it, so the first read of the table comes long after the change.
+    # it, so the first route lookup comes long after the change.
     sim = Simulator(seed=1)
     agent = OlsrAgent(sim, SimpleNamespace(id=0), ScenarioConfig())
     hold = agent.topo_hold_us
@@ -116,14 +127,11 @@ def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
     seen = {}
     sim.schedule_at(t0, lambda: agent._process_hello(
         Hello(sender=1, sym=(0,), heard=(), mprs=())))
-    for at in (t0 + hold - 1, t0 + hold + 1):
+    for at in (t0 + hold, t0 + hold + 1):
         sim.schedule_at(at, lambda at=at: seen.update(
-            {at: agent.table.lookup(1, sim.now)}))
+            {at: agent.next_hop(1)}))
     sim.run_until(t0 + hold + 1)
-    hit = seen[t0 + hold - 1]
-    assert hit is not None and hit.next_hop == 1
-    assert hit.expires_at == t0 + hold
-    assert seen[t0 + hold + 1] is None
+    assert seen == {t0 + hold: 1, t0 + hold + 1: None}
 
 
 def test_routes_are_computed_only_when_the_table_is_read():
@@ -135,15 +143,14 @@ def test_routes_are_computed_only_when_the_table_is_read():
 
         def counted(agent=agent, nid=nid):
             calls[nid] = calls.get(nid, 0) + 1
-            type(agent)._compute_routes(agent)
+            return type(agent)._build_paths(agent)
 
-        agent._compute_routes = counted
+        agent._build_paths = counted
     simulation.run()
     # HELLOs and TCs changed every link set, and MPRs were selected for
     # every HELLO, but with no traffic nothing looked a route up.
     assert calls == {}
     assert simulation.nodes[0].agent.mpr_set == {1}
-    entry = simulation.nodes[0].agent.table.lookup(3, simulation.sim.now)
-    assert entry is not None and entry.next_hop == 1
-    simulation.nodes[0].agent.table.lookup(2, simulation.sim.now)
+    assert simulation.nodes[0].agent.next_hop(3) == 1
+    assert simulation.nodes[0].agent.paths[2] == (0, 1, 2)
     assert calls == {0: 1}

@@ -126,8 +126,8 @@ class EagerOlsr(OwnSweep, OlsrAgent):
     def _links_changed(self):
         super()._links_changed()
         self._mpr_set = self._select_mprs()
-        self._compute_routes()
-        self._mprs_built = self._routes_built = self._changes
+        self._paths = self._build_paths()
+        self._mprs_built = self._paths_built = self._changes
 
 
 class EagerZrp(OwnSweep, ZrpAgent):
@@ -136,8 +136,8 @@ class EagerZrp(OwnSweep, ZrpAgent):
 
     def _links_changed(self):
         LinkStateAgent._links_changed(self)
-        self._zone_paths = paths = self._build_zone()
-        self._zone_built = self._changes
+        self._paths = paths = self._build_paths()
+        self._paths_built = self._changes
         for dest in sorted(self.pending):
             if dest in paths:
                 self.discovery_succeeded(dest)

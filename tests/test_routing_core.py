@@ -150,6 +150,24 @@ def test_partitioned_destination_discovery_schedule(protocol):
     assert simulation.ledger.node[0].route_drops == 315
 
 
+def test_route_found_during_a_holdoff_ends_the_waiting_round():
+    sim, counters, agent = make_agent()
+    requests, sent = [], []
+    agent.emit_discovery = lambda dest: requests.append(sim.now)
+    agent.send_data_frame = lambda hop, pkt: sent.append(
+        (sim.now, hop, pkt.seq))
+    agent.handle_app_packet(Packet(src=0, dst=9, seq=1))
+    sim.run_until(us(3.75))  # the round failed at 3.5 s: held off to 5.5 s
+    agent.handle_app_packet(Packet(src=0, dst=9, seq=2))
+    sim.run_until(us(4))
+    agent.table.update_if_fresher(entry(dest=9, next_hop=4, expires=us(100)))
+    agent.discovery_succeeded(9)
+    sim.run_until(us(10))
+    assert requests == [0, us(0.5), us(1.5)]
+    assert sent == [(us(4), 4, 2)]
+    assert counters.route_drops == 1
+
+
 def test_data_ttl_exhaustion_drops():
     sim, counters, agent = make_agent()
     agent.handle_data(Packet(src=1, dst=9, ttl=1), prev_hop=1)

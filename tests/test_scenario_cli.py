@@ -71,8 +71,8 @@ def test_unparseable_value_names_the_key():
     ("hello_interval_s = 1e-7", "hello_interval_s"),
     ("interval_ms = 1e-4", "interval_ms"),
     ("phy_overhead_us = -500", "phy_overhead_us"),
-    ("sifs_us = -10\ndifs_us = 30", "sifs_us"),
-    ("slot_us = 0\nsifs_us = 0\ndifs_us = 0", "slot_us"),
+    ("sifs_us = -10", "sifs_us"),
+    ("slot_us = 0\nsifs_us = 0", "slot_us"),
     ("cw_min = -1", "cw_min"),
     ("frequency_hz = 0", "frequency_hz"),
     ("antenna_height_m = 0", "antenna_height_m"),

@@ -23,9 +23,9 @@ def test_zone_paths_and_peripherals_on_line(radius, zone0, peripheral0,
     s = run_static(line_positions(5), protocol="zrp", sim_time_s=15.0,
                    zone_radius=radius)
     a = {nid: n.agent for nid, n in s.nodes.items()}
-    assert a[0].zone_paths == zone0
+    assert a[0].paths == zone0
     assert a[0].peripheral_set == peripheral0
-    assert set(a[2].zone_paths) == {0, 1, 3, 4}
+    assert set(a[2].paths) == {0, 1, 3, 4}
     assert a[2].peripheral_set == peripheral2
     assert (a[0].stats.get("iarp_forwarded", 0),
             a[2].stats.get("iarp_forwarded", 0)) == relayed
@@ -39,7 +39,7 @@ def test_zone_on_star_topology():
     positions.update(dict(arms))
     s = run_static(positions, protocol="zrp", sim_time_s=15.0)
     center = s.nodes[0].agent
-    assert set(center.zone_paths) == {1, 2, 3, 4, 5, 6}
+    assert set(center.paths) == {1, 2, 3, 4, 5, 6}
     assert center.peripheral_set == {2, 4, 6}  # the three arm tips
 
 
@@ -101,7 +101,7 @@ def test_advert_only_travels_radius_minus_one_hops():
     for node in s.nodes.values():
         assert node.agent.stats.get("iarp_forwarded", 0) == 0
     # yet full radius-2 zone knowledge exists (checked above); sanity:
-    assert set(s.nodes[0].agent.zone_paths) == {1, 2}
+    assert set(s.nodes[0].agent.paths) == {1, 2}
 
 
 def test_advert_cache_stays_bounded_on_a_long_run():
@@ -127,10 +127,10 @@ def test_buffered_packets_leave_when_the_destination_enters_the_zone():
     entered, sent = [], []
 
     def watched_links_changed():
-        was_outside = 2 not in agent.zone_paths
+        was_outside = 2 not in agent.paths
         waiting = 2 in agent.pending
         links_changed()
-        if was_outside and 2 in agent.zone_paths:
+        if was_outside and 2 in agent.paths:
             entered.append((simulation.sim.now, waiting, 2 in agent.pending))
 
     def recorded_send(hop, pkt):
