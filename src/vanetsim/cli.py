@@ -7,7 +7,7 @@ import sys
 
 from .engine import SimulationError
 from .metrics import compare as compare_runs
-from .metrics import ranking_csv, rank_summary, RANKED_METRICS
+from .metrics import ranking_csv, rank_summary
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
 from .simulation import Simulation
 
@@ -52,7 +52,7 @@ def _execute(config, protocol, seed, out_dir):
     }
     _write(os.path.join(out_dir, "run.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ledger
+    return summary
 
 
 def cmd_validate(args):
@@ -66,9 +66,9 @@ def cmd_run(args):
     protocol = args.protocol or config.protocol
     seed = args.seed if args.seed is not None else config.seed
     out_dir = args.out or "runs/%s-seed%d" % (protocol, seed)
-    ledger = _execute(config, protocol, seed, out_dir)
+    summary = _execute(config, protocol, seed, out_dir)
     print("run complete: protocol=%s seed=%d out=%s"
-          % (ledger.protocol, ledger.seed, out_dir))
+          % (summary["protocol"], summary["seed"], out_dir))
     return EXIT_OK
 
 
@@ -94,12 +94,8 @@ def cmd_compare(args):
     for proto in protocols:
         for seed in seeds:
             run_dir = os.path.join(out_dir, "%s-seed%d" % (proto, seed))
-            ledger = _execute(config, proto, seed, run_dir)
-            records.append({"protocol": ledger.protocol,
-                            "seed": ledger.seed,
-                            "scenario_id": ledger.scenario_id,
-                            "totals": ledger.totals()})
-    report = compare_runs(records, metrics=RANKED_METRICS)
+            records.append(_execute(config, proto, seed, run_dir))
+    report = compare_runs(records)
     _write(os.path.join(out_dir, "ranking.csv"), ranking_csv(report))
     summary = rank_summary(report)
     _write(os.path.join(out_dir, "rank_summary.txt"), summary)

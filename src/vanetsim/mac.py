@@ -19,6 +19,16 @@ CONTEND = "CONTEND"
 WAIT_CTS = "WAIT_CTS"
 WAIT_ACK = "WAIT_ACK"
 
+# IEEE 802.11-1999 DSSS timing (us) and contention window bounds
+SLOT_US = 20
+SIFS_US = 10
+DIFS_US = SIFS_US + 2 * SLOT_US
+CW_MIN = 31
+CW_MAX = 1023
+
+RETRY_LIMIT = 7  # attempts after the first before a unicast is dropped
+QUEUE_DEPTH = 50  # frames waiting behind the one in service
+
 # Frame sizes in bytes (MAC header + FCS for DATA)
 DATA_HEADER_BYTES = 34
 RTS_BYTES = 20
@@ -69,7 +79,7 @@ class DcfMac:
 
         self.queue = deque()
         self.phase = IDLE
-        self.cw = config.cw_min
+        self.cw = CW_MIN
         self.retry = 0
         self.backoff_slots = None
         self.nav_until = 0
@@ -84,7 +94,6 @@ class DcfMac:
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
         self.cw_log = None  # set to a list to record each CW change
 
-        self._difs_us = config.sifs_us + 2 * config.slot_us  # 802.11 DIFS
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
         self._ack_air = airtime_us(ACK_BYTES * 8, config)
 
@@ -93,11 +102,11 @@ class DcfMac:
     def enqueue(self, dst, packet, payload_bytes):
         """Admit a network packet for transmission (FIFO, bounded queue)."""
         self.counters.mac_packets_from_network += 1
-        if len(self.queue) >= self.config.queue_depth:
+        if len(self.queue) >= QUEUE_DEPTH:
             self.counters.queue_drops += 1
             return
         duration = (0 if dst == BROADCAST
-                    else self.config.sifs_us + self._ack_air)
+                    else SIFS_US + self._ack_air)
         self.queue.append(MacFrame(DATA, self.node.id, dst, duration,
                                    DATA_HEADER_BYTES, packet, payload_bytes,
                                    self.sim.next_frame_id()))
@@ -132,8 +141,7 @@ class DcfMac:
         self._wait_idle()
 
     def _medium_busy(self):
-        return (self.channel.carrier_busy(self.node.id)
-                or self.sim.now < self.nav_until)
+        return self.node.carrier_busy or self.sim.now < self.nav_until
 
     def _ensure_backoff_drawn(self):
         if self.backoff_slots is None:
@@ -145,8 +153,7 @@ class DcfMac:
             self._difs_timer = None
             self._ensure_backoff_drawn()  # post-busy rule
         if self._backoff_timer is not None:
-            elapsed = ((self.sim.now - self._backoff_started)
-                       // self.config.slot_us)
+            elapsed = (self.sim.now - self._backoff_started) // SLOT_US
             self.backoff_slots -= elapsed
             self.sim.cancel(self._backoff_timer)
             self._backoff_timer = None
@@ -154,7 +161,7 @@ class DcfMac:
     def _wait_idle(self):
         if self.phase != CONTEND:
             return
-        if self.channel.carrier_busy(self.node.id):
+        if self.node.carrier_busy:
             return  # resumed by on_medium_idle
         if self.sim.now < self.nav_until:
             if self._nav_timer is None:
@@ -163,7 +170,7 @@ class DcfMac:
             return
         if self._difs_timer is None and self._backoff_timer is None:
             self._difs_timer = self.sim.schedule_after(
-                self._difs_us, self._difs_done)
+                DIFS_US, self._difs_done)
 
     def _nav_expired(self):
         self._nav_timer = None
@@ -181,7 +188,7 @@ class DcfMac:
         if self.backoff_slots:
             self._backoff_started = self.sim.now
             self._backoff_timer = self.sim.schedule_after(
-                self.backoff_slots * self.config.slot_us, self._backoff_done)
+                self.backoff_slots * SLOT_US, self._backoff_done)
         else:
             self._transmit_attempt()
 
@@ -202,7 +209,7 @@ class DcfMac:
                 or cur.payload_bytes < self.config.rts_threshold_bytes):
             self._send_data_stage()
             return
-        duration = (3 * self.config.sifs_us + self._cts_air
+        duration = (3 * SIFS_US + self._cts_air
                     + airtime_us(cur.bits, self.config) + self._ack_air)
         end = self.channel.transmit(
             self.node, MacFrame(RTS, self.node.id, cur.dst, duration,
@@ -212,7 +219,7 @@ class DcfMac:
             return
         self.phase = WAIT_CTS
         self._timeout_timer = self.sim.schedule_at(
-            end + self.config.sifs_us + self._cts_air + self.config.slot_us,
+            end + SIFS_US + self._cts_air + SLOT_US,
             self._exchange_timeout)
 
     def _send_data_stage(self):
@@ -226,15 +233,15 @@ class DcfMac:
             return  # served when it leaves the air (on_tx_end)
         self.phase = WAIT_ACK
         self._timeout_timer = self.sim.schedule_at(
-            end + self.config.sifs_us + self._ack_air + self.config.slot_us,
+            end + SIFS_US + self._ack_air + SLOT_US,
             self._exchange_timeout)
 
     def _exchange_timeout(self):
         self.retry += 1
-        self.cw = min(2 * (self.cw + 1) - 1, self.config.cw_max)
+        self.cw = min(2 * (self.cw + 1) - 1, CW_MAX)
         if self.cw_log is not None:
             self.cw_log.append(self.cw)
-        if self.retry > self.config.retry_limit:
+        if self.retry > RETRY_LIMIT:
             self.counters.mac_unicast_drops += 1
             self._end_service(delivered=False)
         else:
@@ -250,7 +257,7 @@ class DcfMac:
         done = self.current
         self.current = None
         self.phase = IDLE
-        self.cw = self.config.cw_min
+        self.cw = CW_MIN
         self.retry = 0
         self._post_tx = True
         if delivered is not None:
@@ -283,15 +290,14 @@ class DcfMac:
         if frame.kind == RTS:
             if now >= self.nav_until:
                 cts = MacFrame(CTS, self.node.id, frame.src,
-                               max(frame.duration_us - self.config.sifs_us
+                               max(frame.duration_us - SIFS_US
                                    - self._cts_air, 0),
                                CTS_BYTES)
                 self._schedule_response(cts)
         elif frame.kind == CTS:
             if self.phase == WAIT_CTS and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
-                self.sim.schedule_after(self.config.sifs_us,
-                                        self._send_data_stage)
+                self.sim.schedule_after(SIFS_US, self._send_data_stage)
         elif frame.kind == DATA:
             ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
             self._schedule_response(ack)
@@ -304,12 +310,11 @@ class DcfMac:
             if self.phase == WAIT_ACK and frame.src == self.current.dst:
                 self.sim.cancel(self._timeout_timer)
                 if self.cw_log is not None:
-                    self.cw_log.append(self.config.cw_min)
+                    self.cw_log.append(CW_MIN)
                 self._end_service(delivered=True)
 
     def _schedule_response(self, frame):
-        self.sim.schedule_after(self.config.sifs_us,
-                                lambda: self._send_response(frame))
+        self.sim.schedule_after(SIFS_US, lambda: self._send_response(frame))
 
     def _send_response(self, frame):
         # SIFS responses skip contention but still honour NAV and half-duplex;

@@ -30,13 +30,13 @@ class SessionCounters:
     app_sent: int = 0
     app_received: int = 0
     delay_sum_us: int = 0
-    delay_max_us: int = 0
+    max_delay_us: int = 0
 
     def record_delivery(self, delay_us):
         self.app_received += 1
         self.delay_sum_us += delay_us
-        if delay_us > self.delay_max_us:
-            self.delay_max_us = delay_us
+        if delay_us > self.max_delay_us:
+            self.max_delay_us = delay_us
 
     @property
     def mean_delay_us(self):
@@ -76,12 +76,9 @@ class MetricsLedger:
                              _fmt(getattr(c, metric))))
         for sid in sorted(self.session):
             s = self.session[sid]
-            values = {
-                "app_sent": s.app_sent,
-                "app_received": s.app_received,
-                "mean_delay_us": s.mean_delay_us,
-                "max_delay_us": s.delay_max_us,
-            }
+            values = {f.name: getattr(s, f.name) for f in fields(s)
+                      if f.name != "delay_sum_us"}
+            values["mean_delay_us"] = s.mean_delay_us
             for metric in sorted(values):
                 rows.append(("session", str(sid), metric,
                              _fmt(values[metric])))

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 from .engine import US_PER_S, us
 
+TICK_US = 100_000  # positions are sampled every 100 ms
+
 
 @dataclass
 class Leg:
@@ -49,7 +51,7 @@ class Mobility:
         self.sim = sim
         self.config = config
         self.rng = sim.rng.stream("mobility")
-        self.tick_us = us(config.mobility_tick_ms / 1000.0)
+        self.tick_us = TICK_US
         self.pause_us = us(config.pause_s)
         self.end_us = us(config.sim_time_s)
         self.synced_at = 0

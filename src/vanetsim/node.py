@@ -21,8 +21,12 @@ class Node:
         self.radio_enabled = True
         self.transmitting = False
         self.active_rx = []
-        self.busy_count = 0
         self._last_account_us = 0
+
+    @property
+    def carrier_busy(self):
+        """The medium is busy here while this node transmits or receives."""
+        return self.transmitting or bool(self.active_rx)
 
     def accrue_power(self, now):
         """Charge the elapsed interval to the mode in force before a change:

@@ -17,6 +17,9 @@ REACH_BAND = 1e-9
 # Unit (0 dBi) antennas at both ends: 10*log10(1*1) is exactly 0.0.
 ANTENNA_GAINS_DB = 0.0
 
+# IEEE 802.11-1999 DSSS long PLCP preamble and header, in us.
+PHY_OVERHEAD_US = 192
+
 
 def wavelength_m(config):
     return SPEED_OF_LIGHT / config.frequency_hz
@@ -32,7 +35,7 @@ def airtime_us(frame_bits, config):
     """PHY overhead plus payload time at the configured bitrate, ceil to us."""
     if frame_bits <= 0:
         raise SimulationError("airtime of empty frame")
-    return config.phy_overhead_us + math.ceil(
+    return PHY_OVERHEAD_US + math.ceil(
         frame_bits * 1_000_000 / config.bitrate_bps)
 
 
@@ -113,9 +116,6 @@ class Channel:
         self._outside_sq = outside * outside
         self._in_reach = {}  # node id -> nodes in reach, in node-id order
 
-    def carrier_busy(self, node_id):
-        return self.nodes[node_id].busy_count > 0
-
     def transmit(self, node, frame):
         """Put a frame on the air; returns the transmission end time."""
         if not node.radio_enabled:
@@ -129,7 +129,8 @@ class Channel:
         node.transmitting = True
         for rec in node.active_rx:
             rec.errored = True
-        self._bump_busy(node, 1)
+        if not node.active_rx:
+            node.mac.on_medium_busy()
         if self.sim.trace is not None:
             self.sim.trace.append(
                 ("tx", now, node.id, frame.kind, frame.src, frame.dst,
@@ -168,40 +169,34 @@ class Channel:
 
     def _begin_reception(self, node, rec):
         node.accrue_power(self.sim.now)
-        if node.transmitting:
-            rec.errored = True
-        if node.active_rx:
+        was_busy = node.carrier_busy
+        if was_busy:
             rec.errored = True
             for other in node.active_rx:
                 other.errored = True
         node.active_rx.append(rec)
-        self._bump_busy(node, 1)
+        if not was_busy:
+            node.mac.on_medium_busy()
         self.sim.schedule_at(rec.end, lambda: self._end_reception(node, rec),
                              kind="frame-arrival")
 
     def _end_transmit(self, node, frame):
         node.accrue_power(self.sim.now)
         node.transmitting = False
-        self._bump_busy(node, -1)
+        if not node.active_rx:
+            node.mac.on_medium_idle()
         node.mac.on_tx_end(frame)
 
     def _end_reception(self, node, rec):
         node.accrue_power(self.sim.now)
-        node.active_rx.remove(rec)
         if self.sim.trace is not None:
             self.sim.trace.append(
                 ("rx", rec.start, node.id, rec.frame.kind, rec.frame.src,
                  rec.frame.dst, rec.frame.frame_id, rec.end, rec.errored))
+        # The frame still holds the medium while the MAC handles it: whatever
+        # the MAC does in this upcall must sense it as busy.
         if node.radio_enabled:
             node.mac.observe_frame(rec.frame, rec.errored)
-        self._bump_busy(node, -1)
-
-    def _bump_busy(self, node, delta):
-        before = node.busy_count
-        node.busy_count = before + delta
-        if node.busy_count < 0:
-            raise SimulationError("negative busy count at node %d" % node.id)
-        if before == 0 and node.busy_count > 0:
-            node.mac.on_medium_busy()
-        elif before > 0 and node.busy_count == 0:
+        node.active_rx.remove(rec)
+        if not node.carrier_busy:
             node.mac.on_medium_idle()

@@ -35,7 +35,7 @@ class AodvAgent(DistanceVectorAgent):
     rerr_kind = RERR_KIND
 
     def __init__(self, sim, node, config):
-        super().__init__(sim, node, config)
+        super().__init__(sim, node)
         self.rreq_counter = 0
 
     # -- discovery ---------------------------------------------------------

@@ -37,7 +37,7 @@ class DymoAgent(DistanceVectorAgent):
     rerr_kind = RERR_KIND
 
     def __init__(self, sim, node, config):
-        super().__init__(sim, node, config)
+        super().__init__(sim, node)
         self.query_counter = 0
 
     def emit_discovery(self, dest):

@@ -11,6 +11,7 @@ TC_KIND = "olsr-tc"
 
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
+TC_INTERVAL_US = us(5.0)  # RFC 3626 TC_INTERVAL
 
 
 @dataclass
@@ -63,10 +64,9 @@ class OlsrAgent(LinkStateAgent):
     def __init__(self, sim, node, config):
         super().__init__(sim, node)
         self.hello_us = us(config.hello_interval_s)
-        self.tc_us = us(config.tc_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
         # a route lasts as long as the topology entry that made it could
-        self.topo_hold_us = self.paths_hold_us = HOLD_FACTOR * self.tc_us
+        self.topo_hold_us = self.paths_hold_us = HOLD_FACTOR * TC_INTERVAL_US
         self._mpr_set = set()
         self._mprs_built = 0  # _changes when _mpr_set was built
         self.mpr_selector_set = set()
@@ -100,7 +100,7 @@ class OlsrAgent(LinkStateAgent):
         size = MSG_BASE_BYTES + ADDR_BYTES * len(msg.advertised)
         self.bump("tc_sent")
         self.send_control_broadcast(TC_KIND, msg, size)
-        self.sim.schedule_after(self.tc_us, self._tc_tick)
+        self.sim.schedule_after(TC_INTERVAL_US, self._tc_tick)
 
     # -- control plane -----------------------------------------------------
 

@@ -26,6 +26,8 @@ DISCOVERY_RETRIES = 2
 HOLDOFF_START_US = us(2.0)
 HOLDOFF_CAP_US = us(16.0)
 
+ROUTE_LIFETIME_US = us(10.0)  # a learned or used route lives this long
+
 DUP_CACHE_S = 15.0
 RREQ_TTL = 35
 RERR_BASE_BYTES = 8
@@ -137,20 +139,19 @@ class DistanceVectorAgent(ReactiveAgent):
 
     rerr_kind = None
 
-    def __init__(self, sim, node, config):
+    def __init__(self, sim, node):
         super().__init__(sim, node)
         self.own_seq = 0
-        self.lifetime_us = us(config.route_lifetime_s)
         self.dup_cache = DupCache(sim, us(DUP_CACHE_S))
 
     def on_route_used(self, entry):
-        entry.expires_at = self.sim.now + self.lifetime_us
+        entry.expires_at = self.sim.now + ROUTE_LIFETIME_US
 
     def learn_route(self, dest, next_hop, seq_no, hop_count):
         """Take a route heard in a control message if it is fresher."""
         self.table.update_if_fresher(RouteEntry(
             dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
-            expires_at=self.sim.now + self.lifetime_us))
+            expires_at=self.sim.now + ROUTE_LIFETIME_US))
 
     def relay_reply(self, orig, kind, msg, size):
         """Unicast a route reply on toward orig; without a reverse route

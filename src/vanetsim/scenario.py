@@ -15,10 +15,14 @@ class ScenarioError(Exception):
 
 @dataclass
 class ScenarioConfig:
-    """Every parameter of a run: the one place each setting lives.
+    """Every parameter a scenario can set: the one place each setting lives.
 
     The PHY, MAC, routing agents and simulation read these fields
-    directly; validate() holds each field's range rule.
+    directly; validate() holds each field's range rule. Settings that no
+    scenario varies are constants in the module that reads them: the
+    802.11 DSSS timing (phy.PHY_OVERHEAD_US, mac.SLOT_US and the rest), the
+    MAC's retry limit and queue depth, reactive.ROUTE_LIFETIME_US,
+    olsr.TC_INTERVAL_US and mobility.TICK_US.
     """
 
     terrain_width_m: float = 1500.0
@@ -28,7 +32,6 @@ class ScenarioConfig:
     speed_min_mps: float = 3.0
     speed_max_mps: float = 20.0
     pause_s: float = 0.0
-    mobility_tick_ms: float = 100.0
     protocol: str = "aodv"
     sessions: int = 5
     payload_bytes: int = 512
@@ -40,19 +43,10 @@ class ScenarioConfig:
     frequency_hz: float = 2.4e9
     antenna_height_m: float = 1.5
     rx_threshold_dbm: float = -75.0
-    phy_overhead_us: int = 192
-    slot_us: int = 20
-    sifs_us: int = 10
-    cw_min: int = 31
-    cw_max: int = 1023
     rts_threshold_bytes: int = 256
-    retry_limit: int = 7
-    queue_depth: int = 50
     zone_radius: int = 2
     hello_interval_s: float = 2.0
-    tc_interval_s: float = 5.0
     iarp_interval_s: float = 3.0
-    route_lifetime_s: float = 10.0
     capacity_mah: float = 1500.0
     tx_ma: float = 280.0
     rx_ma: float = 180.0
@@ -67,8 +61,7 @@ class ScenarioConfig:
             raise ScenarioError("%s: %s" % (key, why))
 
         for f in dc_fields(self):
-            if f.type in (float, "float") and not math.isfinite(
-                    getattr(self, f.name)):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
                 fail(f.name, "must be finite")
         if self.terrain_width_m <= 0 or self.terrain_height_m <= 0:
             fail("terrain_width_m/terrain_height_m", "must be positive")
@@ -96,10 +89,8 @@ class ScenarioConfig:
         # Each of these re-arms itself, so each must come to at least 1 us
         # once converted, or the clock never moves past its first firing.
         periods_s = {
-            "mobility_tick_ms": self.mobility_tick_ms / 1000.0,
             "interval_ms": self.interval_ms / 1000.0,
             "hello_interval_s": self.hello_interval_s,
-            "tc_interval_s": self.tc_interval_s,
             "iarp_interval_s": self.iarp_interval_s,
         }
         for key, seconds in periods_s.items():
@@ -109,22 +100,9 @@ class ScenarioConfig:
                     "antenna_height_m"):
             if getattr(self, key) <= 0:
                 fail(key, "must be positive")
-        for key in ("phy_overhead_us", "sifs_us", "cw_min"):
-            if getattr(self, key) < 0:
-                fail(key, "must be non-negative")
-        if self.slot_us < 1:
-            fail("slot_us", "must be at least 1 us")
-        if self.cw_min >= self.cw_max:
-            fail("cw_min", "must be below cw_max")
-        if self.retry_limit < 0:
-            fail("retry_limit", "must be non-negative")
-        if self.queue_depth < 1:
-            fail("queue_depth", "must be at least 1")
         if self.zone_radius < 1:
             fail("zone_radius", "must be at least 1 (zone radius 0 is "
                  "forbidden)")
-        if self.route_lifetime_s <= 0:
-            fail("route_lifetime_s", "must be positive")
         if self.capacity_mah <= 0:
             fail("capacity_mah", "must be positive")
         n_sessions = (len(self.explicit_sessions) if self.explicit_sessions
@@ -198,9 +176,9 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(ScenarioConfig)
 def _parse_value(key, text):
     ftype = _FIELD_TYPES[key]
     try:
-        if ftype in (int, "int"):
+        if ftype is int:
             return int(text)
-        if ftype in (float, "float"):
+        if ftype is float:
             return float(text)
         return text
     except ValueError:

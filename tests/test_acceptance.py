@@ -15,9 +15,10 @@ import pytest
 
 import vanetsim
 from vanetsim.cli import main
-from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS
+from vanetsim.engine import us
+from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, SIFS_US
 from vanetsim.metrics import RANKED_METRICS, compare
-from vanetsim.routing.olsr import select_mprs
+from vanetsim.routing.olsr import TC_INTERVAL_US, select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
@@ -114,7 +115,6 @@ def test_criterion_03_contention_window_ladder():
 
 def test_criterion_04_broadcast_has_no_control_frames(traced_baseline):
     trace = traced_baseline.sim.trace
-    sifs = traced_baseline.config.sifs_us
     tx = [t for t in trace if t[0] == "tx"]
     broadcast_ids = {t[6] for t in tx if t[3] == DATA and t[5] == BROADCAST}
     control = [t for t in tx if t[3] in (RTS, CTS, ACK)]
@@ -132,7 +132,7 @@ def test_criterion_04_broadcast_has_no_control_frames(traced_baseline):
             clean_rx.setdefault((t[2], t[7]), []).append(t)
 
     def answers_unicast(resp, req_kind):
-        causes = clean_rx.get((resp[2], resp[1] - sifs), [])
+        causes = clean_rx.get((resp[2], resp[1] - SIFS_US), [])
         return any(c[3] == req_kind and c[5] == resp[2] for c in causes)
 
     acks_ok = all(answers_unicast(t, DATA) for t in tx if t[3] == ACK)
@@ -292,7 +292,7 @@ def test_criterion_10_idle_overhead_contrast():
         tc = node.agent.stats.get("tc_sent", 0)
         rates_ok = (rates_ok
                     and abs(hello - elapsed_s / config.hello_interval_s) <= 1
-                    and abs(tc - elapsed_s / config.tc_interval_s) <= 1)
+                    and abs(tc - us(elapsed_s) / TC_INTERVAL_US) <= 1)
     verdict(10, "0 sessions: reactive silent, OLSR at periodic rate",
             quiet and rates_ok)
 

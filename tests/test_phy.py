@@ -33,7 +33,7 @@ def test_airtime_frozen_oracles():
 def test_airtime_rounds_up_partial_microseconds():
     p = ScenarioConfig()
     # 3 bits at 2 Mbps = 1.5 us -> must become 2 us, never 1
-    assert airtime_us(3, p) == p.phy_overhead_us + 2
+    assert airtime_us(3, p) == phy.PHY_OVERHEAD_US + 2
 
 
 def test_airtime_rejects_empty_frame():
@@ -139,12 +139,12 @@ def test_transmit_while_transmitting_is_an_error():
 
 def test_carrier_sense_follows_channel_activity():
     w = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0)})
-    assert not w.channel.carrier_busy(1)
+    assert not w.nodes[1].carrier_busy
     w.channel.transmit(w.nodes[0], bcast(0))
-    assert w.channel.carrier_busy(1)
-    assert w.channel.carrier_busy(0)  # own transmission counts
+    assert w.nodes[1].carrier_busy
+    assert w.nodes[0].carrier_busy  # own transmission counts
     w.run(100_000)
-    assert not w.channel.carrier_busy(1)
+    assert not w.nodes[1].carrier_busy
 
 
 # Radios whose threshold binds before the 100 m range gate: in free space

@@ -98,6 +98,25 @@ def test_validation_failures_name_offending_key(line, key):
         parse_scenario(line + "\n")
 
 
+# Settings fixed by 802.11 DSSS or by one value in use; they are module
+# constants now, so a scenario may not set them, not even to that value.
+@pytest.mark.parametrize("key,old_default", [
+    ("mobility_tick_ms", "100.0"),
+    ("phy_overhead_us", "192"),
+    ("slot_us", "20"),
+    ("sifs_us", "10"),
+    ("cw_min", "31"),
+    ("cw_max", "1023"),
+    ("retry_limit", "7"),
+    ("queue_depth", "50"),
+    ("tc_interval_s", "5.0"),
+    ("route_lifetime_s", "10.0"),
+])
+def test_fixed_settings_are_refused_as_unknown_keys(key, old_default):
+    with pytest.raises(ScenarioError, match="unknown key '%s'" % key):
+        parse_scenario("%s = %s\n" % (key, old_default))
+
+
 def test_every_distinct_pair_can_be_drawn():
     config = ScenarioConfig(num_nodes=60, sessions=60 * 59, sim_time_s=1.0)
     simulation = Simulation(config)
