@@ -16,18 +16,29 @@ EXIT_VALIDATION = 1
 EXIT_INTERNAL = 2
 
 
+def _unique(items, what):
+    """The items in first-seen order; each repeat is dropped with a warning."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            print("warning: duplicate %s %s ignored" % (what, item),
+                  file=sys.stderr)
+    return list(dict.fromkeys(items))
+
+
 def parse_seeds(text):
     seeds = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(bound) for bound in part.split("..", 1))
+            if lo > hi:
+                raise ValueError("seed range %s runs backwards" % part)
+            seeds.extend(range(lo, hi + 1))
         elif part:
             seeds.append(int(part))
     if not seeds:
         raise ValueError("empty seed list")
-    return seeds
+    return _unique(seeds, "seed")
 
 
 def _write(path, content):
@@ -74,18 +85,11 @@ def cmd_run(args):
 
 def cmd_compare(args):
     config = load_scenario(args.scenario)
-    protocols = []
-    for proto in args.protocols.split(","):
-        proto = proto.strip()
-        if not proto:
-            continue
+    protocols = _unique([proto.strip() for proto in args.protocols.split(",")
+                         if proto.strip()], "protocol")
+    for proto in protocols:
         if proto not in PROTOCOLS:
             raise ScenarioError("protocol: unknown protocol %r" % proto)
-        if proto in protocols:
-            print("warning: duplicate protocol %s ignored" % proto,
-                  file=sys.stderr)
-            continue
-        protocols.append(proto)
     if len(protocols) < 2:
         raise ScenarioError("protocols: need at least two to compare")
     seeds = parse_seeds(args.seeds)

@@ -48,9 +48,8 @@ class Simulator:
     schedule (and therefore of the seed and scenario). An event is its heap
     entry, the list [fire_at, seq, fn]; cancelling it sets fn to None.
 
-    The callback names the event. schedule_at also takes a kind and a
-    target, which only perfbench's tracer reads (to tell "frame-arrival"
-    from other channel ends); its wrapper passes both by position.
+    The callback names the event. No caller in the package passes
+    schedule_at's kind or target; perfbench's tracer passes both.
     """
 
     def __init__(self, seed=0):

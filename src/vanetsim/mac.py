@@ -115,10 +115,31 @@ class DcfMac:
     # -- medium notifications (from the channel) ---------------------------
 
     def on_medium_busy(self):
-        self._interrupt_contention()
+        """Carrier sensed or NAV set: freeze the DIFS wait or the backoff."""
+        if self._difs_timer is not None:
+            self.sim.cancel(self._difs_timer)
+            self._difs_timer = None
+            self._ensure_backoff_drawn()  # post-busy rule
+        if self._backoff_timer is not None:
+            elapsed = (self.sim.now - self._backoff_started) // SLOT_US
+            self.backoff_slots -= elapsed
+            self.sim.cancel(self._backoff_timer)
+            self._backoff_timer = None
 
     def on_medium_idle(self):
-        self._wait_idle()
+        """Contend again once neither carrier nor NAV holds the medium."""
+        if self.phase != CONTEND:
+            return
+        if self.node.carrier_busy:
+            return  # the channel calls again when the medium clears
+        if self.sim.now < self.nav_until:
+            if self._nav_timer is None:
+                self._nav_timer = self.sim.schedule_at(
+                    self.nav_until, self._nav_expired)
+            return
+        if self._difs_timer is None and self._backoff_timer is None:
+            self._difs_timer = self.sim.schedule_after(
+                DIFS_US, self._difs_done)
 
     def on_tx_end(self, frame):
         """One of this node's frames left the air; a broadcast is done."""
@@ -136,52 +157,25 @@ class DcfMac:
 
     def _start_access(self, force_backoff):
         self.phase = CONTEND
-        if force_backoff or self._medium_busy():
+        if (force_backoff or self.node.carrier_busy
+                or self.sim.now < self.nav_until):
             self._ensure_backoff_drawn()
-        self._wait_idle()
-
-    def _medium_busy(self):
-        return self.node.carrier_busy or self.sim.now < self.nav_until
+        self.on_medium_idle()
 
     def _ensure_backoff_drawn(self):
         if self.backoff_slots is None:
             self.backoff_slots = self.rng.randint(0, self.cw)
 
-    def _interrupt_contention(self):
-        if self._difs_timer is not None:
-            self.sim.cancel(self._difs_timer)
-            self._difs_timer = None
-            self._ensure_backoff_drawn()  # post-busy rule
-        if self._backoff_timer is not None:
-            elapsed = (self.sim.now - self._backoff_started) // SLOT_US
-            self.backoff_slots -= elapsed
-            self.sim.cancel(self._backoff_timer)
-            self._backoff_timer = None
-
-    def _wait_idle(self):
-        if self.phase != CONTEND:
-            return
-        if self.node.carrier_busy:
-            return  # resumed by on_medium_idle
-        if self.sim.now < self.nav_until:
-            if self._nav_timer is None:
-                self._nav_timer = self.sim.schedule_at(
-                    self.nav_until, self._nav_expired)
-            return
-        if self._difs_timer is None and self._backoff_timer is None:
-            self._difs_timer = self.sim.schedule_after(
-                DIFS_US, self._difs_done)
-
     def _nav_expired(self):
         self._nav_timer = None
-        self._wait_idle()
+        self.on_medium_idle()
 
     def _nav_changed(self):
         if self._nav_timer is not None:
             self.sim.cancel(self._nav_timer)
             self._nav_timer = None
-        self._interrupt_contention()
-        self._wait_idle()
+        self.on_medium_busy()
+        self.on_medium_idle()
 
     def _difs_done(self):
         self._difs_timer = None

@@ -83,17 +83,16 @@ def reach_m(config):
 
 
 class Reception:
-    __slots__ = ("frame", "start", "end", "errored")
+    __slots__ = ("frame", "start", "errored")
 
-    def __init__(self, frame, start, end):
+    def __init__(self, frame, start):
         self.frame = frame
         self.start = start
-        self.end = end
         self.errored = False
 
 
 class Channel:
-    """Shared medium: schedules receptions, flags overlaps as errors.
+    """Shared medium: starts and ends receptions, flags overlaps as errors.
 
     It tells each node's MAC when the medium turns busy or idle there, and
     when one of the node's own frames leaves the air.
@@ -123,8 +122,7 @@ class Channel:
         if node.transmitting:
             raise SimulationError("node %d already transmitting" % node.id)
         now = self.sim.now
-        air = airtime_us(frame.bits, self.config)
-        end = now + air
+        end = now + airtime_us(frame.bits, self.config)
         node.accrue_power(now)
         node.transmitting = True
         for rec in node.active_rx:
@@ -139,10 +137,14 @@ class Channel:
         in_reach = self._in_reach.get(node.id)
         if in_reach is None:
             in_reach = self._in_reach[node.id] = self._reach_of(node)
+        receptions = []
         for other in in_reach:
             if other.radio_enabled:
-                self._begin_reception(other, Reception(frame, now, end))
-        self.sim.schedule_at(end, lambda: self._end_transmit(node, frame))
+                rec = Reception(frame, now)
+                self._begin_reception(other, rec)
+                receptions.append((other, rec))
+        self.sim.schedule_at(
+            end, lambda: self._end_air(node, frame, receptions))
         return end
 
     def moved(self):
@@ -169,7 +171,7 @@ class Channel:
 
     def _begin_reception(self, node, rec):
         node.accrue_power(self.sim.now)
-        was_busy = node.carrier_busy
+        was_busy = node.transmitting or bool(node.active_rx)
         if was_busy:
             rec.errored = True
             for other in node.active_rx:
@@ -177,10 +179,11 @@ class Channel:
         node.active_rx.append(rec)
         if not was_busy:
             node.mac.on_medium_busy()
-        self.sim.schedule_at(rec.end, lambda: self._end_reception(node, rec),
-                             kind="frame-arrival")
 
-    def _end_transmit(self, node, frame):
+    def _end_air(self, node, frame, receptions):
+        """End the frame's receptions in the order they began, then its own."""
+        for other, rec in receptions:
+            self._end_reception(other, rec)
         node.accrue_power(self.sim.now)
         node.transmitting = False
         if not node.active_rx:
@@ -192,11 +195,11 @@ class Channel:
         if self.sim.trace is not None:
             self.sim.trace.append(
                 ("rx", rec.start, node.id, rec.frame.kind, rec.frame.src,
-                 rec.frame.dst, rec.frame.frame_id, rec.end, rec.errored))
+                 rec.frame.dst, rec.frame.frame_id, self.sim.now, rec.errored))
         # The frame still holds the medium while the MAC handles it: whatever
         # the MAC does in this upcall must sense it as busy.
         if node.radio_enabled:
             node.mac.observe_frame(rec.frame, rec.errored)
         node.active_rx.remove(rec)
-        if not node.carrier_busy:
+        if not (node.transmitting or node.active_rx):
             node.mac.on_medium_idle()

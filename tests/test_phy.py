@@ -203,3 +203,47 @@ def test_pair_on_the_reach_boundary_takes_the_exact_test(config,
     assert w.ledger.node[1].signals_received_without_errors == 1
     assert w.ledger.node[2].signals_received_without_errors == \
         int(received(r, config))
+
+
+def recorded(log, name, nid, fn):
+    def record(*args):
+        log.append((name, nid))
+        return fn(*args)
+    return record
+
+
+def test_one_event_ends_a_frame_and_every_reception_of_it():
+    w = MacWorld({0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)})
+    upcalls = []
+    for nid, node in w.nodes.items():
+        node.mac.observe_frame = recorded(upcalls, "observe_frame", nid,
+                                          node.mac.observe_frame)
+        node.mac.on_tx_end = recorded(upcalls, "on_tx_end", nid,
+                                      node.mac.on_tx_end)
+    scheduled = []
+    schedule_at = w.sim.schedule_at
+
+    def counted(fire_at, fn, *args, **kwargs):
+        scheduled.append(fire_at)
+        return schedule_at(fire_at, fn, *args, **kwargs)
+
+    w.sim.schedule_at = counted
+    end = w.channel.transmit(w.nodes[1], bcast(1))
+    assert scheduled == [end]
+    w.run(end)
+    assert [(t[2], t[7]) for t in w.rx_records()] == [(0, end), (2, end)]
+    assert upcalls == [("observe_frame", 0), ("observe_frame", 2),
+                       ("on_tx_end", 1)]
+
+
+def test_receiver_whose_radio_is_off_at_the_start_gets_no_reception():
+    w = MacWorld({0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)})
+    w.nodes[2].radio_enabled = False
+    end = w.channel.transmit(w.nodes[1], bcast(1))
+    assert not w.nodes[2].active_rx
+    w.nodes[2].radio_enabled = True  # back on before the frame ends
+    w.run(end)
+    assert [t[2] for t in w.rx_records()] == [0]
+    assert w.ledger.node[0].signals_received_without_errors == 1
+    assert w.ledger.node[2].signals_received_without_errors == 0
+    assert w.ledger.node[2].signals_received_with_errors == 0

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import vanetsim
+from vanetsim import cli
 from vanetsim.cli import main, parse_seeds
 from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
@@ -169,8 +170,12 @@ def test_parse_seeds_ranges_and_lists():
     assert parse_seeds("1..4") == [1, 2, 3, 4]
     assert parse_seeds("7") == [7]
     assert parse_seeds("1,3..5, 9") == [1, 3, 4, 5, 9]
+    assert parse_seeds("1,1..3") == [1, 2, 3]
+    assert parse_seeds("4,2,4..5,2") == [4, 2, 5]
     with pytest.raises(ValueError):
         parse_seeds("")
+    with pytest.raises(ValueError, match=r"5\.\.1"):
+        parse_seeds("5..1")
 
 
 # -- CLI ------------------------------------------------------------------
@@ -246,6 +251,24 @@ def test_cli_compare_needs_two_distinct_protocols(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "duplicate" in err and "at least two" in err
+
+
+def test_cli_compare_runs_a_repeated_seed_once(tmp_path, capsys,
+                                              monkeypatch):
+    runs = []
+    execute = cli._execute
+
+    def counted(config, protocol, seed, out_dir):
+        runs.append((protocol, seed))
+        return execute(config, protocol, seed, out_dir)
+
+    monkeypatch.setattr(cli, "_execute", counted)
+    code = main(["compare", write_cfg(tmp_path),
+                 "--protocols", "aodv,olsr", "--seeds", "1,1",
+                 "--out", str(tmp_path / "dup")])
+    assert code == 0
+    assert runs == [("aodv", 1), ("olsr", 1)]
+    assert "duplicate seed 1 ignored" in capsys.readouterr().err
 
 
 def test_cli_bad_seed_spec_is_validation_error(tmp_path, capsys):
