@@ -30,7 +30,10 @@ def parse_seeds(text):
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = (int(bound) for bound in part.split("..", 1))
+            try:
+                lo, hi = (int(bound) for bound in part.split("..", 1))
+            except ValueError:
+                raise ValueError("bad seed range %r" % part) from None
             if lo > hi:
                 raise ValueError("seed range %s runs backwards" % part)
             seeds.extend(range(lo, hi + 1))

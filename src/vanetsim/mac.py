@@ -170,13 +170,6 @@ class DcfMac:
         self._nav_timer = None
         self.on_medium_idle()
 
-    def _nav_changed(self):
-        if self._nav_timer is not None:
-            self.sim.cancel(self._nav_timer)
-            self._nav_timer = None
-        self.on_medium_busy()
-        self.on_medium_idle()
-
     def _difs_done(self):
         self._difs_timer = None
         if self.backoff_slots:
@@ -188,7 +181,6 @@ class DcfMac:
 
     def _backoff_done(self):
         self._backoff_timer = None
-        self.backoff_slots = 0
         self._transmit_attempt()
 
     # -- transmission ------------------------------------------------------
@@ -269,17 +261,19 @@ class DcfMac:
             return
         self.counters.signals_received_without_errors += 1
         now = self.sim.now
-        if frame.dst == BROADCAST:
-            if frame.kind == DATA:
-                self.counters.dcf_broadcasts_received += 1
-                self.upper.on_receive(frame.payload, frame.src)
+        if frame.dst == BROADCAST:  # only DATA frames are broadcast
+            self.counters.dcf_broadcasts_received += 1
+            self.upper.on_receive(frame.payload, frame.src)
             return
         if frame.dst != self.node.id:
             if frame.kind in (RTS, CTS):
                 until = now + frame.duration_us
+                # The frame still holds the carrier, so no DIFS or backoff
+                # timer is pending: only the wait for the old NAV end is stale.
                 if until > self.nav_until:
                     self.nav_until = until
-                    self._nav_changed()
+                    self.sim.cancel(self._nav_timer)
+                    self._nav_timer = None
             return
         if frame.kind == RTS:
             if now >= self.nav_until:

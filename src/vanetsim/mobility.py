@@ -55,7 +55,6 @@ class Mobility:
         self.pause_us = us(config.pause_s)
         self.end_us = us(config.sim_time_s)
         self.synced_at = 0
-        self.on_move = lambda: None  # told when a sync moves some node
         self.legs = []  # (node, leg) in node-id order
         for nid in sorted(nodes):
             pos = config.positions.get(nid)
@@ -112,11 +111,10 @@ class Mobility:
 
     def sync(self):
         """Set every node.pos to its sample at the last tick, at most once a
-        tick, after drawing the legs due by then; calls on_move if some node
-        moved."""
+        tick, after drawing the legs due by then; True if some node moved."""
         t = min(self.sim.now, self.end_us) // self.tick_us * self.tick_us
         if t == self.synced_at:
-            return
+            return False
         self.synced_at = t
         self._draw_due(t)
         moved = False
@@ -125,8 +123,7 @@ class Mobility:
             if pos != node.pos:
                 node.pos = pos
                 moved = True
-        if moved:
-            self.on_move()
+        return moved
 
     def _draw_due(self, t):
         """Draw, in node-id order, the legs due by tick t > 0."""

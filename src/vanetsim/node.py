@@ -56,7 +56,5 @@ class Node:
         self.counters.residual_battery_mah = self.capacity_mah - self.drawn_mah
 
     def on_app_delivery(self, pkt):
-        if pkt.session_id is not None:
-            session = self.ledger.session.get(pkt.session_id)
-            if session is not None:
-                session.record_delivery(self.sim.now - pkt.sent_at)
+        self.ledger.session[pkt.session_id].record_delivery(
+            self.sim.now - pkt.sent_at)

@@ -106,9 +106,10 @@ class Channel:
         self.sim = sim
         self.config = config
         self.nodes = nodes  # id -> Node
-        # Brings node.pos up to date before a frame goes on the air; a
-        # Simulation sets it to Mobility.sync. By default nobody moves.
-        self.sync = lambda: None
+        # Brings node.pos up to date before a frame goes on the air and says
+        # whether some node moved; a Simulation sets it to Mobility.sync. By
+        # default nobody moves.
+        self.sync = lambda: False
         reach = reach_m(config)
         inside, outside = reach * (1 - REACH_BAND), reach * (1 + REACH_BAND)
         self._inside_sq = inside * inside  # inf, not OverflowError
@@ -133,7 +134,8 @@ class Channel:
             self.sim.trace.append(
                 ("tx", now, node.id, frame.kind, frame.src, frame.dst,
                  frame.frame_id, end))
-        self.sync()
+        if self.sync():
+            self._in_reach.clear()  # every receiver list is stale
         in_reach = self._in_reach.get(node.id)
         if in_reach is None:
             in_reach = self._in_reach[node.id] = self._reach_of(node)
@@ -146,10 +148,6 @@ class Channel:
         self.sim.schedule_at(
             end, lambda: self._end_air(node, frame, receptions))
         return end
-
-    def moved(self):
-        """Node positions changed: every receiver list is stale."""
-        self._in_reach.clear()
 
     def _reach_of(self, node):
         """Every other node that a frame from `node` reaches, by node id."""

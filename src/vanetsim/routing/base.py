@@ -1,7 +1,7 @@
 """Common routing contract: route table, network packets, agent base."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..engine import us
 from ..mac import BROADCAST
@@ -48,7 +48,7 @@ class RouteEntry:
     hop_count: int
     expires_at: int
     valid: bool = True
-    route: list = field(default_factory=list)  # full path, ZRP interzone only
+    route: tuple = ()  # full path, ZRP interzone only
 
 
 class RoutingTable:
@@ -168,20 +168,15 @@ class Agent:
     def send_data_frame(self, next_hop, pkt):
         self.node.mac.enqueue(next_hop, pkt, pkt.size_bytes)
 
-    def deliver_local(self, pkt):
-        self.node.on_app_delivery(pkt)
-
     # -- data plane --------------------------------------------------------
 
     def handle_app_packet(self, pkt):
-        if pkt.dst == self.node.id:
-            self.deliver_local(pkt)
-            return
+        """A packet from this node's CBR source, never addressed to it."""
         self.route_or_miss(pkt)
 
     def handle_data(self, pkt, prev_hop):
         if pkt.dst == self.node.id:
-            self.deliver_local(pkt)
+            self.node.on_app_delivery(pkt)
             return
         if pkt.ttl <= 1:
             self.node.counters.route_drops += 1

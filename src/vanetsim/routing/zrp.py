@@ -22,31 +22,25 @@ class ZoneAdvert:
     heard: tuple
     seq: int
     ttl: int
-    hops: int
 
 
 @dataclass
 class IerpQuery:
     query_id: tuple    # (orig, counter)
-    orig: int
     dest: int
-    route_so_far: tuple
+    route_so_far: tuple  # orig first
     leg: tuple         # remaining hops to the bordercast endpoint
     stage: int
 
 
 @dataclass
 class IerpReply:
-    query_id: tuple
-    orig: int
-    dest: int
     route: tuple       # full hop list orig..dest
 
 
 @dataclass
 class IerpError:
-    dest: int
-    route: tuple
+    route: tuple       # the broken route, orig..dest
 
 
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
@@ -75,7 +69,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         # A node at distance rho-1 advertising its links reveals the nodes
         # at distance rho, so adverts only need to travel rho-1 hops.
         msg = ZoneAdvert(self.node.id, sym, heard, self.adv_counter,
-                         ttl=max(1, self.radius - 1), hops=0)
+                         ttl=max(1, self.radius - 1))
         size = MSG_BASE_BYTES + ADDR_BYTES * (len(sym) + len(heard))
         self.bump("iarp_sent")
         self.send_control_broadcast(ADVERT_KIND, msg, size)
@@ -84,7 +78,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def _process_advert(self, msg, prev_hop):
         if msg.orig == self.node.id:
             return
-        if msg.hops == 0 and prev_hop == msg.orig:
+        if prev_hop == msg.orig:  # not relayed: the originator drops its own
             self._heard(msg.orig, msg.sym, msg.heard)
         key = (msg.orig, msg.seq)
         if key in self.adv_seen:
@@ -96,7 +90,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                                          self.sim.now + self.neighbor_hold_us)
         self._links_changed()
         if msg.ttl > 1:
-            fwd = replace(msg, ttl=msg.ttl - 1, hops=msg.hops + 1)
+            fwd = replace(msg, ttl=msg.ttl - 1)
             size = MSG_BASE_BYTES + ADDR_BYTES * (len(fwd.sym)
                                                   + len(fwd.heard))
             self.bump("iarp_forwarded")
@@ -129,16 +123,15 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         self.query_counter += 1
         qid = (self.node.id, self.query_counter)
         self.bump("ierp_query_rounds")
-        self._bordercast(qid, self.node.id, dest, (self.node.id,), stage=1)
+        self._bordercast(qid, dest, (self.node.id,), stage=1)
 
-    def _bordercast(self, qid, orig, dest, route_so_far, stage):
+    def _bordercast(self, qid, dest, route_so_far, stage):
         for p in sorted(self.peripheral_set):
             if p in route_so_far:
                 continue
             path = self.paths[p]
-            msg = IerpQuery(query_id=qid, orig=orig, dest=dest,
-                            route_so_far=route_so_far, leg=tuple(path[1:]),
-                            stage=stage)
+            msg = IerpQuery(query_id=qid, dest=dest, route_so_far=route_so_far,
+                            leg=tuple(path[1:]), stage=stage)
             self.bump("ierp_queries_sent")
             self.send_control_unicast(
                 path[1], QUERY_KIND, msg,
@@ -149,9 +142,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         if me in msg.route_so_far:
             self.bump("loop_drops")
             return
-        if not msg.leg or msg.leg[0] != me:
-            return
-        remaining = msg.leg[1:]
+        remaining = msg.leg[1:]  # leg[0] is me: the query was unicast here
         if remaining:
             fwd = replace(msg, route_so_far=msg.route_so_far + (me,),
                           leg=remaining)
@@ -169,22 +160,18 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         path = self.paths.get(msg.dest)
         if path is not None:
             full = here + path[1:]
-            reply = IerpReply(msg.query_id, msg.orig, msg.dest, full)
-            self._install_from_route(full, msg.dest)
+            self._install_from_route(full)
             self.bump("ierp_replies_sent")
-            self._send_back(full, REPLY_KIND, reply)
+            self._send_back(full, REPLY_KIND, IerpReply(full))
             return
         if msg.stage < MAX_BORDERCAST_STAGES:
-            self._bordercast(msg.query_id, msg.orig, msg.dest, here,
-                             msg.stage + 1)
+            self._bordercast(msg.query_id, msg.dest, here, msg.stage + 1)
 
     def _process_reply(self, msg, prev_hop):
-        me = self.node.id
-        if me not in msg.route:
-            return
-        self._install_from_route(msg.route, msg.dest)
-        if not self._send_back(msg.route, REPLY_KIND, msg) and msg.orig == me:
-            self.discovery_succeeded(msg.dest)
+        # unicast to this node's predecessor on the route, so it is on it
+        self._install_from_route(msg.route)
+        if not self._send_back(msg.route, REPLY_KIND, msg):
+            self.discovery_succeeded(msg.route[-1])
 
     def _send_back(self, route, kind, msg):
         """Unicast msg to this node's predecessor on the source route;
@@ -196,16 +183,13 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                                   MSG_BASE_BYTES + ADDR_BYTES * len(route))
         return True
 
-    def _install_from_route(self, route, dest):
-        me = self.node.id
-        idx = route.index(me)
-        if idx >= len(route) - 1:
-            return
+    def _install_from_route(self, route):
+        """Route to route[-1] from this node, which is on it but not last."""
+        idx = route.index(self.node.id)
         self.table.update_if_fresher(RouteEntry(
-            dest=dest, next_hop=route[idx + 1], seq_no=0,
+            dest=route[-1], next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
-            expires_at=self.sim.now + PENDING_LIFETIME_US,
-            route=list(route)))
+            expires_at=self.sim.now + PENDING_LIFETIME_US, route=route))
 
     # -- maintenance -------------------------------------------------------
 
@@ -218,16 +202,14 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                 self._send_error_back(e)
 
     def _send_error_back(self, entry):
-        route = tuple(entry.route)
-        if self.node.id in route and route[0] != self.node.id:
+        route = entry.route  # every entry comes from a route through here
+        if route[0] != self.node.id:
             self.bump("ierp_errors_sent")
-            self._send_back(route, ERROR_KIND, IerpError(entry.dest, route))
+            self._send_back(route, ERROR_KIND, IerpError(route))
 
     def _process_error(self, msg, prev_hop):
-        e = self.table.entries.get(msg.dest)
-        if e is None or not e.valid:
-            return
-        if tuple(e.route) != msg.route:
+        e = self.table.entries.get(msg.route[-1])
+        if e is None or not e.valid or e.route != msg.route:
             return
         e.valid = False
         self._send_error_back(e)

@@ -80,7 +80,6 @@ class Simulation:
         # A frame brings positions up to the last tick; a move there drops
         # the channel's receiver lists.
         self.channel.sync = self.mobility.sync
-        self.mobility.on_move = self.channel.moved
         # Sessions start at staggered offsets so equal-interval sources do
         # not tick in lockstep (synchronized ticks make hidden senders
         # collide at every interval).

@@ -80,8 +80,9 @@ class EagerMobility:
         self.lazy = simulation.mobility
         self.at = 0
         self.samples = [node.pos for node, _ in self.lazy.legs]
+        self.moved = False  # since the channel last asked
         simulation.mobility = self
-        simulation.channel.sync = lambda: None
+        simulation.channel.sync = self.sync
 
     def start(self):
         # Called first in Simulation.run, so each tick precedes every other
@@ -93,17 +94,19 @@ class EagerMobility:
     def tick(self):
         lazy = self.lazy
         now = self.at = self.simulation.sim.now
-        moved = False
         for node, leg in lazy.legs:
             while not leg.done and leg.arrive_at + lazy.pause_us <= now:
                 lazy.next_leg(leg, leg.arrive_at + lazy.pause_us)
             pos = position_at(leg, now)
             if pos != node.pos:
                 node.pos = pos
-                moved = True
-        if moved:
-            self.simulation.channel.moved()
+                self.moved = True
         self.samples += [node.pos for node, _ in lazy.legs]
+
+    def sync(self):
+        """Whether a tick moved some node since the channel last asked."""
+        moved, self.moved = self.moved, False
+        return moved
 
 
 class OwnSweep:
@@ -251,3 +254,43 @@ def test_shared_sweep_matches_own_sweeps_where_links_expire(protocol):
     assert sum(expired) > 100
     eager, _ = run_eager_and_checked(config)
     assert csv_digest(eager) == csv_digest(ledger)
+
+
+# Shifts, mirrors and swaps of a layout keep every distance, and with it
+# every run, the same. Coordinates are multiples of 1/16 m below 1024 m,
+# so each transformed coordinate and each squared distance is exact in
+# binary floating point and not one bit of a distance moves.
+RIGID_MOTIONS = {
+    "mirror x": lambda x, y: (512.0 - x, y),
+    "swap x and y": lambda x, y: (y, x),
+    "shift": lambda x, y: (x + 256.0, y + 128.0),
+}
+
+
+@st.composite
+def static_layouts(draw):
+    n = draw(st.integers(4, 12))
+    coord = st.integers(0, 128 * 16).map(lambda k: k / 16)
+    positions = {nid: (draw(coord), draw(coord)) for nid in range(n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    sessions = [draw(pair.filter(lambda p: p[0] != p[1])) for _ in range(3)]
+    return positions, sessions, draw(st.integers(1, 1000))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(static_layouts())
+def test_rigidly_moved_layout_gives_the_same_bytes(layout):
+    positions, sessions, seed = layout
+
+    def digest(protocol, move):
+        return csv_digest(Simulation(ScenarioConfig(
+            num_nodes=len(positions), terrain_width_m=1024.0,
+            terrain_height_m=1024.0, sim_time_s=20.0, sessions=0,
+            explicit_sessions=sessions, protocol=protocol, seed=seed,
+            positions={nid: move(x, y) for nid, (x, y) in positions.items()},
+        ).validate()).run())
+
+    for protocol in PROTOCOLS:
+        want = digest(protocol, lambda x, y: (x, y))
+        for name, move in RIGID_MOTIONS.items():
+            assert digest(protocol, move) == want, (protocol, name)

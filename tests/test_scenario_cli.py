@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -176,6 +177,9 @@ def test_parse_seeds_ranges_and_lists():
         parse_seeds("")
     with pytest.raises(ValueError, match=r"5\.\.1"):
         parse_seeds("5..1")
+    for bad in ("5..", "..5", "1..2..3", "a..b"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_seeds(bad)
 
 
 # -- CLI ------------------------------------------------------------------
@@ -275,3 +279,7 @@ def test_cli_bad_seed_spec_is_validation_error(tmp_path, capsys):
     code = main(["compare", write_cfg(tmp_path),
                  "--protocols", "aodv,olsr", "--seeds", " , "])
     assert code == 1
+    code = main(["compare", write_cfg(tmp_path),
+                 "--protocols", "aodv,olsr", "--seeds", "5.."])
+    assert code == 1
+    assert "'5..'" in capsys.readouterr().err
