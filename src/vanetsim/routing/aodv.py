@@ -2,14 +2,8 @@
 
 from dataclasses import dataclass, replace
 
-from .reactive import RREQ_TTL, DistanceVectorAgent
-
-RREQ_KIND = "aodv-rreq"
-RREP_KIND = "aodv-rrep"
-RERR_KIND = "aodv-rerr"
-
-RREQ_BYTES = 24
-RREP_BYTES = 20
+from ..mac import BROADCAST
+from .reactive import RREQ_TTL, DistanceVectorAgent, Rerr
 
 
 @dataclass
@@ -22,6 +16,8 @@ class Rreq:
     hop_count: int
     ttl: int
 
+    size_bytes = 24
+
 
 @dataclass
 class Rrep:
@@ -30,10 +26,10 @@ class Rrep:
     dest_seq: int
     hop_count: int
 
+    size_bytes = 20
+
 
 class AodvAgent(DistanceVectorAgent):
-    rerr_kind = RERR_KIND
-
     def __init__(self, sim, node, config):
         super().__init__(sim, node)
         self.rreq_counter = 0
@@ -50,17 +46,9 @@ class AodvAgent(DistanceVectorAgent):
                    hop_count=0, ttl=RREQ_TTL)
         self.dup_cache.add((msg.orig, msg.rreq_id))
         self.bump("rreq_sent")
-        self.send_control_broadcast(RREQ_KIND, msg, RREQ_BYTES)
+        self.send_control(BROADCAST, msg)
 
     # -- control plane -----------------------------------------------------
-
-    def handle_control(self, pkt, prev_hop):
-        if pkt.kind == RREQ_KIND:
-            self._process_rreq(pkt.payload, prev_hop)
-        elif pkt.kind == RREP_KIND:
-            self._process_rrep(pkt.payload, prev_hop)
-        elif pkt.kind == RERR_KIND:
-            self._process_rerr(pkt.payload, prev_hop)
 
     def _process_rreq(self, msg, prev_hop):
         key = (msg.orig, msg.rreq_id)
@@ -81,17 +69,19 @@ class AodvAgent(DistanceVectorAgent):
                     fwd = replace(msg, hop_count=msg.hop_count + 1,
                                   ttl=msg.ttl - 1)
                     self.bump("rreq_forwarded")
-                    self.forward_control_broadcast(RREQ_KIND, fwd, RREQ_BYTES)
+                    self.forward_control_broadcast(fwd)
                 return
             reply = Rrep(orig=msg.orig, dest=msg.dest,
                          dest_seq=cached.seq_no, hop_count=cached.hop_count)
         self.bump("rrep_sent")
-        self.send_control_unicast(prev_hop, RREP_KIND, reply, RREP_BYTES)
+        self.send_control(prev_hop, reply)
 
     def _process_rrep(self, msg, prev_hop):
         self.learn_route(msg.dest, prev_hop, msg.dest_seq, msg.hop_count + 1)
         if msg.orig == self.node.id:
             self.discovery_succeeded(msg.dest)
             return
-        self.relay_reply(msg.orig, RREP_KIND,
-                         replace(msg, hop_count=msg.hop_count + 1), RREP_BYTES)
+        self.relay_reply(msg.orig, replace(msg, hop_count=msg.hop_count + 1))
+
+    handlers = {Rreq: _process_rreq, Rrep: _process_rrep,
+                Rerr: DistanceVectorAgent._process_rerr}

@@ -20,18 +20,15 @@ HOLD_FACTOR = 3
 # separation keeps periodic frames from colliding by construction.
 PHASE_STEP_US = 10_000
 
-# network packet kinds
-DATA_KIND = "data"
-
 
 @dataclass
 class Packet:
+    """An application packet. Control messages travel as themselves."""
+
     src: int
     dst: int
     ttl: int = DEFAULT_TTL
-    kind: str = DATA_KIND
     size_bytes: int = 0
-    payload: object = None
     session_id: object = None
     seq: int = 0
     sent_at: int = 0
@@ -125,8 +122,12 @@ class Agent:
     """Base routing agent: local delivery, forwarding, drop on a route miss.
 
     Agents talk to the world only through the MAC (send/receive) and
-    engine timers; there is no topology peeking.
+    engine timers; there is no topology peeking. A control message states
+    its own size_bytes, and handlers maps its class to the method that
+    takes it.
     """
+
+    handlers = {}
 
     def __init__(self, sim, node):
         self.sim = sim
@@ -139,13 +140,12 @@ class Agent:
     def bump(self, name, n=1):
         self.stats[name] = self.stats.get(name, 0) + n
 
-    def send_control_broadcast(self, kind, msg, size_bytes):
-        pkt = Packet(src=self.node.id, dst=BROADCAST, kind=kind,
-                     size_bytes=size_bytes, payload=msg)
+    def send_control(self, next_hop, msg):
+        """Hand msg to the MAC for next_hop, or for all with BROADCAST."""
         self.bump("control_sent")
-        self.node.mac.enqueue(BROADCAST, pkt, size_bytes)
+        self.node.mac.enqueue(next_hop, msg, msg.size_bytes)
 
-    def forward_control_broadcast(self, kind, msg, size_bytes):
+    def forward_control_broadcast(self, msg):
         """Relay a flooded message after a per-node stagger delay.
 
         Relays of the same flood hear the trigger frame at the same instant;
@@ -154,16 +154,10 @@ class Agent:
         """
         delay = self.node.id * FORWARD_STAGGER_US
         if delay == 0:
-            self.send_control_broadcast(kind, msg, size_bytes)
+            self.send_control(BROADCAST, msg)
             return
-        self.sim.schedule_after(
-            delay, lambda: self.send_control_broadcast(kind, msg, size_bytes))
-
-    def send_control_unicast(self, next_hop, kind, msg, size_bytes):
-        pkt = Packet(src=self.node.id, dst=next_hop, kind=kind,
-                     size_bytes=size_bytes, payload=msg)
-        self.bump("control_sent")
-        self.node.mac.enqueue(next_hop, pkt, size_bytes)
+        self.sim.schedule_after(delay,
+                                lambda: self.send_control(BROADCAST, msg))
 
     def send_data_frame(self, next_hop, pkt):
         self.node.mac.enqueue(next_hop, pkt, pkt.size_bytes)
@@ -210,9 +204,6 @@ class Agent:
     def start(self):
         pass
 
-    def handle_control(self, pkt, prev_hop):
-        raise NotImplementedError
-
     def on_link_failure(self, neighbor):
         pass
 
@@ -223,11 +214,11 @@ class Agent:
     def on_unicast_success(self, dst, packet):
         pass
 
-    def on_receive(self, pkt, prev_hop):
-        if pkt.kind == DATA_KIND:
-            self.handle_data(pkt, prev_hop)
+    def on_receive(self, msg, prev_hop):
+        if isinstance(msg, Packet):
+            self.handle_data(msg, prev_hop)
         else:
-            self.handle_control(pkt, prev_hop)
+            self.handlers[type(msg)](self, msg, prev_hop)
 
 
 class NeighborRecord:

@@ -2,14 +2,8 @@
 
 from dataclasses import dataclass, replace
 
-from .reactive import RREQ_TTL, DistanceVectorAgent
-
-RREQ_KIND = "dymo-rreq"
-RREP_KIND = "dymo-rrep"
-RERR_KIND = "dymo-rerr"
-
-MSG_BASE_BYTES = 16
-ADDR_ENTRY_BYTES = 12
+from ..mac import BROADCAST
+from .reactive import RREQ_TTL, DistanceVectorAgent, Rerr
 
 
 @dataclass
@@ -21,9 +15,9 @@ class DymoRouteMessage:
     addr_list: tuple     # ordered (node, seq_no, hop_count) accumulated
     ttl: int
 
-
-def message_bytes(msg):
-    return MSG_BASE_BYTES + ADDR_ENTRY_BYTES * len(msg.addr_list)
+    @property
+    def size_bytes(self):
+        return 16 + 12 * len(self.addr_list)
 
 
 class DymoAgent(DistanceVectorAgent):
@@ -33,8 +27,6 @@ class DymoAgent(DistanceVectorAgent):
     far, every receiver learns routes to every listed node, and only the
     target answers a request (no cache replies).
     """
-
-    rerr_kind = RERR_KIND
 
     def __init__(self, sim, node, config):
         super().__init__(sim, node)
@@ -49,13 +41,7 @@ class DymoAgent(DistanceVectorAgent):
             addr_list=((self.node.id, self.own_seq, 0),), ttl=RREQ_TTL)
         self.dup_cache.add(msg.query_id)
         self.bump("rreq_sent")
-        self.send_control_broadcast(RREQ_KIND, msg, message_bytes(msg))
-
-    def handle_control(self, pkt, prev_hop):
-        if pkt.kind in (RREQ_KIND, RREP_KIND):
-            self._process(pkt.payload, prev_hop)
-        elif pkt.kind == RERR_KIND:
-            self._process_rerr(pkt.payload, prev_hop)
+        self.send_control(BROADCAST, msg)
 
     def _process(self, msg, prev_hop):
         me = self.node.id
@@ -80,20 +66,21 @@ class DymoAgent(DistanceVectorAgent):
                 back = self.table.lookup(msg.orig, self.sim.now)
                 if back is not None:
                     self.bump("rrep_sent")
-                    self.send_control_unicast(back.next_hop, RREP_KIND,
-                                              reply, message_bytes(reply))
+                    self.send_control(back.next_hop, reply)
                 return
             if msg.ttl > 1:
                 fwd = replace(
                     msg, ttl=msg.ttl - 1,
                     addr_list=msg.addr_list + ((me, self.own_seq, n),))
                 self.bump("rreq_forwarded")
-                self.forward_control_broadcast(RREQ_KIND, fwd,
-                                               message_bytes(fwd))
+                self.forward_control_broadcast(fwd)
         else:  # RREP travelling back toward msg.orig
             if msg.orig == me:
                 self.discovery_succeeded(msg.target)
                 return
             fwd = replace(msg,
                           addr_list=msg.addr_list + ((me, self.own_seq, n),))
-            self.relay_reply(msg.orig, RREP_KIND, fwd, message_bytes(fwd))
+            self.relay_reply(msg.orig, fwd)
+
+    handlers = {DymoRouteMessage: _process,
+                Rerr: DistanceVectorAgent._process_rerr}

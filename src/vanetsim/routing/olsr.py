@@ -3,11 +3,9 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
+from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
                    DupCache, LinkStateAgent)
-
-HELLO_KIND = "olsr-hello"
-TC_KIND = "olsr-tc"
 
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
@@ -21,6 +19,11 @@ class Hello:
     heard: tuple     # heard (asymmetric) neighbours
     mprs: tuple      # sender's multipoint relay set
 
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * (
+            len(self.sym) + len(self.heard) + len(self.mprs))
+
 
 @dataclass
 class TcMessage:
@@ -29,6 +32,10 @@ class TcMessage:
     advertised: tuple  # the originator's MPR selector set
     tc_id: tuple       # (orig, emission counter) for duplicate suppression
     ttl: int
+
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * len(self.advertised)
 
 
 def select_mprs(coverage, degree=None):
@@ -84,10 +91,8 @@ class OlsrAgent(LinkStateAgent):
     def _hello_tick(self):
         sym, heard = self._sym_and_heard()
         msg = Hello(self.node.id, sym, heard, tuple(sorted(self.mpr_set)))
-        size = MSG_BASE_BYTES + ADDR_BYTES * (len(sym) + len(heard)
-                                              + len(msg.mprs))
         self.bump("hello_sent")
-        self.send_control_broadcast(HELLO_KIND, msg, size)
+        self.send_control(BROADCAST, msg)
         self.sim.schedule_after(self.hello_us, self._hello_tick)
 
     def _tc_tick(self):
@@ -97,20 +102,13 @@ class OlsrAgent(LinkStateAgent):
         msg = TcMessage(self.node.id, self.ansn,
                         tuple(sorted(self.mpr_selector_set)),
                         (self.node.id, self.tc_counter), TC_TTL)
-        size = MSG_BASE_BYTES + ADDR_BYTES * len(msg.advertised)
         self.bump("tc_sent")
-        self.send_control_broadcast(TC_KIND, msg, size)
+        self.send_control(BROADCAST, msg)
         self.sim.schedule_after(TC_INTERVAL_US, self._tc_tick)
 
     # -- control plane -----------------------------------------------------
 
-    def handle_control(self, pkt, prev_hop):
-        if pkt.kind == HELLO_KIND:
-            self._process_hello(pkt.payload)
-        elif pkt.kind == TC_KIND:
-            self._process_tc(pkt.payload, prev_hop)
-
-    def _process_hello(self, msg):
+    def _process_hello(self, msg, prev_hop):
         rec = self._heard(msg.sender, msg.sym, msg.heard)
         rec.sym_set = frozenset(msg.sym)
         selected = self.node.id in msg.mprs
@@ -137,9 +135,9 @@ class OlsrAgent(LinkStateAgent):
         self._links_changed()
         if prev_hop in self.mpr_selector_set and msg.ttl > 1:
             self.bump("tc_forwarded")
-            fwd = replace(msg, ttl=msg.ttl - 1)
-            size = MSG_BASE_BYTES + ADDR_BYTES * len(fwd.advertised)
-            self.forward_control_broadcast(TC_KIND, fwd, size)
+            self.forward_control_broadcast(replace(msg, ttl=msg.ttl - 1))
+
+    handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
     # -- derived state, rebuilt when read ----------------------------------
 

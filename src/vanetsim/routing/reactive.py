@@ -14,8 +14,10 @@ broken ones: DistanceVectorAgent.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 from ..engine import us
+from ..mac import BROADCAST
 from .base import Agent, DupCache, RouteEntry
 
 PENDING_PER_DEST = 5
@@ -30,8 +32,15 @@ ROUTE_LIFETIME_US = us(10.0)  # a learned or used route lives this long
 
 DUP_CACHE_S = 15.0
 RREQ_TTL = 35
-RERR_BASE_BYTES = 8
-RERR_ENTRY_BYTES = 8
+
+
+@dataclass
+class Rerr:
+    unreachable: tuple  # (dest, seq_no) pairs
+
+    @property
+    def size_bytes(self):
+        return 8 + 8 * len(self.unreachable)
 
 
 class ReactiveAgent(Agent):
@@ -131,13 +140,7 @@ class ReactiveAgent(Agent):
 
 
 class DistanceVectorAgent(ReactiveAgent):
-    """Sequence-numbered routes, flooded discovery, RERR toward sources.
-
-    A route error carries a tuple of (dest, seq_no) pairs; subclasses name
-    its packet kind in rerr_kind and dispatch it to _process_rerr.
-    """
-
-    rerr_kind = None
+    """Sequence-numbered routes, flooded discovery, RERR toward sources."""
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
@@ -153,14 +156,14 @@ class DistanceVectorAgent(ReactiveAgent):
             dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
             expires_at=self.sim.now + ROUTE_LIFETIME_US))
 
-    def relay_reply(self, orig, kind, msg, size):
+    def relay_reply(self, orig, msg):
         """Unicast a route reply on toward orig; without a reverse route
         it is dropped and counted."""
         back = self.table.lookup(orig, self.sim.now)
         if back is None:
             self.bump("rrep_drops")
             return
-        self.send_control_unicast(back.next_hop, kind, msg, size)
+        self.send_control(back.next_hop, msg)
 
     def on_route_miss(self, pkt, prev_hop):
         super().on_route_miss(pkt, prev_hop)
@@ -168,18 +171,18 @@ class DistanceVectorAgent(ReactiveAgent):
             # forwarding miss: report back rather than discovering on behalf
             entry = self.table.entries.get(pkt.dst)
             seq = entry.seq_no if entry is not None else 0
-            self._broadcast_rerr(((pkt.dst, seq),))
+            self.send_control(BROADCAST, Rerr(((pkt.dst, seq),)))
 
-    def _process_rerr(self, unreachable, prev_hop):
+    def _process_rerr(self, msg, prev_hop):
         mine = []
-        for dest, seq in unreachable:
+        for dest, seq in msg.unreachable:
             e = self.table.entries.get(dest)
             if (e is not None and e.next_hop == prev_hop
                     and self.table.invalidate(dest) is not None):
                 e.seq_no = max(e.seq_no, seq)
                 mine.append((dest, e.seq_no))
         if mine:
-            self._broadcast_rerr(tuple(mine))
+            self.send_control(BROADCAST, Rerr(tuple(mine)))
 
     def on_link_failure(self, neighbor):
         broken = []
@@ -189,8 +192,4 @@ class DistanceVectorAgent(ReactiveAgent):
                 broken.append((dest, e.seq_no))
         if broken:
             self.bump("rerr_sent")
-            self._broadcast_rerr(tuple(broken))
-
-    def _broadcast_rerr(self, unreachable):
-        size = RERR_BASE_BYTES + RERR_ENTRY_BYTES * len(unreachable)
-        self.send_control_broadcast(self.rerr_kind, unreachable, size)
+            self.send_control(BROADCAST, Rerr(tuple(broken)))

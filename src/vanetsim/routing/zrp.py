@@ -3,14 +3,10 @@
 from dataclasses import dataclass, replace
 
 from ..engine import us
+from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
                    DupCache, LinkStateAgent, RouteEntry)
 from .reactive import DUP_CACHE_S, PENDING_LIFETIME_US, ReactiveAgent
-
-ADVERT_KIND = "zrp-iarp"
-QUERY_KIND = "zrp-ierp-query"
-REPLY_KIND = "zrp-ierp-reply"
-ERROR_KIND = "zrp-ierp-error"
 
 MAX_BORDERCAST_STAGES = 8
 
@@ -23,6 +19,10 @@ class ZoneAdvert:
     seq: int
     ttl: int
 
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * (len(self.sym) + len(self.heard))
+
 
 @dataclass
 class IerpQuery:
@@ -32,15 +32,27 @@ class IerpQuery:
     leg: tuple         # remaining hops to the bordercast endpoint
     stage: int
 
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * len(self.route_so_far)
+
 
 @dataclass
 class IerpReply:
     route: tuple       # full hop list orig..dest
 
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * len(self.route)
+
 
 @dataclass
 class IerpError:
     route: tuple       # the broken route, orig..dest
+
+    @property
+    def size_bytes(self):
+        return MSG_BASE_BYTES + ADDR_BYTES * len(self.route)
 
 
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
@@ -70,9 +82,8 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         # at distance rho, so adverts only need to travel rho-1 hops.
         msg = ZoneAdvert(self.node.id, sym, heard, self.adv_counter,
                          ttl=max(1, self.radius - 1))
-        size = MSG_BASE_BYTES + ADDR_BYTES * (len(sym) + len(heard))
         self.bump("iarp_sent")
-        self.send_control_broadcast(ADVERT_KIND, msg, size)
+        self.send_control(BROADCAST, msg)
         self.sim.schedule_after(self.iarp_us, self._advert_tick)
 
     def _process_advert(self, msg, prev_hop):
@@ -90,11 +101,8 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                                          self.sim.now + self.neighbor_hold_us)
         self._links_changed()
         if msg.ttl > 1:
-            fwd = replace(msg, ttl=msg.ttl - 1)
-            size = MSG_BASE_BYTES + ADDR_BYTES * (len(fwd.sym)
-                                                  + len(fwd.heard))
             self.bump("iarp_forwarded")
-            self.forward_control_broadcast(ADVERT_KIND, fwd, size)
+            self.forward_control_broadcast(replace(msg, ttl=msg.ttl - 1))
 
     def _links_changed(self):
         """A buffered packet goes out in the instant its destination enters
@@ -133,9 +141,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             msg = IerpQuery(query_id=qid, dest=dest, route_so_far=route_so_far,
                             leg=tuple(path[1:]), stage=stage)
             self.bump("ierp_queries_sent")
-            self.send_control_unicast(
-                path[1], QUERY_KIND, msg,
-                MSG_BASE_BYTES + ADDR_BYTES * len(route_so_far))
+            self.send_control(path[1], msg)
 
     def _process_query(self, msg, prev_hop):
         me = self.node.id
@@ -147,9 +153,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             fwd = replace(msg, route_so_far=msg.route_so_far + (me,),
                           leg=remaining)
             self.bump("ierp_queries_relayed")
-            self.send_control_unicast(
-                remaining[0], QUERY_KIND, fwd,
-                MSG_BASE_BYTES + ADDR_BYTES * len(fwd.route_so_far))
+            self.send_control(remaining[0], fwd)
             return
         # bordercast endpoint
         if msg.query_id in self.query_seen:
@@ -162,7 +166,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             full = here + path[1:]
             self._install_from_route(full)
             self.bump("ierp_replies_sent")
-            self._send_back(full, REPLY_KIND, IerpReply(full))
+            self._send_back(IerpReply(full))
             return
         if msg.stage < MAX_BORDERCAST_STAGES:
             self._bordercast(msg.query_id, msg.dest, here, msg.stage + 1)
@@ -170,17 +174,16 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def _process_reply(self, msg, prev_hop):
         # unicast to this node's predecessor on the route, so it is on it
         self._install_from_route(msg.route)
-        if not self._send_back(msg.route, REPLY_KIND, msg):
+        if not self._send_back(msg):
             self.discovery_succeeded(msg.route[-1])
 
-    def _send_back(self, route, kind, msg):
-        """Unicast msg to this node's predecessor on the source route;
-        False, sending nothing, when this node is the route's first."""
-        idx = route.index(self.node.id)
+    def _send_back(self, msg):
+        """Unicast msg to this node's predecessor on msg.route; False,
+        sending nothing, when this node is the route's first."""
+        idx = msg.route.index(self.node.id)
         if idx == 0:
             return False
-        self.send_control_unicast(route[idx - 1], kind, msg,
-                                  MSG_BASE_BYTES + ADDR_BYTES * len(route))
+        self.send_control(msg.route[idx - 1], msg)
         return True
 
     def _install_from_route(self, route):
@@ -205,7 +208,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         route = entry.route  # every entry comes from a route through here
         if route[0] != self.node.id:
             self.bump("ierp_errors_sent")
-            self._send_back(route, ERROR_KIND, IerpError(route))
+            self._send_back(IerpError(route))
 
     def _process_error(self, msg, prev_hop):
         e = self.table.entries.get(msg.route[-1])
@@ -214,14 +217,5 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         e.valid = False
         self._send_error_back(e)
 
-    # -- dispatch ----------------------------------------------------------
-
-    def handle_control(self, pkt, prev_hop):
-        if pkt.kind == ADVERT_KIND:
-            self._process_advert(pkt.payload, prev_hop)
-        elif pkt.kind == QUERY_KIND:
-            self._process_query(pkt.payload, prev_hop)
-        elif pkt.kind == REPLY_KIND:
-            self._process_reply(pkt.payload, prev_hop)
-        elif pkt.kind == ERROR_KIND:
-            self._process_error(pkt.payload, prev_hop)
+    handlers = {ZoneAdvert: _process_advert, IerpQuery: _process_query,
+                IerpReply: _process_reply, IerpError: _process_error}

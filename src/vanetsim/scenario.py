@@ -105,6 +105,9 @@ class ScenarioConfig:
                  "forbidden)")
         if self.capacity_mah <= 0:
             fail("capacity_mah", "must be positive")
+        for key in ("tx_ma", "rx_ma", "idle_ma"):
+            if getattr(self, key) < 0:
+                fail(key, "must be non-negative")
         n_sessions = (len(self.explicit_sessions) if self.explicit_sessions
                       else self.sessions)
         if n_sessions > 0 and self.num_nodes < 2:

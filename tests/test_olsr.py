@@ -126,7 +126,7 @@ def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
     t0 = us(1.0)
     seen = {}
     sim.schedule_at(t0, lambda: agent._process_hello(
-        Hello(sender=1, sym=(0,), heard=(), mprs=())))
+        Hello(sender=1, sym=(0,), heard=(), mprs=()), 1))
     for at in (t0 + hold, t0 + hold + 1):
         sim.schedule_at(at, lambda at=at: seen.update(
             {at: agent.next_hop(1)}))

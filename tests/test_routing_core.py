@@ -1,17 +1,18 @@
-"""Route table freshness rules, packets, the pending-packet buffer and
-discovery schedule of the on-demand agents, the duplicate cache and the
-shared expiry sweep."""
+"""Route table freshness rules, packets, control message sizes and
+dispatch, the pending-packet buffer and discovery schedule of the
+on-demand agents, the duplicate cache and the shared expiry sweep."""
 
 import pytest
 
 from vanetsim.engine import Simulator, us
-from vanetsim.mac import BROADCAST
 from vanetsim.metrics import NodeCounters
+from vanetsim.routing.aodv import AodvAgent, Rrep, Rreq
 from vanetsim.routing.base import (DUP_CACHE_CAP, DupCache, Packet,
                                    RouteEntry, RoutingTable)
-from vanetsim.routing.olsr import (HELLO_KIND, TC_KIND, TC_TTL, Hello,
-                                   OlsrAgent, TcMessage)
-from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent
+from vanetsim.routing.dymo import DymoRouteMessage
+from vanetsim.routing.olsr import TC_TTL, Hello, OlsrAgent, TcMessage
+from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent, Rerr
+from vanetsim.routing.zrp import IerpError, IerpQuery, IerpReply, ZoneAdvert
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
@@ -72,12 +73,37 @@ def test_hop_copy_decrements_ttl_only():
     assert (q.src, q.dst, q.session_id, q.seq) == (1, 2, 3, 7)
 
 
+def test_control_message_sizes():
+    route = (0, 4, 7, 9)
+    sizes = [
+        (Rreq(1, 0, 1, 9, 0, 0, 35), 24),
+        (Rrep(0, 9, 1, 0), 20),
+        (Rerr(((1, 2), (3, 4), (5, 6))), 32),
+        (DymoRouteMessage("RREQ", 0, 9, (0, 1),
+                          ((0, 1, 0), (4, 1, 1), (7, 1, 2)), 35), 52),
+        (Hello(sender=0, sym=(1, 2), heard=(3,), mprs=(1,)), 28),
+        (TcMessage(0, 0, (1, 2, 3), (0, 1), TC_TTL), 24),
+        (ZoneAdvert(0, sym=(1, 2), heard=(3,), seq=1, ttl=1), 24),
+        (IerpQuery((0, 1), 9, route_so_far=(0, 4, 7), leg=(9,), stage=1), 24),
+        (IerpReply(route), 28),
+        (IerpError(route), 28),
+    ]
+    assert [(type(m).__name__, m.size_bytes) for m, _ in sizes] == [
+        (type(m).__name__, size) for m, size in sizes]
+
+
 class Shell:
     id = 0
     mac = None
 
     def __init__(self):
         self.counters = NodeCounters()
+
+
+def test_control_message_without_a_handler_fails_loudly():
+    agent = AodvAgent(Simulator(seed=1), Shell(), ScenarioConfig())
+    with pytest.raises(KeyError):
+        agent.on_receive(Hello(sender=5, sym=(), heard=(), mprs=()), 5)
 
 
 def make_agent():
@@ -230,13 +256,11 @@ def test_olsr_suppresses_newest_low_originator_tc_after_8192_others():
     node.mac = RecordingMac()
     agent = OlsrAgent(sim, node, ScenarioConfig())
     hello = Hello(sender=5, sym=(0,), heard=(), mprs=(0,))
-    agent.on_receive(Packet(src=5, dst=BROADCAST, kind=HELLO_KIND,
-                            payload=hello), prev_hop=5)
+    agent.on_receive(hello, prev_hop=5)
 
     def tc(orig, counter):
-        msg = TcMessage(orig=orig, ansn=0, advertised=(),
-                        tc_id=(orig, counter), ttl=TC_TTL)
-        return Packet(src=5, dst=BROADCAST, kind=TC_KIND, payload=msg)
+        return TcMessage(orig=orig, ansn=0, advertised=(),
+                         tc_id=(orig, counter), ttl=TC_TTL)
 
     for counter in range(8192):
         agent.on_receive(tc(1000, counter), prev_hop=5)

@@ -78,6 +78,9 @@ def test_unparseable_value_names_the_key():
     ("cw_min = -1", "cw_min"),
     ("frequency_hz = 0", "frequency_hz"),
     ("antenna_height_m = 0", "antenna_height_m"),
+    ("tx_ma = -280", "tx_ma"),
+    ("rx_ma = -180", "rx_ma"),
+    ("idle_ma = -1", "idle_ma"),
     ("num_nodes = 2\nsessions = 3", "sessions"),
     ("waypoints.0 = 10,10;nan,20", "waypoints.0"),
     ("waypoints.0 = 10,10;50,10,0", "waypoints.0"),
