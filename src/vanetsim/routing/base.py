@@ -222,22 +222,23 @@ class Agent:
 
 
 class NeighborRecord:
-    __slots__ = ("status", "expires", "sym_set")
+    __slots__ = ("symmetric", "expires", "sym_set", "selects_me")
 
     def __init__(self):
-        self.status = "heard"
+        self.symmetric = False
         self.expires = 0
         self.sym_set = frozenset()  # the neighbour's own symmetric links
+        self.selects_me = False     # OLSR: it picked this node as an MPR
 
 
 class LinkStateAgent(Agent):
     """Neighbour table, link-state store and expiry sweep (OLSR and ZRP).
 
     Subclasses set neighbor_hold_us, fill link_state from their link
-    advertisements and rebuild what they derive from it (the shortest
-    paths in _build_paths, OLSR's MPRs) when it is read after a call to
-    _links_changed. next_hop takes a path's first hop until paths_hold_us
-    after the last change, and otherwise asks the route table.
+    advertisements and build the shortest paths in _build_paths, which
+    runs when the paths are read after a call to _links_changed. next_hop
+    takes a path's first hop until paths_hold_us after the last change,
+    and otherwise asks the route table.
     """
 
     paths_hold_us = math.inf
@@ -246,20 +247,17 @@ class LinkStateAgent(Agent):
         super().__init__(sim, node)
         self.neighbors = {}    # id -> NeighborRecord
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
-        self._changes = 0      # link-set changes so far
-        self._changed_at = 0   # time of the last one
-        self._paths = {}       # dest -> node tuple from this node
-        self._paths_built = 0  # _changes when _paths was built
+        self._changed_at = 0   # time of the last link-set change
+        self._paths = None     # dest -> node tuple from this node; None: stale
 
     def _links_changed(self):
-        """Mark the derived state stale as of now."""
-        self._changes += 1
+        """Mark the paths stale as of now."""
+        self._paths = None
         self._changed_at = self.sim.now
 
     @property
     def paths(self):
-        if self._paths_built != self._changes:
-            self._paths_built = self._changes
+        if self._paths is None:
             self._paths = self._build_paths()
         return self._paths
 
@@ -282,24 +280,20 @@ class LinkStateAgent(Agent):
             rec = self.neighbors[sender] = NeighborRecord()
         me = self.node.id
         rec.expires = self.sim.now + self.neighbor_hold_us
-        rec.status = "symmetric" if me in sym or me in heard else "heard"
+        rec.symmetric = me in sym or me in heard
         return rec
 
     def _sym_neighbors(self):
-        return {n for n, r in self.neighbors.items()
-                if r.status == "symmetric"}
+        return {n for n, r in self.neighbors.items() if r.symmetric}
 
     def _sym_and_heard(self):
         """Sorted symmetric and heard-only neighbour ids, as advertised."""
-        sym = tuple(sorted(n for n, r in self.neighbors.items()
-                           if r.status == "symmetric"))
-        heard = tuple(sorted(n for n, r in self.neighbors.items()
-                             if r.status == "heard"))
-        return sym, heard
+        sym = self._sym_neighbors()
+        return tuple(sorted(sym)), tuple(sorted(self.neighbors.keys() - sym))
 
-    def _adjacency(self, sym, links=()):
-        """Undirected graph: this node to each of sym, every link-state
-        entry, and each extra (node, linked nodes) pair in links."""
+    def _adjacency(self):
+        """Undirected graph: this node to each symmetric neighbour, that
+        neighbour to its own sym_set, and every link-state entry."""
         adj = {}
 
         def add_edges(a, peers):
@@ -307,11 +301,11 @@ class LinkStateAgent(Agent):
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
 
-        add_edges(self.node.id, sym)
+        for n in self._sym_neighbors():
+            add_edges(self.node.id, (n,))
+            add_edges(n, self.neighbors[n].sym_set)
         for orig, (_, linked, _) in self.link_state.items():
             add_edges(orig, linked)
-        for a, peers in links:
-            add_edges(a, peers)
         return adj
 
     def _shortest_paths(self, adj, order, radius=math.inf):
@@ -338,7 +332,7 @@ class LinkStateAgent(Agent):
         changed = False
         for nid in sorted(self.neighbors):
             if self.neighbors[nid].expires < now:
-                self._drop_neighbor(nid)
+                del self.neighbors[nid]
                 changed = True
         for orig in sorted(self.link_state):
             if self.link_state[orig][2] < now:
@@ -347,12 +341,8 @@ class LinkStateAgent(Agent):
         if changed:
             self._links_changed()
 
-    def _drop_neighbor(self, neighbor):
-        del self.neighbors[neighbor]
-
     def on_link_failure(self, neighbor):
-        if neighbor in self.neighbors:
-            self._drop_neighbor(neighbor)
+        if self.neighbors.pop(neighbor, None) is not None:
             self._links_changed()
 
 

@@ -74,9 +74,6 @@ class OlsrAgent(LinkStateAgent):
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
         # a route lasts as long as the topology entry that made it could
         self.topo_hold_us = self.paths_hold_us = HOLD_FACTOR * TC_INTERVAL_US
-        self._mpr_set = set()
-        self._mprs_built = 0  # _changes when _mpr_set was built
-        self.mpr_selector_set = set()
         self.ansn = 0
         self.tc_counter = 0
         self.tc_seen = DupCache(sim, us(DUP_HOLD_S))
@@ -111,13 +108,9 @@ class OlsrAgent(LinkStateAgent):
     def _process_hello(self, msg, prev_hop):
         rec = self._heard(msg.sender, msg.sym, msg.heard)
         rec.sym_set = frozenset(msg.sym)
-        selected = self.node.id in msg.mprs
-        was = msg.sender in self.mpr_selector_set
-        if selected and not was:
-            self.mpr_selector_set.add(msg.sender)
-            self.ansn += 1
-        elif was and not selected:
-            self.mpr_selector_set.discard(msg.sender)
+        selects_me = self.node.id in msg.mprs
+        if rec.selects_me != selects_me:
+            rec.selects_me = selects_me
             self.ansn += 1
         self._links_changed()
 
@@ -133,22 +126,23 @@ class OlsrAgent(LinkStateAgent):
         self.link_state[msg.orig] = (msg.ansn, frozenset(msg.advertised),
                                      self.sim.now + self.topo_hold_us)
         self._links_changed()
-        if prev_hop in self.mpr_selector_set and msg.ttl > 1:
+        rec = self.neighbors.get(prev_hop)
+        if rec is not None and rec.selects_me and msg.ttl > 1:
             self.bump("tc_forwarded")
             self.forward_control_broadcast(replace(msg, ttl=msg.ttl - 1))
 
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
-    # -- derived state, rebuilt when read ----------------------------------
+    # -- derived state -----------------------------------------------------
+
+    @property
+    def mpr_selector_set(self):
+        """Neighbours that picked this node as an MPR."""
+        return {n for n, r in self.neighbors.items() if r.selects_me}
 
     @property
     def mpr_set(self):
-        if self._mprs_built != self._changes:
-            self._mprs_built = self._changes
-            self._mpr_set = self._select_mprs()
-        return self._mpr_set
-
-    def _select_mprs(self):
+        """MPRs selected from the neighbour records, for each HELLO."""
         me = self.node.id
         sym = self._sym_neighbors()
         coverage = {}
@@ -160,14 +154,6 @@ class OlsrAgent(LinkStateAgent):
         return select_mprs(coverage, degree)
 
     def _build_paths(self):
-        sym = self._sym_neighbors()
-        adj = self._adjacency(
-            sym, ((n, self.neighbors[n].sym_set) for n in sym))
         # lower-id first hop on ties
-        return self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))
-
-    # -- maintenance -------------------------------------------------------
-
-    def _drop_neighbor(self, neighbor):
-        super()._drop_neighbor(neighbor)
-        self.mpr_selector_set.discard(neighbor)
+        return self._shortest_paths(self._adjacency(),
+                                    lambda p: (p[1:2], p[-1]))

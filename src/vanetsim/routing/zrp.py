@@ -122,8 +122,8 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                 if len(p) - 1 == self.radius}
 
     def _build_paths(self):
-        return self._shortest_paths(self._adjacency(self._sym_neighbors()),
-                                    lambda p: p[-1], self.radius)
+        return self._shortest_paths(self._adjacency(), lambda p: p[-1],
+                                    self.radius)
 
     # -- IERP: bordercast query -------------------------------------------
 

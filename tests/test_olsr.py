@@ -134,6 +134,20 @@ def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
     assert seen == {t0 + hold: 1, t0 + hold + 1: None}
 
 
+def test_dropped_neighbour_leaves_the_selector_set_without_an_ansn_bump():
+    sim = Simulator(seed=1)
+    agent = OlsrAgent(sim, SimpleNamespace(id=0), ScenarioConfig())
+    for sender in (1, 2):
+        agent._process_hello(
+            Hello(sender=sender, sym=(0,), heard=(), mprs=(0,)), sender)
+    assert (agent.mpr_selector_set, agent.ansn) == ({1, 2}, 2)
+    agent.on_link_failure(1)
+    assert (agent.mpr_selector_set, agent.ansn) == ({2}, 2)
+    sim.run_until(agent.neighbor_hold_us + 1)
+    agent._sweep()
+    assert (agent.mpr_selector_set, agent.ansn) == (set(), 2)
+
+
 def test_routes_are_computed_only_when_the_table_is_read():
     simulation = Simulation(make_static_config(
         line_positions(4), protocol="olsr", sim_time_s=20.0))

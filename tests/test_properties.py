@@ -123,14 +123,12 @@ class OwnSweep:
 
 
 class EagerOlsr(OwnSweep, OlsrAgent):
-    """Oracle for OlsrAgent: selects MPRs and computes routes on every
-    change to the link sets, as RFC 3626 section 10 words it."""
+    """Oracle for OlsrAgent: computes routes on every change to the link
+    sets, as RFC 3626 section 10 words it."""
 
     def _links_changed(self):
         super()._links_changed()
-        self._mpr_set = self._select_mprs()
         self._paths = self._build_paths()
-        self._mprs_built = self._paths_built = self._changes
 
 
 class EagerZrp(OwnSweep, ZrpAgent):
@@ -140,7 +138,6 @@ class EagerZrp(OwnSweep, ZrpAgent):
     def _links_changed(self):
         LinkStateAgent._links_changed(self)
         self._paths = paths = self._build_paths()
-        self._paths_built = self._changes
         for dest in sorted(self.pending):
             if dest in paths:
                 self.discovery_succeeded(dest)

@@ -106,6 +106,19 @@ def test_control_message_without_a_handler_fails_loudly():
         agent.on_receive(Hello(sender=5, sym=(), heard=(), mprs=()), 5)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "update_if_fresher treats a valid but expired route as live, so at an "
+    "equal sequence number only a shorter route replaces it; RFC 3561 "
+    "section 6.7 replaces an inactive one, and the fix moves pinned digests"))
+def test_expired_route_gives_way_at_an_equal_sequence_number():
+    sim = Simulator(seed=1)
+    agent = AodvAgent(sim, Shell(), ScenarioConfig())
+    agent.learn_route(9, 4, 3, 2)
+    sim.run_until(us(11))  # past the 10 s route lifetime
+    agent.learn_route(9, 5, 3, 4)
+    assert agent.next_hop(9) == 5
+
+
 def make_agent():
     sim = Simulator(seed=1)
     agent = ReactiveAgent(sim, Shell())
