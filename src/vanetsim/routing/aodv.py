@@ -51,10 +51,8 @@ class AodvAgent(DistanceVectorAgent):
     # -- control plane -----------------------------------------------------
 
     def _process_rreq(self, msg, prev_hop):
-        key = (msg.orig, msg.rreq_id)
-        if key in self.dup_cache:
+        if not self.dup_cache.add((msg.orig, msg.rreq_id)):
             return
-        self.dup_cache.add(key)
         if msg.orig == self.node.id:
             return
         self.learn_route(msg.orig, prev_hop, msg.orig_seq, msg.hop_count + 1)
@@ -65,11 +63,8 @@ class AodvAgent(DistanceVectorAgent):
         else:
             cached = self.table.lookup(msg.dest, self.sim.now)
             if cached is None or cached.seq_no < msg.dest_seq_known:
-                if msg.ttl > 1:
-                    fwd = replace(msg, hop_count=msg.hop_count + 1,
-                                  ttl=msg.ttl - 1)
-                    self.bump("rreq_forwarded")
-                    self.forward_control_broadcast(fwd)
+                self.relay_flood(msg, "rreq_forwarded",
+                                 hop_count=msg.hop_count + 1)
                 return
             reply = Rrep(orig=msg.orig, dest=msg.dest,
                          dest_seq=cached.seq_no, hop_count=cached.hop_count)

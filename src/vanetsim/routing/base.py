@@ -110,12 +110,17 @@ class DupCache:
         return len(self._expiry)
 
     def add(self, key):
+        """Admit key: False, changing nothing, while it is a duplicate;
+        else remember it as seen now and return True."""
+        if key in self:
+            return False
         now = self.sim.now
         self._expiry[key] = now + self.lifetime_us
         if len(self._expiry) > self._prune_at:
             self._expiry = {k: v for k, v in self._expiry.items()
                             if v >= now}
             self._prune_at = max(DUP_CACHE_CAP, 2 * len(self._expiry))
+        return True
 
 
 class Agent:
@@ -145,19 +150,24 @@ class Agent:
         self.bump("control_sent")
         self.node.mac.enqueue(next_hop, msg, msg.size_bytes)
 
-    def forward_control_broadcast(self, msg):
-        """Relay a flooded message after a per-node stagger delay.
+    def relay_flood(self, msg, stat, **changes):
+        """Rebroadcast a copy of a flooded message, one hop less of TTL and
+        with changes applied, unless its TTL is spent; count it in stat.
 
         Relays of the same flood hear the trigger frame at the same instant;
         a deterministic node-id stagger keeps their rebroadcasts from
         colliding (the backoff window is shorter than one frame airtime).
         """
+        if msg.ttl <= 1:
+            return
+        self.bump(stat)
+        fwd = replace(msg, ttl=msg.ttl - 1, **changes)
         delay = self.node.id * FORWARD_STAGGER_US
         if delay == 0:
-            self.send_control(BROADCAST, msg)
+            self.send_control(BROADCAST, fwd)
             return
         self.sim.schedule_after(delay,
-                                lambda: self.send_control(BROADCAST, msg))
+                                lambda: self.send_control(BROADCAST, fwd))
 
     def send_data_frame(self, next_hop, pkt):
         self.node.mac.enqueue(next_hop, pkt, pkt.size_bytes)

@@ -7,17 +7,20 @@ from .reactive import RREQ_TTL, DistanceVectorAgent, Rerr
 
 
 @dataclass
-class DymoRouteMessage:
-    kind: str            # "RREQ" or "RREP"
+class DymoRrep:
     orig: int            # discovery originator
     target: int          # destination being discovered
-    query_id: tuple      # (orig, counter)
     addr_list: tuple     # ordered (node, seq_no, hop_count) accumulated
-    ttl: int
 
     @property
     def size_bytes(self):
         return 16 + 12 * len(self.addr_list)
+
+
+@dataclass
+class DymoRreq(DymoRrep):
+    query_id: tuple      # (orig, counter)
+    ttl: int
 
 
 class DymoAgent(DistanceVectorAgent):
@@ -35,52 +38,49 @@ class DymoAgent(DistanceVectorAgent):
     def emit_discovery(self, dest):
         self.own_seq += 1
         self.query_counter += 1
-        msg = DymoRouteMessage(
-            kind="RREQ", orig=self.node.id, target=dest,
-            query_id=(self.node.id, self.query_counter),
-            addr_list=((self.node.id, self.own_seq, 0),), ttl=RREQ_TTL)
+        me = self.node.id
+        msg = DymoRreq(me, dest, ((me, self.own_seq, 0),),
+                       query_id=(me, self.query_counter), ttl=RREQ_TTL)
         self.dup_cache.add(msg.query_id)
         self.bump("rreq_sent")
         self.send_control(BROADCAST, msg)
 
-    def _process(self, msg, prev_hop):
+    def _learn_path(self, msg, prev_hop):
+        """Learn a route through prev_hop to every node msg lists; return
+        the list grown by this node, or None, learning nothing, when this
+        node is on it already."""
         me = self.node.id
-        listed = [entry[0] for entry in msg.addr_list]
-        if me in listed:
-            self.bump("loop_drops")
-            return
-        # every listed node becomes reachable through the frame's sender
         n = len(msg.addr_list)
+        if me in [entry[0] for entry in msg.addr_list]:
+            self.bump("loop_drops")
+            return None
         for i, (nid, seq, _hop) in enumerate(msg.addr_list):
             self.learn_route(nid, prev_hop, seq, n - i)
-        if msg.kind == "RREQ":
-            if msg.query_id in self.dup_cache:
-                return
-            self.dup_cache.add(msg.query_id)
-            if msg.target == me:
-                self.own_seq += 1
-                reply = DymoRouteMessage(
-                    kind="RREP", orig=msg.orig, target=me,
-                    query_id=(me, msg.query_id),
-                    addr_list=((me, self.own_seq, 0),), ttl=RREQ_TTL)
-                back = self.table.lookup(msg.orig, self.sim.now)
-                if back is not None:
-                    self.bump("rrep_sent")
-                    self.send_control(back.next_hop, reply)
-                return
-            if msg.ttl > 1:
-                fwd = replace(
-                    msg, ttl=msg.ttl - 1,
-                    addr_list=msg.addr_list + ((me, self.own_seq, n),))
-                self.bump("rreq_forwarded")
-                self.forward_control_broadcast(fwd)
-        else:  # RREP travelling back toward msg.orig
-            if msg.orig == me:
-                self.discovery_succeeded(msg.target)
-                return
-            fwd = replace(msg,
-                          addr_list=msg.addr_list + ((me, self.own_seq, n),))
-            self.relay_reply(msg.orig, fwd)
+        return msg.addr_list + ((me, self.own_seq, n),)
 
-    handlers = {DymoRouteMessage: _process,
+    def _process_rreq(self, msg, prev_hop):
+        grown = self._learn_path(msg, prev_hop)
+        if grown is None or not self.dup_cache.add(msg.query_id):
+            return
+        me = self.node.id
+        if msg.target != me:
+            self.relay_flood(msg, "rreq_forwarded", addr_list=grown)
+            return
+        self.own_seq += 1
+        back = self.table.lookup(msg.orig, self.sim.now)
+        if back is not None:
+            self.bump("rrep_sent")
+            self.send_control(back.next_hop, DymoRrep(
+                orig=msg.orig, target=me, addr_list=((me, self.own_seq, 0),)))
+
+    def _process_rrep(self, msg, prev_hop):
+        grown = self._learn_path(msg, prev_hop)
+        if grown is None:
+            return
+        if msg.orig == self.node.id:
+            self.discovery_succeeded(msg.target)
+            return
+        self.relay_reply(msg.orig, replace(msg, addr_list=grown))
+
+    handlers = {DymoRreq: _process_rreq, DymoRrep: _process_rrep,
                 Rerr: DistanceVectorAgent._process_rerr}

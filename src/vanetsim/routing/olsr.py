@@ -1,6 +1,6 @@
 """OLSR: proactive link state with multipoint relays and partial TC floods."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..engine import us
 from ..mac import BROADCAST
@@ -117,9 +117,8 @@ class OlsrAgent(LinkStateAgent):
     def _process_tc(self, msg, prev_hop):
         if msg.orig == self.node.id:
             return
-        if msg.tc_id in self.tc_seen:
+        if not self.tc_seen.add(msg.tc_id):
             return
-        self.tc_seen.add(msg.tc_id)
         current = self.link_state.get(msg.orig)
         if current is not None and current[0] > msg.ansn:
             return  # stale advertised-neighbor sequence number
@@ -127,9 +126,8 @@ class OlsrAgent(LinkStateAgent):
                                      self.sim.now + self.topo_hold_us)
         self._links_changed()
         rec = self.neighbors.get(prev_hop)
-        if rec is not None and rec.selects_me and msg.ttl > 1:
-            self.bump("tc_forwarded")
-            self.forward_control_broadcast(replace(msg, ttl=msg.ttl - 1))
+        if rec is not None and rec.selects_me:
+            self.relay_flood(msg, "tc_forwarded")
 
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 

@@ -171,7 +171,7 @@ class DistanceVectorAgent(ReactiveAgent):
             # forwarding miss: report back rather than discovering on behalf
             entry = self.table.entries.get(pkt.dst)
             seq = entry.seq_no if entry is not None else 0
-            self.send_control(BROADCAST, Rerr(((pkt.dst, seq),)))
+            self._send_rerr([(pkt.dst, seq)])
 
     def _process_rerr(self, msg, prev_hop):
         mine = []
@@ -181,8 +181,7 @@ class DistanceVectorAgent(ReactiveAgent):
                     and self.table.invalidate(dest) is not None):
                 e.seq_no = max(e.seq_no, seq)
                 mine.append((dest, e.seq_no))
-        if mine:
-            self.send_control(BROADCAST, Rerr(tuple(mine)))
+        self._send_rerr(mine)
 
     def on_link_failure(self, neighbor):
         broken = []
@@ -190,6 +189,10 @@ class DistanceVectorAgent(ReactiveAgent):
             if (e.next_hop == neighbor
                     and self.table.invalidate(dest) is not None):
                 broken.append((dest, e.seq_no))
-        if broken:
+        self._send_rerr(broken)
+
+    def _send_rerr(self, pairs):
+        """Broadcast a RERR for the (dest, seq_no) pairs, if there are any."""
+        if pairs:
             self.bump("rerr_sent")
-            self.send_control(BROADCAST, Rerr(tuple(broken)))
+            self.send_control(BROADCAST, Rerr(tuple(pairs)))

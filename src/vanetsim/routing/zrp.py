@@ -46,13 +46,8 @@ class IerpReply:
         return MSG_BASE_BYTES + ADDR_BYTES * len(self.route)
 
 
-@dataclass
-class IerpError:
-    route: tuple       # the broken route, orig..dest
-
-    @property
-    def size_bytes(self):
-        return MSG_BASE_BYTES + ADDR_BYTES * len(self.route)
+class IerpError(IerpReply):
+    """The broken route, orig..dest, sent back the way a reply travels."""
 
 
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
@@ -91,18 +86,14 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             return
         if prev_hop == msg.orig:  # not relayed: the originator drops its own
             self._heard(msg.orig, msg.sym, msg.heard)
-        key = (msg.orig, msg.seq)
-        if key in self.adv_seen:
+        if not self.adv_seen.add((msg.orig, msg.seq)):
             return
-        self.adv_seen.add(key)
         current = self.link_state.get(msg.orig)
         if current is None or msg.seq >= current[0]:
             self.link_state[msg.orig] = (msg.seq, frozenset(msg.sym),
                                          self.sim.now + self.neighbor_hold_us)
         self._links_changed()
-        if msg.ttl > 1:
-            self.bump("iarp_forwarded")
-            self.forward_control_broadcast(replace(msg, ttl=msg.ttl - 1))
+        self.relay_flood(msg, "iarp_forwarded")
 
     def _links_changed(self):
         """A buffered packet goes out in the instant its destination enters
@@ -156,9 +147,8 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             self.send_control(remaining[0], fwd)
             return
         # bordercast endpoint
-        if msg.query_id in self.query_seen:
+        if not self.query_seen.add(msg.query_id):
             return
-        self.query_seen.add(msg.query_id)
         here = msg.route_so_far + (me,)
         self.bump("ierp_stage_seen_%d" % msg.stage)
         path = self.paths.get(msg.dest)

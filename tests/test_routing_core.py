@@ -1,15 +1,18 @@
 """Route table freshness rules, packets, control message sizes and
 dispatch, the pending-packet buffer and discovery schedule of the
-on-demand agents, the duplicate cache and the shared expiry sweep."""
+on-demand agents, RERR counting, the duplicate cache, the flood relay and
+the shared expiry sweep."""
+
+from dataclasses import replace
 
 import pytest
 
 from vanetsim.engine import Simulator, us
 from vanetsim.metrics import NodeCounters
 from vanetsim.routing.aodv import AodvAgent, Rrep, Rreq
-from vanetsim.routing.base import (DUP_CACHE_CAP, DupCache, Packet,
-                                   RouteEntry, RoutingTable)
-from vanetsim.routing.dymo import DymoRouteMessage
+from vanetsim.routing.base import (DUP_CACHE_CAP, FORWARD_STAGGER_US,
+                                   DupCache, Packet, RouteEntry, RoutingTable)
+from vanetsim.routing.dymo import DymoRrep, DymoRreq
 from vanetsim.routing.olsr import TC_TTL, Hello, OlsrAgent, TcMessage
 from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent, Rerr
 from vanetsim.routing.zrp import IerpError, IerpQuery, IerpReply, ZoneAdvert
@@ -79,8 +82,8 @@ def test_control_message_sizes():
         (Rreq(1, 0, 1, 9, 0, 0, 35), 24),
         (Rrep(0, 9, 1, 0), 20),
         (Rerr(((1, 2), (3, 4), (5, 6))), 32),
-        (DymoRouteMessage("RREQ", 0, 9, (0, 1),
-                          ((0, 1, 0), (4, 1, 1), (7, 1, 2)), 35), 52),
+        (DymoRreq(0, 9, ((0, 1, 0), (4, 1, 1), (7, 1, 2)), (0, 1), 35), 52),
+        (DymoRrep(0, 9, ((9, 1, 0), (7, 1, 1))), 40),
         (Hello(sender=0, sym=(1, 2), heard=(3,), mprs=(1,)), 28),
         (TcMessage(0, 0, (1, 2, 3), (0, 1), TC_TTL), 24),
         (ZoneAdvert(0, sym=(1, 2), heard=(3,), seq=1, ttl=1), 24),
@@ -224,6 +227,18 @@ def test_dup_cache_key_is_a_duplicate_until_its_expiry_passes():
     assert "other" not in cache
 
 
+def test_dup_cache_admits_a_key_once_until_its_first_expiry_passes():
+    sim = Simulator(seed=1)
+    cache = DupCache(sim, lifetime_us=100)
+    assert cache.add("k")
+    sim.run_until(60)
+    assert not cache.add("k")  # a duplicate keeps its first expiry, 100
+    sim.run_until(101)
+    assert "k" not in cache
+    assert cache.add("k")
+    assert not cache.add("k")
+
+
 def test_dup_cache_prune_past_cap_drops_only_expired_keys():
     sim = Simulator(seed=1)
     cache = DupCache(sim, lifetime_us=100)
@@ -314,3 +329,44 @@ def test_one_sweep_event_a_second_serves_every_link_state_agent(
     simulation.run()
     assert list(swept.values()) == [
         (us(s), list(range(num_nodes))) for s in range(1, 6)]
+
+
+def recording_aodv(node_id=0):
+    sim = Simulator(seed=1)
+    node = Shell()
+    node.id = node_id
+    node.mac = RecordingMac()
+    return sim, node.mac.sent, AodvAgent(sim, node, ScenarioConfig())
+
+
+def test_relay_at_ttl_one_sends_and_counts_nothing():
+    sim, sent, agent = recording_aodv()
+    agent.relay_flood(Rreq(1, 5, 1, 9, 0, hop_count=0, ttl=1),
+                      "rreq_forwarded", hop_count=1)
+    sim.run_until(us(1))
+    assert sent == [] and agent.stats == {}
+
+
+@pytest.mark.parametrize("node_id", [0, 3])
+def test_relayed_copy_has_one_less_ttl_and_the_changes(node_id):
+    sim, sent, agent = recording_aodv(node_id)
+    msg = Rreq(1, 5, 1, 9, 0, hop_count=2, ttl=3)
+    agent.relay_flood(msg, "rreq_forwarded", hop_count=3)
+    # node 0 sends at once; the others wait their node-id stagger
+    assert len(sent) == (node_id == 0)
+    sim.run_until(node_id * FORWARD_STAGGER_US)
+    assert sent == [replace(msg, hop_count=3, ttl=2)]
+    assert (msg.hop_count, msg.ttl) == (2, 3)
+    assert agent.stats == {"rreq_forwarded": 1, "control_sent": 1}
+
+
+def test_relay_route_miss_and_relayed_rerr_count_as_rerr_sent():
+    sim, sent, agent = recording_aodv()
+    agent.handle_data(Packet(src=1, dst=9, ttl=5), prev_hop=1)
+    assert sent == [Rerr(((9, 0),))]
+    assert agent.stats["rerr_sent"] == 1
+
+    agent.learn_route(7, 4, 3, 2)
+    agent.on_receive(Rerr(((7, 5),)), prev_hop=4)
+    assert sent[-1] == Rerr(((7, 5),))
+    assert agent.stats["rerr_sent"] == 2

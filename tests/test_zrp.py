@@ -95,6 +95,17 @@ def test_broken_interzone_route_stops_and_reports():
     assert drops > 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the neighbour's own advert edge keeps a dropped neighbour as the zone "
+    "path's first hop; dropping such edges for ZRP breaks acceptance "
+    "criterion 11 (ROADMAP item 2)"))
+def test_dropped_neighbour_is_no_zone_first_hop():
+    s = run_static(line_positions(4), protocol="zrp", sim_time_s=20.0)
+    agent = s.nodes[0].agent
+    agent.on_link_failure(1)
+    assert [path for path in agent.paths.values() if path[1] == 1] == []
+
+
 def test_advert_only_travels_radius_minus_one_hops():
     s = run_static(line_positions(5), protocol="zrp", sim_time_s=10.0)
     # with radius 2 the adverts are never relayed at all
