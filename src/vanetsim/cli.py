@@ -56,6 +56,10 @@ def _execute(config, protocol, seed, out_dir):
     _write(os.path.join(out_dir, "metrics.csv"), ledger.to_csv())
     _write(os.path.join(out_dir, "scenario_resolved.cfg"),
            simulation.config.echo())
+    control = {}  # each agent stats counter, summed over the nodes
+    for node in simulation.nodes.values():
+        for name, n in node.agent.stats.items():
+            control[name] = control.get(name, 0) + n
     summary = {
         "protocol": ledger.protocol,
         "seed": ledger.seed,
@@ -63,6 +67,7 @@ def _execute(config, protocol, seed, out_dir):
         "sim_time_us": ledger.sim_time_us,
         "wallclock_s": round(ledger.wallclock_s, 3),
         "totals": ledger.totals(),
+        "control": control,
     }
     _write(os.path.join(out_dir, "run.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -164,7 +164,7 @@ class DcfMac:
 
     def _ensure_backoff_drawn(self):
         if self.backoff_slots is None:
-            self.backoff_slots = self.rng.randint(0, self.cw)
+            self.backoff_slots = self.rng.randrange(self.cw + 1)
 
     def _nav_expired(self):
         self._nav_timer = None

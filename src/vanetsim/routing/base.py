@@ -189,10 +189,12 @@ class Agent:
 
     def route_or_miss(self, pkt, prev_hop=None):
         hop = self.next_hop(pkt.dst)
-        if hop is None:
-            self.on_route_miss(pkt, prev_hop)
-        else:
+        if hop is not None:
             self.send_data_frame(hop, pkt)
+        elif prev_hop is None:
+            self.on_source_miss(pkt)
+        else:
+            self.on_relay_miss(pkt, prev_hop)
 
     def next_hop(self, dest):
         """Next hop toward dest from the route table, or None."""
@@ -205,8 +207,12 @@ class Agent:
     def on_route_used(self, entry):
         pass
 
-    def on_route_miss(self, pkt, prev_hop):
-        """Drop and count. ReactiveAgent buffers at a source instead."""
+    def on_source_miss(self, pkt):
+        """Drop and count. ReactiveAgent buffers and discovers instead."""
+        self.node.counters.route_drops += 1
+
+    def on_relay_miss(self, pkt, prev_hop):
+        """Drop and count. DistanceVectorAgent also sends a RERR."""
         self.node.counters.route_drops += 1
 
     # -- contract hooks ----------------------------------------------------

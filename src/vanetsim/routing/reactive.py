@@ -56,10 +56,7 @@ class ReactiveAgent(Agent):
     def emit_discovery(self, dest):
         raise NotImplementedError
 
-    def on_route_miss(self, pkt, prev_hop):
-        if prev_hop is not None:
-            super().on_route_miss(pkt, prev_hop)
-            return
+    def on_source_miss(self, pkt):
         self.buffer_packet(pkt)
         dest = pkt.dst
         if dest in self._discoveries:
@@ -108,12 +105,18 @@ class ReactiveAgent(Agent):
     # -- pending-packet buffer ---------------------------------------------
 
     def buffer_packet(self, pkt):
-        q = self.pending.setdefault(pkt.dst, deque())
-        self._expire_pending(q)
+        """Queue pkt for its destination. A stored queue is never empty, so
+        its head says whether anything in it has expired."""
+        now = self.sim.now
+        q = self.pending.get(pkt.dst)
+        if q is None:
+            q = self.pending[pkt.dst] = deque()
+        elif q[0][1] < now - PENDING_LIFETIME_US:
+            self._expire_pending(q)
         if len(q) >= PENDING_PER_DEST:
             q.popleft()
             self.node.counters.route_drops += 1
-        q.append((pkt, self.sim.now))
+        q.append((pkt, now))
 
     def flush_pending(self, dest):
         q = self.pending.pop(dest, None)
@@ -165,13 +168,12 @@ class DistanceVectorAgent(ReactiveAgent):
             return
         self.send_control(back.next_hop, msg)
 
-    def on_route_miss(self, pkt, prev_hop):
-        super().on_route_miss(pkt, prev_hop)
-        if prev_hop is not None:
-            # forwarding miss: report back rather than discovering on behalf
-            entry = self.table.entries.get(pkt.dst)
-            seq = entry.seq_no if entry is not None else 0
-            self._send_rerr([(pkt.dst, seq)])
+    def on_relay_miss(self, pkt, prev_hop):
+        # report back rather than discovering on behalf of the source
+        super().on_relay_miss(pkt, prev_hop)
+        entry = self.table.entries.get(pkt.dst)
+        seq = entry.seq_no if entry is not None else 0
+        self._send_rerr([(pkt.dst, seq)])
 
     def _process_rerr(self, msg, prev_hop):
         mine = []

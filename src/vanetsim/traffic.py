@@ -1,7 +1,7 @@
 """CBR application traffic: one source per session."""
 
 from .engine import us
-from .routing.base import Packet
+from .routing.base import DEFAULT_TTL, Packet
 
 
 class CbrSource:
@@ -18,7 +18,7 @@ class CbrSource:
         self.start_us = start_us
         self.stop_us = us(config.sim_time_s)
         self.agent = agent
-        self.ledger = ledger
+        self.counters = ledger.session[session_id]
         self.seq = 0
 
     def start(self):
@@ -27,12 +27,12 @@ class CbrSource:
         self.sim.schedule_at(self.start_us, self._tick)
 
     def _tick(self):
+        now = self.sim.now
         self.seq += 1
-        pkt = Packet(src=self.src, dst=self.dst, size_bytes=self.payload_bytes,
-                     session_id=self.session_id, seq=self.seq,
-                     sent_at=self.sim.now)
-        self.ledger.session[self.session_id].app_sent += 1
-        self.agent.handle_app_packet(pkt)
-        nxt = self.sim.now + self.interval_us
+        self.counters.app_sent += 1
+        self.agent.handle_app_packet(Packet(
+            self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
+            self.session_id, self.seq, now))
+        nxt = now + self.interval_us
         if nxt < self.stop_us:
             self.sim.schedule_at(nxt, self._tick)

@@ -38,9 +38,9 @@ class FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def randint(self, lo, hi):
+    def randrange(self, stop):
         v = self.values.pop(0)
-        assert lo <= v <= hi
+        assert 0 <= v < stop
         return v
 
 

@@ -9,14 +9,14 @@ from conftest import MacWorld, line_positions, run_static
 
 
 class FixedRng:
-    """randint stub returning a scripted sequence of backoff draws."""
+    """randrange stub returning a scripted sequence of backoff draws."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def randint(self, lo, hi):
+    def randrange(self, stop):
         v = self.values.pop(0)
-        assert lo <= v <= hi
+        assert 0 <= v < stop
         return v
 
 

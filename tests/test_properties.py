@@ -16,6 +16,7 @@ from vanetsim.mobility import position_at
 from vanetsim.phy import received_power_dbm
 from vanetsim.routing.base import SWEEP_US, LinkStateAgent
 from vanetsim.routing.olsr import OlsrAgent
+from vanetsim.routing.reactive import ReactiveAgent
 from vanetsim.routing.zrp import ZrpAgent
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, SESSION_STAGGER_US, Simulation
@@ -216,6 +217,10 @@ def test_run_invariants(config):
                  + config.idle_ma * c.idle_time_us) / 3.6e9
         assert math.isclose(capacity - c.residual_battery_mah,
                             min(capacity, drawn))
+        agent = simulation.nodes[nid].agent
+        if isinstance(agent, ReactiveAgent):
+            # buffer_packet reads a stored queue's head: none is empty
+            assert all(agent.pending.values())
     interval_us = us(config.interval_ms / 1000.0)
     for sid, c in ledger.session.items():
         schedule = range(sid * SESSION_STAGGER_US, end_us, interval_us)

@@ -17,7 +17,7 @@ from vanetsim.routing.olsr import TC_TTL, Hello, OlsrAgent, TcMessage
 from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent, Rerr
 from vanetsim.routing.zrp import IerpError, IerpQuery, IerpReply, ZoneAdvert
 from vanetsim.scenario import ScenarioConfig
-from vanetsim.simulation import Simulation
+from vanetsim.simulation import AGENTS, Simulation
 
 from conftest import line_positions, make_static_config
 
@@ -208,6 +208,41 @@ def test_route_found_during_a_holdoff_ends_the_waiting_round():
     assert requests == [0, us(0.5), us(1.5)]
     assert sent == [(us(4), 4, 2)]
     assert counters.route_drops == 1
+
+
+def miss_agent(protocol):
+    node = Shell()
+    node.mac = RecordingMac()
+    return AGENTS[protocol](Simulator(seed=1), node, ScenarioConfig())
+
+
+@pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
+def test_a_source_miss_buffers_or_drops_and_sends_no_rerr(protocol):
+    agent = miss_agent(protocol)
+    pkt = Packet(src=0, dst=9, seq=1)
+    agent.handle_app_packet(pkt)
+    assert not any(isinstance(m, Rerr) for m in agent.node.mac.sent)
+    assert "rerr_sent" not in agent.stats
+    if protocol == "olsr":
+        assert agent.node.counters.route_drops == 1
+    else:
+        assert [p for p, _ in agent.pending[9]] == [pkt]
+        assert agent.node.counters.route_drops == 0
+
+
+@pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
+def test_a_relay_miss_drops_once_and_only_distance_vector_reports_it(
+        protocol):
+    agent = miss_agent(protocol)
+    agent.handle_data(Packet(src=1, dst=9, ttl=5), prev_hop=1)
+    assert agent.node.counters.route_drops == 1
+    assert getattr(agent, "pending", {}) == {}
+    if protocol in ("aodv", "dymo"):
+        assert agent.stats == {"rerr_sent": 1, "control_sent": 1}
+        assert agent.node.mac.sent == [Rerr(((9, 0),))]
+    else:
+        assert agent.node.mac.sent == []
+        assert agent.stats == {}
 
 
 def test_data_ttl_exhaustion_drops():

@@ -223,6 +223,26 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert summary["totals"]["app_sent"] > 0
 
 
+def test_cli_run_json_sums_the_agents_control_counters(tmp_path,
+                                                      monkeypatch):
+    built = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "Simulation", Recorded)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path), "--protocol", "aodv",
+                 "--out", str(out)]) == 0
+    control = json.loads((out / "run.json").read_text())["control"]
+    agents = [node.agent for node in built[0].nodes.values()]
+    assert control["rreq_sent"] == sum(a.stats.get("rreq_sent", 0)
+                                       for a in agents) > 0
+    assert list(control) == sorted(control)
+
+
 def test_cli_run_is_reproducible(tmp_path):
     cfg = write_cfg(tmp_path)
     main(["run", cfg, "--out", str(tmp_path / "a")])
