@@ -1,4 +1,5 @@
-"""IEEE 802.11 DCF: CSMA/CA, binary exponential backoff, RTS/CTS, NAV."""
+"""IEEE 802.11 DCF: CSMA/CA, binary exponential backoff, RTS/CTS, and the
+NAV that RTS and CTS set (a DATA frame carries no duration)."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -13,11 +14,9 @@ CTS = "CTS"
 DATA = "DATA"
 ACK = "ACK"
 
-# DCF phases
+# DCF phases, besides the kind of the reply awaited (CTS or ACK)
 IDLE = "IDLE"
 CONTEND = "CONTEND"
-WAIT_CTS = "WAIT_CTS"
-WAIT_ACK = "WAIT_ACK"
 
 # IEEE 802.11-1999 DSSS timing (us) and contention window bounds
 SLOT_US = 20
@@ -105,9 +104,7 @@ class DcfMac:
         if len(self.queue) >= QUEUE_DEPTH:
             self.counters.queue_drops += 1
             return
-        duration = (0 if dst == BROADCAST
-                    else SIFS_US + self._ack_air)
-        self.queue.append(MacFrame(DATA, self.node.id, dst, duration,
+        self.queue.append(MacFrame(DATA, self.node.id, dst, 0,
                                    DATA_HEADER_BYTES, packet, payload_bytes,
                                    self.sim.next_frame_id()))
         self._serve_next()
@@ -193,34 +190,29 @@ class DcfMac:
         cur = self.current
         if (cur.dst == BROADCAST
                 or cur.payload_bytes < self.config.rts_threshold_bytes):
-            self._send_data_stage()
+            self._send(cur, ACK, self._ack_air)
             return
         duration = (3 * SIFS_US + self._cts_air
                     + airtime_us(cur.bits, self.config) + self._ack_air)
-        end = self.channel.transmit(
-            self.node, MacFrame(RTS, self.node.id, cur.dst, duration,
-                                RTS_BYTES, None, 0, cur.frame_id))
-        if end is None:
-            self._end_service()
-            return
-        self.phase = WAIT_CTS
-        self._timeout_timer = self.sim.schedule_at(
-            end + SIFS_US + self._cts_air + SLOT_US,
-            self._exchange_timeout)
+        self._send(MacFrame(RTS, self.node.id, cur.dst, duration, RTS_BYTES,
+                            None, 0, cur.frame_id), CTS, self._cts_air)
 
     def _send_data_stage(self):
-        cur = self.current
-        end = self.channel.transmit(self.node, cur)
+        self._send(self.current, ACK, self._ack_air)
+
+    def _send(self, frame, reply, reply_air):
+        """Send a stage of the frame in service and await `reply` (none for
+        a broadcast): the phase names it, and its airtime bounds the wait."""
+        end = self.channel.transmit(self.node, frame)
         if end is None:
             self._end_service()
             return
-        if cur.dst == BROADCAST:
+        if frame.dst == BROADCAST:
             self.counters.dcf_broadcasts_sent += 1
             return  # served when it leaves the air (on_tx_end)
-        self.phase = WAIT_ACK
+        self.phase = reply
         self._timeout_timer = self.sim.schedule_at(
-            end + SIFS_US + self._ack_air + SLOT_US,
-            self._exchange_timeout)
+            end + SIFS_US + reply_air + SLOT_US, self._exchange_timeout)
 
     def _exchange_timeout(self):
         self.retry += 1
@@ -282,10 +274,6 @@ class DcfMac:
                                    - self._cts_air, 0),
                                CTS_BYTES)
                 self._schedule_response(cts)
-        elif frame.kind == CTS:
-            if self.phase == WAIT_CTS and frame.src == self.current.dst:
-                self.sim.cancel(self._timeout_timer)
-                self.sim.schedule_after(SIFS_US, self._send_data_stage)
         elif frame.kind == DATA:
             ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
             self._schedule_response(ack)
@@ -294,12 +282,14 @@ class DcfMac:
                 if len(self._seen) > 256:
                     del self._seen[next(iter(self._seen))]
                 self.upper.on_receive(frame.payload, frame.src)
-        elif frame.kind == ACK:
-            if self.phase == WAIT_ACK and frame.src == self.current.dst:
-                self.sim.cancel(self._timeout_timer)
-                if self.cw_log is not None:
-                    self.cw_log.append(CW_MIN)
-                self._end_service(delivered=True)
+        elif self.phase == frame.kind and frame.src == self.current.dst:
+            self.sim.cancel(self._timeout_timer)
+            if frame.kind == CTS:
+                self.sim.schedule_after(SIFS_US, self._send_data_stage)
+                return
+            if self.cw_log is not None:
+                self.cw_log.append(CW_MIN)
+            self._end_service(delivered=True)
 
     def _schedule_response(self, frame):
         self.sim.schedule_after(SIFS_US, lambda: self._send_response(frame))

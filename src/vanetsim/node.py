@@ -1,5 +1,7 @@
 """Per-vehicle state: radio flags, MAC, routing agent, ledger row, charge."""
 
+from .engine import SimulationError
+
 US_PER_HOUR = 3_600_000_000
 
 
@@ -49,7 +51,7 @@ class Node:
                 self.drawn_mah = self.capacity_mah
                 self.radio_enabled = False
         elif elapsed < 0:
-            raise RuntimeError("power accounting moved backwards")
+            raise SimulationError("power accounting moved backwards")
 
     def finalize(self, end_us):
         self.accrue_power(end_us)

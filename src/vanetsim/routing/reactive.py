@@ -49,7 +49,7 @@ class ReactiveAgent(Agent):
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
-        self.pending = {}        # dest -> deque of (packet, buffered_at)
+        self.pending = {}        # dest -> deque of packets, oldest first
         self._discoveries = {}   # dest -> [requests sent, next timer event]
         self._holdoff = {}       # dest -> (until_us, length_us)
 
@@ -105,25 +105,24 @@ class ReactiveAgent(Agent):
     # -- pending-packet buffer ---------------------------------------------
 
     def buffer_packet(self, pkt):
-        """Queue pkt for its destination. A stored queue is never empty, so
-        its head says whether anything in it has expired."""
-        now = self.sim.now
+        """Queue pkt; only a source buffers, as it sends, so sent_at dates
+        it. A stored queue is never empty, so its head tells if any expired."""
         q = self.pending.get(pkt.dst)
         if q is None:
             q = self.pending[pkt.dst] = deque()
-        elif q[0][1] < now - PENDING_LIFETIME_US:
+        elif q[0].sent_at < self.sim.now - PENDING_LIFETIME_US:
             self._expire_pending(q)
         if len(q) >= PENDING_PER_DEST:
             q.popleft()
             self.node.counters.route_drops += 1
-        q.append((pkt, now))
+        q.append(pkt)
 
     def flush_pending(self, dest):
         q = self.pending.pop(dest, None)
         if not q:
             return
         self._expire_pending(q)
-        for pkt, _ in q:
+        for pkt in q:
             hop = self.next_hop(dest)
             if hop is None:
                 self.node.counters.route_drops += 1
@@ -137,7 +136,7 @@ class ReactiveAgent(Agent):
 
     def _expire_pending(self, q):
         cutoff = self.sim.now - PENDING_LIFETIME_US
-        while q and q[0][1] < cutoff:
+        while q and q[0].sent_at < cutoff:
             q.popleft()
             self.node.counters.route_drops += 1
 

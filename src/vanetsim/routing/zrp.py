@@ -6,7 +6,7 @@ from ..engine import us
 from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
                    DupCache, LinkStateAgent, RouteEntry)
-from .reactive import DUP_CACHE_S, PENDING_LIFETIME_US, ReactiveAgent
+from .reactive import DUP_CACHE_S, ROUTE_LIFETIME_US, ReactiveAgent
 
 MAX_BORDERCAST_STAGES = 8
 
@@ -182,7 +182,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         self.table.update_if_fresher(RouteEntry(
             dest=route[-1], next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
-            expires_at=self.sim.now + PENDING_LIFETIME_US, route=route))
+            expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route))
 
     # -- maintenance -------------------------------------------------------
 

@@ -19,7 +19,6 @@ class CbrSource:
         self.stop_us = us(config.sim_time_s)
         self.agent = agent
         self.counters = ledger.session[session_id]
-        self.seq = 0
 
     def start(self):
         if self.stop_us <= self.start_us:
@@ -28,11 +27,10 @@ class CbrSource:
 
     def _tick(self):
         now = self.sim.now
-        self.seq += 1
-        self.counters.app_sent += 1
+        self.counters.app_sent += 1  # and numbers the packet
         self.agent.handle_app_packet(Packet(
             self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
-            self.session_id, self.seq, now))
+            self.session_id, self.counters.app_sent, now))
         nxt = now + self.interval_us
         if nxt < self.stop_us:
             self.sim.schedule_at(nxt, self._tick)

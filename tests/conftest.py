@@ -129,17 +129,20 @@ def csv_digest(ledger):
 def sweep():
     """Full 4-protocol x 10-seed baseline sweep.
 
-    Shared by acceptance criteria 11 and 12 and the table1 golden digests,
-    so the digests cost no extra runs.
+    Shared by acceptance criteria 11 and 12 and the table1 golden digests
+    and event counts, so these cost no extra runs. A record's `events` is
+    the number of events the run scheduled.
     """
     config = ScenarioConfig().validate()
     records = []
     started = time.perf_counter()
     for proto in PROTOCOLS:
         for seed in SWEEP_SEEDS:
-            ledger = Simulation(config, protocol=proto, seed=seed).run()
+            simulation = Simulation(config, protocol=proto, seed=seed)
+            ledger = simulation.run()
             records.append({"protocol": proto, "seed": seed,
                             "scenario_id": ledger.scenario_id,
                             "totals": ledger.totals(),
-                            "digest": csv_digest(ledger)})
+                            "digest": csv_digest(ledger),
+                            "events": simulation.sim._seq})
     return records, time.perf_counter() - started

@@ -59,6 +59,19 @@ def test_table1_digests(sweep):
     assert got == pinned("table1")
 
 
+# Events scheduled by each table1 seed-1 run. A refactor that keeps the
+# bytes but adds work fails here; a deliberate change re-pins the counts
+# and says so in CHANGES.md.
+TABLE1_SEED1_EVENTS = {"aodv": 81_650, "dymo": 81_650, "olsr": 209_852,
+                       "zrp": 161_696}
+
+
+def test_table1_scheduled_events(sweep):
+    records, _ = sweep
+    got = {r["protocol"]: r["events"] for r in records if r["seed"] == 1}
+    assert got == TABLE1_SEED1_EVENTS
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_digests(name, protocol):

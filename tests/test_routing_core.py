@@ -135,15 +135,15 @@ def test_pending_buffer_caps_per_destination():
     assert len(agent.pending[9]) == PENDING_PER_DEST
     assert counters.route_drops == 2
     # oldest were evicted first
-    assert [p.seq for p, _ in agent.pending[9]] == [2, 3, 4, 5, 6]
+    assert [p.seq for p in agent.pending[9]] == [2, 3, 4, 5, 6]
 
 
 def test_pending_buffer_expires_stale_packets():
     sim, counters, agent = make_agent()
     agent.buffer_packet(Packet(src=0, dst=9, seq=1))
     sim.run_until(us(11))  # past the 10 s pending lifetime
-    agent.buffer_packet(Packet(src=0, dst=9, seq=2))
-    assert [p.seq for p, _ in agent.pending[9]] == [2]
+    agent.buffer_packet(Packet(src=0, dst=9, seq=2, sent_at=sim.now))
+    assert [p.seq for p in agent.pending[9]] == [2]
     assert counters.route_drops == 1
 
 
@@ -226,7 +226,7 @@ def test_a_source_miss_buffers_or_drops_and_sends_no_rerr(protocol):
     if protocol == "olsr":
         assert agent.node.counters.route_drops == 1
     else:
-        assert [p for p, _ in agent.pending[9]] == [pkt]
+        assert list(agent.pending[9]) == [pkt]
         assert agent.node.counters.route_drops == 0
 
 
@@ -243,6 +243,23 @@ def test_a_relay_miss_drops_once_and_only_distance_vector_reports_it(
     else:
         assert agent.node.mac.sent == []
         assert agent.stats == {}
+
+
+def test_a_tc_with_an_older_ansn_is_dropped():
+    agent = miss_agent("olsr")
+    agent._process_tc(TcMessage(5, 3, (6,), (5, 1), TC_TTL), 1)
+    agent._process_tc(TcMessage(5, 2, (7,), (5, 2), TC_TTL), 1)
+    assert agent.link_state[5][:2] == (3, frozenset({6}))
+
+
+def test_a_dymo_rrep_that_lists_this_node_is_dropped():
+    agent = miss_agent("dymo")
+    agent.learn_route(5, 1, 1, 2)  # a reverse route the reply could take
+    agent.on_receive(DymoRrep(orig=5, target=9,
+                              addr_list=((9, 1, 0), (0, 3, 1))), 2)
+    assert agent.stats == {"loop_drops": 1}
+    assert agent.node.mac.sent == []
+    assert 9 not in agent.table.entries
 
 
 def test_data_ttl_exhaustion_drops():

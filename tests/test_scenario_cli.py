@@ -97,6 +97,17 @@ def test_unparseable_value_names_the_key():
     ("terrain_width_m = 1e160", "terrain_width_m"),
     ("terrain_height_m = 1e160", "terrain_height_m"),
     ("position.0 = 0,0\nwaypoints.0 = 1500,1500,1e-303", "waypoints.0"),
+    ("terrain_width_m = 0", "terrain_width_m"),
+    ("sim_time_s = -1", "sim_time_s"),
+    ("pause_s = -0.5", "pause_s"),
+    ("sessions = -1", "sessions"),
+    ("payload_bytes = 0", "payload_bytes"),
+    ("capacity_mah = 0", "capacity_mah"),
+    ("num_nodes = 1\nsessions = 1", "num_nodes"),
+    ("session = a,b", "session"),
+    ("position.0 = 10", "position.0"),
+    ("position.x = 10,10", "position.x"),
+    ("waypoints.0 = 10,10;1,2,3,4", "waypoints.0"),
 ])
 def test_validation_failures_name_offending_key(line, key):
     with pytest.raises(ScenarioError, match=key):
@@ -241,6 +252,20 @@ def test_cli_run_json_sums_the_agents_control_counters(tmp_path,
     assert control["rreq_sent"] == sum(a.stats.get("rreq_sent", 0)
                                        for a in agents) > 0
     assert list(control) == sorted(control)
+
+
+def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):
+    class Breached(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # node 0's charge is stamped past the end of the run
+            self.nodes[0]._last_account_us = 10 ** 12
+
+    monkeypatch.setattr(cli, "Simulation", Breached)
+    code = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INTERNAL == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: power accounting moved backwards\n"
 
 
 def test_cli_run_is_reproducible(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from vanetsim.engine import Simulator, us
+from vanetsim.engine import SimulationError, Simulator, us
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
 from vanetsim.scenario import ScenarioConfig
@@ -122,5 +122,5 @@ def test_dead_battery_disables_radio():
 def test_power_accounting_rejects_time_reversal():
     node = make_node()
     node.accrue_power(500)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SimulationError, match="moved backwards"):
         node.accrue_power(100)
