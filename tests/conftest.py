@@ -125,13 +125,11 @@ def csv_digest(ledger):
     return hashlib.sha256(ledger.to_csv().encode()).hexdigest()
 
 
-@pytest.fixture(scope="session")
-def sweep():
-    """Full 4-protocol x 10-seed baseline sweep.
+def run_sweep():
+    """Run table1 for every protocol and sweep seed.
 
-    Shared by acceptance criteria 11 and 12 and the table1 golden digests
-    and event counts, so these cost no extra runs. A record's `events` is
-    the number of events the run scheduled.
+    Returns the records, one per run, and the wall time taken. A record's
+    `events` is the number of events the run scheduled.
     """
     config = ScenarioConfig().validate()
     records = []
@@ -146,3 +144,13 @@ def sweep():
                             "digest": csv_digest(ledger),
                             "events": simulation.sim._seq})
     return records, time.perf_counter() - started
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """Full 4-protocol x 10-seed baseline sweep.
+
+    Shared by acceptance criteria 11 and 12 and the table1 golden digests
+    and event counts, so these cost no extra runs.
+    """
+    return run_sweep()

@@ -1,5 +1,8 @@
 """Pinned sha256 digests of metrics.csv: a refactor keeps every byte.
 
+Every table1 sweep run (4 protocols x 10 seeds) is pinned, with the number
+of events it scheduled; the dense variants are pinned at seeds 1 and 2.
+
 A deliberate behaviour change re-pins the digests and says in CHANGES.md
 which moved and why:
 
@@ -15,7 +18,7 @@ import pytest
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
-from conftest import PROTOCOLS, csv_digest
+from conftest import PROTOCOLS, csv_digest, run_sweep
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden.json")
@@ -50,26 +53,27 @@ def pinned(name):
         return json.load(fh)[name]
 
 
+def sweep_pins(records):
+    """The table1 digest and scheduled-event count of every sweep run, as
+    they are pinned: protocol -> seed -> value."""
+    digest = {p: {} for p in PROTOCOLS}
+    events = {p: {} for p in PROTOCOLS}
+    for r in records:
+        digest[r["protocol"]][str(r["seed"])] = r["digest"]
+        events[r["protocol"]][str(r["seed"])] = r["events"]
+    return {"table1": digest, "table1_events": events}
+
+
 def test_table1_digests(sweep):
     records, _ = sweep
-    got = {p: {} for p in PROTOCOLS}
-    for r in records:
-        if r["seed"] in GOLDEN_SEEDS:
-            got[r["protocol"]][str(r["seed"])] = r["digest"]
-    assert got == pinned("table1")
+    assert sweep_pins(records)["table1"] == pinned("table1")
 
 
-# Events scheduled by each table1 seed-1 run. A refactor that keeps the
-# bytes but adds work fails here; a deliberate change re-pins the counts
-# and says so in CHANGES.md.
-TABLE1_SEED1_EVENTS = {"aodv": 81_650, "dymo": 81_650, "olsr": 209_852,
-                       "zrp": 161_696}
-
-
+# A refactor that keeps the bytes but adds work fails here; a deliberate
+# change re-pins the counts and says so in CHANGES.md.
 def test_table1_scheduled_events(sweep):
     records, _ = sweep
-    got = {r["protocol"]: r["events"] for r in records if r["seed"] == 1}
-    assert got == TABLE1_SEED1_EVENTS
+    assert sweep_pins(records)["table1_events"] == pinned("table1_events")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -80,7 +84,8 @@ def test_scenario_digests(name, protocol):
 
 if __name__ == "__main__":
     table = {name: {p: digests(name, p) for p in PROTOCOLS}
-             for name in ("table1", *SCENARIOS)}
+             for name in SCENARIOS}
+    table.update(sweep_pins(run_sweep()[0]))
     with open(GOLDEN, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
