@@ -198,6 +198,29 @@ def test_nav_defers_contention():
     assert data[0][1] == 4_000 + 50 + 6 * 20  # NAV expiry + DIFS + backoff
 
 
+@pytest.mark.parametrize("at, frame, clear_at", [
+    # carrier busy 1000..1248, wholly inside the NAV that ends at 4000
+    (1_000, MacFrame(DATA, 2, BROADCAST, 0, 14, frame_id=901), 4_000),
+    # carrier busy 3900..4148, across the NAV's end
+    (3_900, MacFrame(DATA, 2, BROADCAST, 0, 14, frame_id=901), 4_148),
+    # an RTS from 2 to 1 on air 3000..3272 lengthens the NAV to 6000, and
+    # node 1's CTS (3282..3530) reserves the medium to 6000 as well
+    (3_000, MacFrame(RTS, 2, 1, 6_000 - 3_272, 20, frame_id=901), 6_000),
+], ids=["busy_inside_nav", "busy_across_nav_end", "rts_lengthens_nav"])
+def test_difs_counts_from_when_carrier_and_nav_are_both_clear(
+        at, frame, clear_at):
+    # Node 0, under NAV until 4000, holds exactly one backoff draw: a busy
+    # edge that drew again would find none.
+    w = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0)})
+    w.nodes[0].mac.rng = FixedRng([6])
+    w.nodes[0].mac.nav_until = 4_000
+    w.send(0, 1, payload_bytes=100)
+    w.sim.schedule_at(at, lambda: w.channel.transmit(w.nodes[2], frame))
+    w.run(10_000)
+    data = w.tx_records(node_id=0, kind=DATA)
+    assert data[0][1] == clear_at + 50 + 6 * 20  # + DIFS + backoff
+
+
 def test_node_under_nav_withholds_cts():
     w = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0)})
     w.nodes[1].mac.nav_until = 1_000_000
@@ -205,6 +228,22 @@ def test_node_under_nav_withholds_cts():
     w.run(2_000_000)
     assert not w.tx_records(node_id=1, kind=CTS)
     assert w.ledger.node[0].mac_unicast_drops == 1  # retries exhausted
+
+
+@pytest.mark.xfail(strict=True, reason="an ACK is withheld under NAV")
+def test_node_under_nav_still_acks_data():
+    # IEEE 802.11-1999 9.2.8: the ACK goes a SIFS after the DATA whatever
+    # the medium's state; only a CTS waits on the NAV. Today node 1 takes
+    # the DATA once but never ACKs it, so node 0 sends it 8 times, drops it
+    # and reports a link failure for a working link.
+    w = pair_world()
+    w.nodes[1].mac.nav_until = 1_000_000
+    w.send(0, 1, payload_bytes=100)
+    w.run(2_000_000)
+    assert w.uppers[1].received == [("x", 0)]
+    assert len(w.tx_records(node_id=1, kind=ACK)) == 1
+    assert w.uppers[0].successes == [(1, "x")] and not w.uppers[0].failures
+    assert w.ledger.node[0].mac_unicast_drops == 0
 
 
 def test_duplicate_data_is_acked_but_delivered_once():
