@@ -6,7 +6,6 @@ import itertools
 import random
 
 US_PER_S = 1_000_000
-US_PER_MS = 1_000
 
 
 def us(seconds):

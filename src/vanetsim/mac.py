@@ -87,7 +87,6 @@ class DcfMac:
         self._difs_timer = None
         self._backoff_timer = None
         self._backoff_started = None
-        self._nav_timer = None
         self._timeout_timer = None
         self._post_tx = False
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
@@ -112,7 +111,7 @@ class DcfMac:
     # -- medium notifications (from the channel) ---------------------------
 
     def on_medium_busy(self):
-        """Carrier sensed or NAV set: freeze the DIFS wait or the backoff."""
+        """Carrier sensed: freeze the DIFS wait or the backoff."""
         if self._difs_timer is not None:
             self.sim.cancel(self._difs_timer)
             self._difs_timer = None
@@ -124,19 +123,15 @@ class DcfMac:
             self._backoff_timer = None
 
     def on_medium_idle(self):
-        """Contend again once neither carrier nor NAV holds the medium."""
-        if self.phase != CONTEND:
-            return
-        if self.node.carrier_busy:
-            return  # the channel calls again when the medium clears
-        if self.sim.now < self.nav_until:
-            if self._nav_timer is None:
-                self._nav_timer = self.sim.schedule_at(
-                    self.nav_until, self._nav_expired)
-            return
+        """Contend again: the DIFS counts from when neither the carrier nor
+        the NAV holds the medium, and a busy edge before it ends stops it."""
+        if self.phase != CONTEND or self.node.carrier_busy:
+            return  # the channel calls again when the carrier clears
         if self._difs_timer is None and self._backoff_timer is None:
-            self._difs_timer = self.sim.schedule_after(
-                DIFS_US, self._difs_done)
+            now = self.sim.now
+            nav = self.nav_until
+            self._difs_timer = self.sim.schedule_at(
+                (nav if nav > now else now) + DIFS_US, self._difs_done)
 
     def on_tx_end(self, frame):
         """One of this node's frames left the air; a broadcast is done."""
@@ -163,22 +158,14 @@ class DcfMac:
         if self.backoff_slots is None:
             self.backoff_slots = self.rng.randrange(self.cw + 1)
 
-    def _nav_expired(self):
-        self._nav_timer = None
-        self.on_medium_idle()
-
     def _difs_done(self):
         self._difs_timer = None
         if self.backoff_slots:
             self._backoff_started = self.sim.now
             self._backoff_timer = self.sim.schedule_after(
-                self.backoff_slots * SLOT_US, self._backoff_done)
+                self.backoff_slots * SLOT_US, self._transmit_attempt)
         else:
             self._transmit_attempt()
-
-    def _backoff_done(self):
-        self._backoff_timer = None
-        self._transmit_attempt()
 
     # -- transmission ------------------------------------------------------
 
@@ -187,6 +174,7 @@ class DcfMac:
             raise SimulationError("transmission attempted under NAV")
         self.phase = IDLE
         self.backoff_slots = None
+        self._backoff_timer = None
         cur = self.current
         if (cur.dst == BROADCAST
                 or cur.payload_bytes < self.config.rts_threshold_bytes):
@@ -259,13 +247,11 @@ class DcfMac:
             return
         if frame.dst != self.node.id:
             if frame.kind in (RTS, CTS):
+                # The frame still holds the carrier, so no DIFS is pending:
+                # the idle edge at its end starts one from the new NAV end.
                 until = now + frame.duration_us
-                # The frame still holds the carrier, so no DIFS or backoff
-                # timer is pending: only the wait for the old NAV end is stale.
                 if until > self.nav_until:
                     self.nav_until = until
-                    self.sim.cancel(self._nav_timer)
-                    self._nav_timer = None
             return
         if frame.kind == RTS:
             if now >= self.nav_until:
