@@ -127,11 +127,10 @@ class DcfMac:
         the NAV holds the medium, and a busy edge before it ends stops it."""
         if self.phase != CONTEND or self.node.carrier_busy:
             return  # the channel calls again when the carrier clears
-        if self._difs_timer is None and self._backoff_timer is None:
-            now = self.sim.now
-            nav = self.nav_until
-            self._difs_timer = self.sim.schedule_at(
-                (nav if nav > now else now) + DIFS_US, self._difs_done)
+        now = self.sim.now
+        nav = self.nav_until
+        self._difs_timer = self.sim.schedule_at(
+            (nav if nav > now else now) + DIFS_US, self._difs_done)
 
     def on_tx_end(self, frame):
         """One of this node's frames left the air; a broadcast is done."""
@@ -184,9 +183,6 @@ class DcfMac:
                     + airtime_us(cur.bits, self.config) + self._ack_air)
         self._send(MacFrame(RTS, self.node.id, cur.dst, duration, RTS_BYTES,
                             None, 0, cur.frame_id), CTS, self._cts_air)
-
-    def _send_data_stage(self):
-        self._send(self.current, ACK, self._ack_air)
 
     def _send(self, frame, reply, reply_air):
         """Send a stage of the frame in service and await `reply` (none for
@@ -259,10 +255,9 @@ class DcfMac:
                                max(frame.duration_us - SIFS_US
                                    - self._cts_air, 0),
                                CTS_BYTES)
-                self._schedule_response(cts)
+                self._respond(cts)
         elif frame.kind == DATA:
-            ack = MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES)
-            self._schedule_response(ack)
+            self._respond(MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES))
             if frame.frame_id not in self._seen:
                 self._seen[frame.frame_id] = None
                 if len(self._seen) > 256:
@@ -271,18 +266,15 @@ class DcfMac:
         elif self.phase == frame.kind and frame.src == self.current.dst:
             self.sim.cancel(self._timeout_timer)
             if frame.kind == CTS:
-                self.sim.schedule_after(SIFS_US, self._send_data_stage)
+                self.sim.schedule_after(SIFS_US, lambda: self._send(
+                    self.current, ACK, self._ack_air))
                 return
             if self.cw_log is not None:
                 self.cw_log.append(CW_MIN)
             self._end_service(delivered=True)
 
-    def _schedule_response(self, frame):
-        self.sim.schedule_after(SIFS_US, lambda: self._send_response(frame))
-
-    def _send_response(self, frame):
-        # SIFS responses skip contention but still honour NAV and half-duplex;
-        # the channel refuses them from a radio that is off
-        if self.node.transmitting or self.sim.now < self.nav_until:
-            return
-        self.channel.transmit(self.node, frame)
+    def _respond(self, frame):
+        # A SIFS later, whatever the medium (IEEE 802.11-1999 9.2.8); a CTS
+        # waited on the NAV when the RTS came. A radio that is off sends none.
+        self.sim.schedule_after(
+            SIFS_US, lambda: self.channel.transmit(self.node, frame))

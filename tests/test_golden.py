@@ -4,7 +4,7 @@ Every table1 sweep run (4 protocols x 10 seeds) is pinned, with the number
 of events it scheduled; the dense variants are pinned at seeds 1 and 2.
 
 A deliberate behaviour change re-pins the digests and says in CHANGES.md
-which moved and why:
+which moved and why; the re-pin prints each pin it changes as old -> new:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -86,6 +86,15 @@ if __name__ == "__main__":
     table = {name: {p: digests(name, p) for p in PROTOCOLS}
              for name in SCENARIOS}
     table.update(sweep_pins(run_sweep()[0]))
+    with open(GOLDEN) as fh:
+        old = json.load(fh)
+    for name, by_protocol in sorted(table.items()):
+        for protocol, by_seed in sorted(by_protocol.items()):
+            for seed in sorted(by_seed, key=int):
+                was = old.get(name, {}).get(protocol, {}).get(seed)
+                if was != by_seed[seed]:
+                    print("%s %s seed %s: %s → %s"
+                          % (name, protocol, seed, was, by_seed[seed]))
     with open(GOLDEN, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,6 +1,6 @@
 """DCF contention, retries, RTS/CTS, NAV, and broadcast discipline."""
 
-from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, MacFrame
+from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, SIFS_US, MacFrame
 from vanetsim.engine import SimulationError
 
 import pytest
@@ -230,12 +230,11 @@ def test_node_under_nav_withholds_cts():
     assert w.ledger.node[0].mac_unicast_drops == 1  # retries exhausted
 
 
-@pytest.mark.xfail(strict=True, reason="an ACK is withheld under NAV")
 def test_node_under_nav_still_acks_data():
     # IEEE 802.11-1999 9.2.8: the ACK goes a SIFS after the DATA whatever
-    # the medium's state; only a CTS waits on the NAV. Today node 1 takes
-    # the DATA once but never ACKs it, so node 0 sends it 8 times, drops it
-    # and reports a link failure for a working link.
+    # the medium's state; only a CTS waits on the NAV. A withheld ACK would
+    # make node 0 send the DATA 8 times, drop it and report a link failure
+    # for a working link.
     w = pair_world()
     w.nodes[1].mac.nav_until = 1_000_000
     w.send(0, 1, payload_bytes=100)
@@ -244,6 +243,31 @@ def test_node_under_nav_still_acks_data():
     assert len(w.tx_records(node_id=1, kind=ACK)) == 1
     assert w.uppers[0].successes == [(1, "x")] and not w.uppers[0].failures
     assert w.ledger.node[0].mac_unicast_drops == 0
+
+
+# A static 5 x 5 grid 80 m apart; rows and columns 0, 1, 3 and 4 each carry
+# a session from one edge to the other, alternating direction.
+GRID = {r * 5 + c: (50.0 + c * 80, 50.0 + r * 80)
+        for r in range(5) for c in range(5)}
+CROSS_GRID = [(0, 4), (0, 20), (9, 5), (21, 1),
+              (15, 19), (3, 23), (24, 20), (24, 4)]
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "dymo"])
+def test_no_sifs_response_goes_missing(protocol):
+    # The converse of criterion 4: a clean unicast DATA ending at e is ACKed
+    # by its addressee at e + SIFS, and a clean CTS is followed by the DATA,
+    # unless the run ends first. The grid's hidden terminals put nodes under
+    # NAV while frames reach them.
+    s = run_static(GRID, sessions=CROSS_GRID, protocol=protocol,
+                   sim_time_s=3.0, trace=True, interval_ms=20)
+    sent = {(t[2], t[1], t[3]) for t in s.sim.trace if t[0] == "tx"}
+    response = {DATA: ACK, CTS: DATA}
+    due = [(t[2], t[7] + SIFS_US, response[t[3]]) for t in s.sim.trace
+           if t[0] == "rx" and not t[8] and t[5] == t[2]
+           and t[3] in response and t[7] + SIFS_US <= s.end_us]
+    assert {kind for _, _, kind in due} == {ACK, DATA}
+    assert [d for d in due if d not in sent] == []
 
 
 def test_duplicate_data_is_acked_but_delivered_once():
