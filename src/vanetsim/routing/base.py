@@ -188,13 +188,18 @@ class Agent:
         self.route_or_miss(pkt.hop_copy(), prev_hop=prev_hop)
 
     def route_or_miss(self, pkt, prev_hop=None):
+        """Send pkt on, unless that hands it back to where it came from."""
         hop = self.next_hop(pkt.dst)
-        if hop is not None:
-            self.send_data_frame(hop, pkt)
-        elif prev_hop is None:
-            self.on_source_miss(pkt)
+        if hop is None:
+            if prev_hop is None:
+                self.on_source_miss(pkt)
+            else:
+                self.on_relay_miss(pkt, prev_hop)
+        elif hop == prev_hop:
+            self.node.counters.route_drops += 1
+            self.bump("data_bounced")
         else:
-            self.on_relay_miss(pkt, prev_hop)
+            self.send_data_frame(hop, pkt)
 
     def next_hop(self, dest):
         """Next hop toward dest from the route table, or None."""

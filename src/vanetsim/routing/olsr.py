@@ -152,6 +152,7 @@ class OlsrAgent(LinkStateAgent):
         return select_mprs(coverage, degree)
 
     def _build_paths(self):
-        # lower-id first hop on ties
-        return self._shortest_paths(self._adjacency(),
-                                    lambda p: (p[1:2], p[-1]))
+        # symmetric first hops only (RFC 3626 section 10), lower id on ties
+        adj = self._adjacency()
+        adj[self.node.id] = self._sym_neighbors()
+        return self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))

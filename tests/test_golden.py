@@ -31,7 +31,7 @@ DENSE = {"num_nodes": 40, "terrain_width_m": 600.0,
 # Every other pinned scenario has pause_s = 0, so none of them takes the
 # path where a node waits at a waypoint before drawing its next leg.
 PAUSED = dict(DENSE, pause_s=2.5)
-# The others draw far below capacity; here, in every pinned run, 9 to 22 of
+# The others draw far below capacity; here, in every pinned run, 6 to 22 of
 # the 40 radios run flat and switch off mid-run.
 DRAINED = dict(DENSE, capacity_mah=0.05)
 SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED, "dense_drained": DRAINED}

@@ -3,8 +3,6 @@
 import random
 from types import SimpleNamespace
 
-import pytest
-
 from vanetsim.engine import Simulator, us
 from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
 from vanetsim.scenario import ScenarioConfig
@@ -69,10 +67,6 @@ def test_proactive_routes_exist_without_any_traffic():
     assert agent.next_hop(3) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "RFC 3626 section 10 takes first hops only from symmetric neighbours, "
-    "but the undirected link-state edges keep a dropped neighbour as one; "
-    "the fix moves pinned digests (ROADMAP item 2)"))
 def test_dropped_neighbour_is_no_first_hop():
     s = run_static(line_positions(4), protocol="olsr", sim_time_s=20.0)
     agent = s.nodes[0].agent

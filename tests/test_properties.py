@@ -221,6 +221,10 @@ def test_run_invariants(config):
         if isinstance(agent, ReactiveAgent):
             # buffer_packet reads a stored queue's head: none is empty
             assert all(agent.pending.values())
+        if isinstance(agent, OlsrAgent):
+            # first hops only from symmetric neighbours (RFC 3626 section 10)
+            sym = agent._sym_neighbors()
+            assert {path[1] for path in agent.paths.values()} <= sym
     interval_us = us(config.interval_ms / 1000.0)
     for sid, c in ledger.session.items():
         schedule = range(sid * SESSION_STAGGER_US, end_us, interval_us)

@@ -245,6 +245,28 @@ def test_a_relay_miss_drops_once_and_only_distance_vector_reports_it(
         assert agent.stats == {}
 
 
+def test_a_relay_drops_a_packet_that_its_route_would_hand_back():
+    # 0 and 1 are symmetric neighbours. Each still holds the other's last
+    # HELLO, which lists the lost node 2 as symmetric, so each routes to 2
+    # through the other.
+    sim = Simulator(seed=1)
+    agents = {}
+    for me, peer in ((0, 1), (1, 0)):
+        node = Shell()
+        node.id = me
+        node.mac = RecordingMac()
+        agents[me] = OlsrAgent(sim, node, ScenarioConfig())
+        agents[me]._process_hello(
+            Hello(sender=peer, sym=(me, 2), heard=(), mprs=()), peer)
+    pkt = Packet(src=1, dst=2)
+    agents[1].handle_app_packet(pkt)
+    assert agents[1].node.mac.sent == [pkt]
+    agents[0].handle_data(pkt, prev_hop=1)
+    assert agents[0].node.mac.sent == []
+    assert agents[0].node.counters.route_drops == 1
+    assert agents[0].stats == {"data_bounced": 1}
+
+
 def test_a_tc_with_an_older_ansn_is_dropped():
     agent = miss_agent("olsr")
     agent._process_tc(TcMessage(5, 3, (6,), (5, 1), TC_TTL), 1)
