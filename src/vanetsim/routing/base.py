@@ -258,23 +258,18 @@ class LinkStateAgent(Agent):
     Subclasses set neighbor_hold_us, fill link_state from their link
     advertisements and build the shortest paths in _build_paths, which
     runs when the paths are read after a call to _links_changed. next_hop
-    takes a path's first hop until paths_hold_us after the last change,
-    and otherwise asks the route table.
+    takes a path's first hop, and otherwise asks the route table.
     """
-
-    paths_hold_us = math.inf
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
         self.neighbors = {}    # id -> NeighborRecord
         self.link_state = {}   # orig -> (seq, linked frozenset, expires)
-        self._changed_at = 0   # time of the last link-set change
         self._paths = None     # dest -> node tuple from this node; None: stale
 
     def _links_changed(self):
-        """Mark the paths stale as of now."""
+        """Mark the paths stale."""
         self._paths = None
-        self._changed_at = self.sim.now
 
     @property
     def paths(self):
@@ -286,11 +281,9 @@ class LinkStateAgent(Agent):
         raise NotImplementedError
 
     def next_hop(self, dest):
-        """First hop of the path to dest while the paths are held, else the
-        route table's."""
+        """First hop of the path to dest, else the route table's."""
         path = self.paths.get(dest)
-        if (path is not None
-                and self.sim.now <= self._changed_at + self.paths_hold_us):
+        if path is not None:
             return path[1]
         return super().next_hop(dest)
 

@@ -10,6 +10,7 @@ from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
 TC_INTERVAL_US = us(5.0)  # RFC 3626 TC_INTERVAL
+TOPO_HOLD_US = HOLD_FACTOR * TC_INTERVAL_US  # RFC 3626 TOP_HOLD_TIME
 
 
 @dataclass
@@ -72,8 +73,6 @@ class OlsrAgent(LinkStateAgent):
         super().__init__(sim, node)
         self.hello_us = us(config.hello_interval_s)
         self.neighbor_hold_us = HOLD_FACTOR * self.hello_us
-        # a route lasts as long as the topology entry that made it could
-        self.topo_hold_us = self.paths_hold_us = HOLD_FACTOR * TC_INTERVAL_US
         self.ansn = 0
         self.tc_counter = 0
         self.tc_seen = DupCache(sim, us(DUP_HOLD_S))
@@ -123,7 +122,7 @@ class OlsrAgent(LinkStateAgent):
         if current is not None and current[0] > msg.ansn:
             return  # stale advertised-neighbor sequence number
         self.link_state[msg.orig] = (msg.ansn, frozenset(msg.advertised),
-                                     self.sim.now + self.topo_hold_us)
+                                     self.sim.now + TOPO_HOLD_US)
         self._links_changed()
         rec = self.neighbors.get(prev_hop)
         if rec is not None and rec.selects_me:

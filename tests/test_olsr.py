@@ -3,7 +3,7 @@
 import random
 from types import SimpleNamespace
 
-from vanetsim.engine import Simulator, us
+from vanetsim.engine import Simulator
 from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
@@ -109,23 +109,6 @@ def test_periodic_rates_on_short_run():
         tc = node.agent.stats.get("tc_sent", 0)
         assert abs(hello - 21 / 2.0) <= 1.0
         assert abs(tc - 21 / 5.0) <= 1.0
-
-
-def test_route_expiry_is_stamped_at_the_change_not_at_the_lookup():
-    # One HELLO makes 1 a symmetric neighbour at t0; nothing changes after
-    # it, so the first route lookup comes long after the change.
-    sim = Simulator(seed=1)
-    agent = OlsrAgent(sim, SimpleNamespace(id=0), ScenarioConfig())
-    hold = agent.topo_hold_us
-    t0 = us(1.0)
-    seen = {}
-    sim.schedule_at(t0, lambda: agent._process_hello(
-        Hello(sender=1, sym=(0,), heard=(), mprs=()), 1))
-    for at in (t0 + hold, t0 + hold + 1):
-        sim.schedule_at(at, lambda at=at: seen.update(
-            {at: agent.next_hop(1)}))
-    sim.run_until(t0 + hold + 1)
-    assert seen == {t0 + hold: 1, t0 + hold + 1: None}
 
 
 def test_dropped_neighbour_leaves_the_selector_set_without_an_ansn_bump():
