@@ -34,7 +34,11 @@ PAUSED = dict(DENSE, pause_s=2.5)
 # The others draw far below capacity; here, in every pinned run, 6 to 22 of
 # the 40 radios run flat and switch off mid-run.
 DRAINED = dict(DENSE, capacity_mah=0.05)
-SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED, "dense_drained": DRAINED}
+# Only ZRP reads zone_radius. These are the only pinned ZRP runs whose zone
+# search goes past level 1, so the only ones a path tie-break can decide.
+ZONE3 = dict(DENSE, zone_radius=3)
+SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED, "dense_drained": DRAINED,
+             "dense_zone3": ZONE3}
 
 
 def scenario(name):
@@ -80,6 +84,11 @@ def test_table1_scheduled_events(sweep):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_digests(name, protocol):
     assert digests(name, protocol) == pinned(name)[protocol]
+
+
+def test_zone_radius_moves_only_zrp_pins():
+    dense, zone3 = pinned("dense"), pinned("dense_zone3")
+    assert {p for p in PROTOCOLS if zone3[p] != dense[p]} == {"zrp"}
 
 
 if __name__ == "__main__":
