@@ -142,8 +142,8 @@ class Agent:
 
     # -- helpers -----------------------------------------------------------
 
-    def bump(self, name, n=1):
-        self.stats[name] = self.stats.get(name, 0) + n
+    def bump(self, name):
+        self.stats[name] = self.stats.get(name, 0) + 1
 
     def send_control(self, next_hop, msg):
         """Hand msg to the MAC for next_hop, or for all with BROADCAST."""
@@ -255,11 +255,13 @@ class NeighborRecord:
 class LinkStateAgent(Agent):
     """Neighbour table, link-state store and expiry sweep (OLSR and ZRP).
 
-    Subclasses set neighbor_hold_us, fill link_state from their link
-    advertisements and build the shortest paths in _build_paths, which
-    runs when the paths are read after a call to _links_changed. next_hop
-    takes a path's first hop, and otherwise asks the route table.
+    Subclasses set neighbor_hold_us and fill link_state from their link
+    advertisements. Paths read after a call to _links_changed are searched
+    afresh on _adjacency(). next_hop takes a path's first hop, and
+    otherwise asks the route table.
     """
+
+    radius = math.inf
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
@@ -274,11 +276,8 @@ class LinkStateAgent(Agent):
     @property
     def paths(self):
         if self._paths is None:
-            self._paths = self._build_paths()
+            self._paths = self._shortest_paths(self._adjacency())
         return self._paths
-
-    def _build_paths(self):
-        raise NotImplementedError
 
     def next_hop(self, dest):
         """First hop of the path to dest, else the route table's."""
@@ -322,17 +321,17 @@ class LinkStateAgent(Agent):
             add_edges(orig, linked)
         return adj
 
-    def _shortest_paths(self, adj, order, radius=math.inf):
-        """Hop-count shortest paths from this node, as node tuples, to each
-        node within radius hops. A level is expanded in `order` of its
-        paths and each node's neighbours in id order; the first path to
-        reach a node keeps it."""
+    def _shortest_paths(self, adj):
+        """The lexicographically smallest shortest path, as a node tuple,
+        to each node at most radius hops away: each level extends the one
+        before in its order, neighbours by id, so it is sorted too, and
+        the first path to reach a node is the smallest."""
         me = self.node.id
         paths = {me: (me,)}
         level = [paths[me]]
-        while level and len(level[0]) <= radius:
+        while level and len(level[0]) <= self.radius:
             nxt = []
-            for path in sorted(level, key=order):
+            for path in level:
                 for v in sorted(adj.get(path[-1], ())):
                     if v not in paths:
                         paths[v] = path + (v,)

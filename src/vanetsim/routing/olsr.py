@@ -150,8 +150,8 @@ class OlsrAgent(LinkStateAgent):
             degree[n] = len(rec.sym_set)
         return select_mprs(coverage, degree)
 
-    def _build_paths(self):
-        # symmetric first hops only (RFC 3626 section 10), lower id on ties
-        adj = self._adjacency()
+    def _adjacency(self):
+        # symmetric first hops only (RFC 3626 section 10)
+        adj = super()._adjacency()
         adj[self.node.id] = self._sym_neighbors()
-        return self._shortest_paths(adj, lambda p: (p[1:2], p[-1]))
+        return adj

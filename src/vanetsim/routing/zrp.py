@@ -112,10 +112,6 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         return {d for d, p in self.paths.items()
                 if len(p) - 1 == self.radius}
 
-    def _build_paths(self):
-        return self._shortest_paths(self._adjacency(), lambda p: p[-1],
-                                    self.radius)
-
     # -- IERP: bordercast query -------------------------------------------
 
     def emit_discovery(self, dest):

@@ -132,11 +132,11 @@ def test_routes_are_computed_only_when_the_table_is_read():
     for nid, node in simulation.nodes.items():
         agent = node.agent
 
-        def counted(agent=agent, nid=nid):
+        def counted(adj, agent=agent, nid=nid):
             calls[nid] = calls.get(nid, 0) + 1
-            return type(agent)._build_paths(agent)
+            return type(agent)._shortest_paths(agent, adj)
 
-        agent._build_paths = counted
+        agent._shortest_paths = counted
     simulation.run()
     # HELLOs and TCs changed every link set, and MPRs were selected for
     # every HELLO, but with no traffic nothing looked a route up.

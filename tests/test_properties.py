@@ -129,7 +129,7 @@ class EagerOlsr(OwnSweep, OlsrAgent):
 
     def _links_changed(self):
         super()._links_changed()
-        self._paths = self._build_paths()
+        self._paths = self._shortest_paths(self._adjacency())
 
 
 class EagerZrp(OwnSweep, ZrpAgent):
@@ -138,7 +138,7 @@ class EagerZrp(OwnSweep, ZrpAgent):
 
     def _links_changed(self):
         LinkStateAgent._links_changed(self)
-        self._paths = paths = self._build_paths()
+        self._paths = paths = self._shortest_paths(self._adjacency())
         for dest in sorted(self.pending):
             if dest in paths:
                 self.discovery_succeeded(dest)

@@ -1,8 +1,10 @@
 """Route table freshness rules, packets, control message sizes and
 dispatch, the pending-packet buffer and discovery schedule of the
-on-demand agents, RERR counting, the duplicate cache, the flood relay and
-the shared expiry sweep."""
+on-demand agents, RERR counting, the duplicate cache, the flood relay, the
+shared expiry sweep and the link-state path rule."""
 
+import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,7 +13,8 @@ from vanetsim.engine import Simulator, us
 from vanetsim.metrics import NodeCounters
 from vanetsim.routing.aodv import AodvAgent, Rrep, Rreq
 from vanetsim.routing.base import (DUP_CACHE_CAP, FORWARD_STAGGER_US,
-                                   DupCache, Packet, RouteEntry, RoutingTable)
+                                   DupCache, LinkStateAgent, Packet,
+                                   RouteEntry, RoutingTable)
 from vanetsim.routing.dymo import DymoRrep, DymoRreq
 from vanetsim.routing.olsr import TC_TTL, Hello, OlsrAgent, TcMessage
 from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent, Rerr
@@ -19,7 +22,7 @@ from vanetsim.routing.zrp import IerpError, IerpQuery, IerpReply, ZoneAdvert
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, Simulation
 
-from conftest import line_positions, make_static_config
+from conftest import line_positions, make_static_config, run_static
 
 
 def entry(dest=5, next_hop=1, seq=1, hops=2, expires=10_000_000, valid=True):
@@ -403,6 +406,63 @@ def test_one_sweep_event_a_second_serves_every_link_state_agent(
     simulation.run()
     assert list(swept.values()) == [
         (us(s), list(range(num_nodes))) for s in range(1, 6)]
+
+
+def smallest_shortest_paths(adj, me, radius):
+    """Brute force: hop counts from relaxing every link until none gets
+    shorter, then every shortest path of at most radius hops, and for each
+    node it reaches the lexicographically smallest."""
+    hops = {me: 0}
+    changed = True
+    while changed:
+        changed = False
+        for a, linked in adj.items():
+            for b in linked:
+                if a in hops and hops[a] + 1 < hops.get(b, math.inf):
+                    hops[b] = hops[a] + 1
+                    changed = True
+    best = {}
+    stack = [(me,)]
+    while stack:
+        path = stack.pop()
+        end, n = path[-1], len(path) - 1
+        if n and (end not in best or path < best[end]):
+            best[end] = path
+        if n < radius:
+            stack.extend(path + (v,) for v in adj.get(end, ())
+                         if hops[v] == n + 1)
+    return best
+
+
+@pytest.mark.parametrize("radius", (1, 2, 3, math.inf))
+def test_link_state_paths_are_the_smallest_shortest_paths(radius):
+    rng = random.Random(radius)
+    agent = LinkStateAgent(Simulator(seed=1), Shell())
+    agent.radius = radius
+    for _ in range(1000):
+        ids = rng.sample(range(100), rng.randint(1, 16))
+        density = rng.uniform(0.05, 0.4)
+        # directed, as OLSR links this node to its symmetric neighbours only
+        adj = {a: {b for b in ids if b != a and rng.random() < density}
+               for a in ids}
+        agent.node.id = rng.choice(ids)
+        assert agent._shortest_paths(adj) == smallest_shortest_paths(
+            adj, agent.node.id, radius)
+
+
+# A hexagon of 80 m sides: 0 and 5 are opposite corners, joined by
+# (0, 1, 4, 5) and (0, 2, 3, 5), both 3 hops.
+RING = {0: (220.0, 300.0), 1: (260.0, 369.28), 4: (340.0, 369.28),
+        5: (380.0, 300.0), 3: (340.0, 230.72), 2: (260.0, 230.72)}
+
+
+@pytest.mark.parametrize("protocol", ("olsr", "zrp"))
+def test_a_tie_between_shortest_paths_goes_to_the_lower_first_hop(protocol):
+    # OLSR ignores zone_radius; ZRP's zone reaches 5 only at radius 3
+    agent = run_static(RING, protocol=protocol, sim_time_s=15.0,
+                       zone_radius=3).nodes[0].agent
+    assert agent.paths[5] == (0, 1, 4, 5)
+    assert agent.next_hop(5) == 1
 
 
 def recording_aodv(node_id=0):

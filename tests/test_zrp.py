@@ -97,8 +97,9 @@ def test_broken_interzone_route_stops_and_reports():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the neighbour's own advert edge keeps a dropped neighbour as the zone "
-    "path's first hop; dropping such edges for ZRP breaks acceptance "
-    "criterion 11 (ROADMAP item 2)"))
+    "path's first hop; OLSR's symmetric first-hop rule would mend it and "
+    "keeps criteria 11 and 12, but costs perfbench dense ZRP about a fifth "
+    "more events and host time (ROADMAP item 2)"))
 def test_dropped_neighbour_is_no_zone_first_hop():
     s = run_static(line_positions(4), protocol="zrp", sim_time_s=20.0)
     agent = s.nodes[0].agent
