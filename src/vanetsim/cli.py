@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .engine import SimulationError
+from .engine import SimulationError, dispatch_profile
 from .metrics import compare as compare_runs
 from .metrics import ranking_csv, rank_summary
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
@@ -49,9 +49,19 @@ def _write(path, content):
         fh.write(content)
 
 
-def _execute(config, protocol, seed, out_dir):
+def _execute(config, protocol, seed, out_dir, profile_path=None):
     simulation = Simulation(config, protocol=protocol, seed=seed)
+    if profile_path:
+        simulation.sim.profile = {}
     ledger = simulation.run()
+    if profile_path:
+        _write(profile_path, json.dumps({
+            "protocol": ledger.protocol,
+            "seed": ledger.seed,
+            "scenario_id": ledger.scenario_id,
+            "scheduled": simulation.sim._seq,
+            "layers": dispatch_profile(simulation.sim.profile),
+        }, indent=2) + "\n")
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "metrics.csv"), ledger.to_csv())
     _write(os.path.join(out_dir, "scenario_resolved.cfg"),
@@ -85,7 +95,7 @@ def cmd_run(args):
     protocol = args.protocol or config.protocol
     seed = args.seed if args.seed is not None else config.seed
     out_dir = args.out or "runs/%s-seed%d" % (protocol, seed)
-    summary = _execute(config, protocol, seed, out_dir)
+    summary = _execute(config, protocol, seed, out_dir, args.profile)
     print("run complete: protocol=%s seed=%d out=%s"
           % (summary["protocol"], summary["seed"], out_dir))
     return EXIT_OK
@@ -131,6 +141,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--protocol", choices=PROTOCOLS, default=None)
     p.add_argument("--out", default=None)
+    p.add_argument("--profile", metavar="FILE", default=None,
+                   help="write each event callback's dispatch count and "
+                        "wall time, by layer, to FILE as JSON")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare",

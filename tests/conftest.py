@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from vanetsim.engine import Simulator
+from vanetsim.engine import Simulator, dispatch_profile
 from vanetsim.mac import DcfMac
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
@@ -125,11 +125,20 @@ def csv_digest(ledger):
     return hashlib.sha256(ledger.to_csv().encode()).hexdigest()
 
 
+def dispatch_counts(profile):
+    """A Simulator's profile as layer -> callback qualname -> dispatches,
+    the counts that `vanetsim run --profile` writes."""
+    return {layer: {name: callback["dispatches"]
+                    for name, callback in entry["callbacks"].items()}
+            for layer, entry in dispatch_profile(profile).items()}
+
+
 def run_sweep():
     """Run table1 for every protocol and sweep seed.
 
     Returns the records, one per run, and the wall time taken. A record's
-    `events` is the number of events the run scheduled.
+    `events` is the number of events the run scheduled; a seed-1 run is
+    profiled, and its record also has the `dispatches` of each callback.
     """
     config = ScenarioConfig().validate()
     records = []
@@ -137,12 +146,17 @@ def run_sweep():
     for proto in PROTOCOLS:
         for seed in SWEEP_SEEDS:
             simulation = Simulation(config, protocol=proto, seed=seed)
+            if seed == 1:
+                simulation.sim.profile = {}
             ledger = simulation.run()
             records.append({"protocol": proto, "seed": seed,
                             "scenario_id": ledger.scenario_id,
                             "totals": ledger.totals(),
                             "digest": csv_digest(ledger),
                             "events": simulation.sim._seq})
+            if seed == 1:
+                records[-1]["dispatches"] = dispatch_counts(
+                    simulation.sim.profile)
     return records, time.perf_counter() - started
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from vanetsim.engine import RngStreams, SimulationError, Simulator, us
+from vanetsim.engine import (RngStreams, SimulationError, Simulator,
+                             dispatch_profile, us)
 
 
 def test_us_conversion():
@@ -122,3 +123,67 @@ def test_rng_stream_is_memoized():
 
 def test_simulator_clock_starts_at_zero():
     assert Simulator(seed=0).now == 0
+
+
+class Ticker:
+    def __init__(self, fired):
+        self.fired = fired
+
+    def tick(self):
+        self.fired.append("tick")
+
+
+def schedule_mix(sim, fired):
+    for at in (10, 20, 30):
+        sim.schedule_at(at, Ticker(fired).tick)
+    sim.schedule_at(25, lambda: fired.append("lambda"))
+    sim.cancel(sim.schedule_at(15, lambda: fired.append("cancelled")))
+    sim.schedule_at(500, lambda: fired.append("late"))
+
+
+def test_profiled_run_dispatches_the_same_events():
+    plain, profiled = [], []
+    sim, other = Simulator(seed=1), Simulator(seed=1)
+    schedule_mix(sim, profiled)
+    schedule_mix(other, plain)
+    sim.profile = {}
+    sim.run_until(100)
+    other.run_until(100)
+    assert profiled == plain == ["tick", "tick", "lambda", "tick"]
+    assert sim.now == other.now == 100
+
+
+def test_profile_counts_callbacks_by_layer_and_every_pop():
+    sim = Simulator(seed=1)
+    schedule_mix(sim, [])
+    sim.profile = {}
+    sim.run_until(100)
+    sim.run_until(200)  # a second call adds to the same profile
+    layers = dispatch_profile(sim.profile)
+    counts = {layer: {name: c["dispatches"]
+                      for name, c in entry["callbacks"].items()}
+              for layer, entry in layers.items()}
+    assert counts == {
+        # the loop pops the cancelled entry too; the one at 500 waits
+        "engine": {"Simulator.run_until": 5},
+        # callbacks outside the vanetsim package
+        "other": {"Ticker.tick": 3, "schedule_mix.<locals>.<lambda>": 1}}
+    assert layers["other"]["dispatches"] == 4
+    assert all(entry["wall_s"] >= 0.0 for entry in layers.values())
+    assert sim._heap[0][0] == 500
+
+
+def test_profile_layer_is_the_package_module():
+    profile = {("vanetsim.routing.olsr", "OlsrAgent._hello_tick"): [2, 0.5],
+               ("vanetsim.routing.base", "start_sweeps.<locals>.sweep"):
+                   [1, 0.25],
+               ("vanetsim.phy", "Channel.transmit.<locals>.<lambda>"):
+                   [3, 0.125]}
+    layers = dispatch_profile(profile)
+    assert list(layers) == ["phy", "routing"]
+    assert layers["routing"] == {
+        "dispatches": 3, "wall_s": 0.75,
+        "callbacks": {"start_sweeps.<locals>.sweep":
+                      {"dispatches": 1, "wall_s": 0.25},
+                      "OlsrAgent._hello_tick":
+                      {"dispatches": 2, "wall_s": 0.5}}}

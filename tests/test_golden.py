@@ -1,7 +1,9 @@
 """Pinned sha256 digests of metrics.csv: a refactor keeps every byte.
 
 Every table1 sweep run (4 protocols x 10 seeds) is pinned, with the number
-of events it scheduled; the dense variants are pinned at seeds 1 and 2.
+of events it scheduled, and at seed 1 with the dispatches of each event
+callback; the dense variants and the static grid are pinned at seeds 1 and
+2, the grid with its scheduled events too.
 
 A deliberate behaviour change re-pins the digests and says in CHANGES.md
 which moved and why; the re-pin prints each pin it changes as old -> new:
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from vanetsim.scenario import ScenarioConfig
+from vanetsim.scenario import ScenarioConfig, parse_scenario
 from vanetsim.simulation import Simulation
 
 from conftest import PROTOCOLS, csv_digest, run_sweep
@@ -40,16 +42,48 @@ ZONE3 = dict(DENSE, zone_radius=3)
 SCENARIOS = {"dense": DENSE, "dense_paused": PAUSED, "dense_drained": DRAINED,
              "dense_zone3": ZONE3}
 
+# The only static and saturated layout, and the only one with hidden
+# terminals under RTS/CTS: 5 x 5 nodes 80 m apart, where rows and columns
+# 0, 1, 3 and 4 each carry a four-hop session of 512 B every 20 ms, edge to
+# edge, in alternating directions. The benchmark's grid workload, table1's
+# radio.
+GRID = "\n".join(
+    ["terrain_width_m = 400", "terrain_height_m = 400", "sim_time_s = 10",
+     "num_nodes = 25", "payload_bytes = 512", "interval_ms = 20"]
+    + ["position.%d = %d,%d" % (5 * r + c, 40 + 80 * c, 40 + 80 * r)
+       for r in range(5) for c in range(5)]
+    + ["session = %d,%d" % (pair if i % 2 == 0 else pair[::-1])
+       for i in (0, 1, 3, 4) for pair in ((5 * i, 5 * i + 4), (i, 20 + i))])
+PINNED = (*SCENARIOS, "grid")
+
 
 def scenario(name):
+    if name == "grid":
+        return parse_scenario(GRID)
     return replace(ScenarioConfig(), **SCENARIOS.get(name, {})).validate()
 
 
-def digests(name, protocol):
+def runs(name, protocol):
+    """seed -> (metrics.csv digest, events scheduled) at each golden seed."""
     config = scenario(name)
-    return {str(seed): csv_digest(Simulation(config, protocol=protocol,
-                                             seed=seed).run())
-            for seed in GOLDEN_SEEDS}
+    out = {}
+    for seed in GOLDEN_SEEDS:
+        simulation = Simulation(config, protocol=protocol, seed=seed)
+        out[str(seed)] = (csv_digest(simulation.run()), simulation.sim._seq)
+    return out
+
+
+def scenario_pins(name, protocols=PROTOCOLS):
+    """The digests of the scenario's runs, and for the grid the events
+    they scheduled, as they are pinned: name -> protocol -> seed -> value."""
+    by_protocol = {p: runs(name, p) for p in protocols}
+    pins = {name: {p: {seed: digest for seed, (digest, _) in got.items()}
+                   for p, got in by_protocol.items()}}
+    if name == "grid":
+        pins["grid_events"] = {
+            p: {seed: events for seed, (_, events) in got.items()}
+            for p, got in by_protocol.items()}
+    return pins
 
 
 def pinned(name):
@@ -59,13 +93,18 @@ def pinned(name):
 
 def sweep_pins(records):
     """The table1 digest and scheduled-event count of every sweep run, as
-    they are pinned: protocol -> seed -> value."""
+    they are pinned: protocol -> seed -> value; and each protocol's seed-1
+    dispatches, layer -> callback -> count."""
     digest = {p: {} for p in PROTOCOLS}
     events = {p: {} for p in PROTOCOLS}
+    dispatches = {}
     for r in records:
         digest[r["protocol"]][str(r["seed"])] = r["digest"]
         events[r["protocol"]][str(r["seed"])] = r["events"]
-    return {"table1": digest, "table1_events": events}
+        if "dispatches" in r:
+            dispatches[r["protocol"]] = r["dispatches"]
+    return {"table1": digest, "table1_events": events,
+            "table1_dispatches": dispatches}
 
 
 def test_table1_digests(sweep):
@@ -80,10 +119,19 @@ def test_table1_scheduled_events(sweep):
     assert sweep_pins(records)["table1_events"] == pinned("table1_events")
 
 
+# The per-callback counts show which layer a change of the event count is
+# in; a change that only moves work between callbacks fails only here.
+def test_table1_dispatches(sweep):
+    records, _ = sweep
+    assert (sweep_pins(records)["table1_dispatches"]
+            == pinned("table1_dispatches"))
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", PINNED)
 def test_scenario_digests(name, protocol):
-    assert digests(name, protocol) == pinned(name)[protocol]
+    for key, by_protocol in scenario_pins(name, (protocol,)).items():
+        assert by_protocol[protocol] == pinned(key)[protocol]
 
 
 def test_zone_radius_moves_only_zrp_pins():
@@ -91,19 +139,28 @@ def test_zone_radius_moves_only_zrp_pins():
     assert {p for p in PROTOCOLS if zone3[p] != dense[p]} == {"zrp"}
 
 
+def leaves(tree, path=()):
+    """path -> value of every non-dict value in a nested dict."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(leaves(value, path + (key,)))
+        else:
+            out[path + (key,)] = value
+    return out
+
+
 if __name__ == "__main__":
-    table = {name: {p: digests(name, p) for p in PROTOCOLS}
-             for name in SCENARIOS}
-    table.update(sweep_pins(run_sweep()[0]))
+    table = sweep_pins(run_sweep()[0])
+    for name in PINNED:
+        table.update(scenario_pins(name))
     with open(GOLDEN) as fh:
-        old = json.load(fh)
-    for name, by_protocol in sorted(table.items()):
-        for protocol, by_seed in sorted(by_protocol.items()):
-            for seed in sorted(by_seed, key=int):
-                was = old.get(name, {}).get(protocol, {}).get(seed)
-                if was != by_seed[seed]:
-                    print("%s %s seed %s: %s → %s"
-                          % (name, protocol, seed, was, by_seed[seed]))
+        old = leaves(json.load(fh))
+    new = leaves(table)
+    for path in sorted(old.keys() | new.keys()):
+        if old.get(path) != new.get(path):
+            print("%s: %s → %s" % (" ".join(path), old.get(path),
+                                    new.get(path)))
     with open(GOLDEN, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,11 +3,12 @@
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
 import vanetsim
-from vanetsim import cli
+from vanetsim import cli, simulation
 from vanetsim.cli import main, parse_seeds
 from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
@@ -274,6 +275,39 @@ def test_cli_run_is_reproducible(tmp_path):
     main(["run", cfg, "--out", str(tmp_path / "b")])
     assert (tmp_path / "a" / "metrics.csv").read_text() == \
         (tmp_path / "b" / "metrics.csv").read_text()
+
+
+def test_cli_profile_repeats_and_leaves_the_run_files_alone(tmp_path,
+                                                            monkeypatch):
+    # wallclock_s is run.json's one timed field: a stopped clock makes the
+    # files of two runs comparable byte for byte
+    monkeypatch.setattr(simulation, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.0))
+    cfg = write_cfg(tmp_path, "sim_time_s = 20\n")
+    outputs = []
+    for name in ("plain", "first", "second"):
+        argv = ["run", cfg, "--protocol", "olsr",
+                "--out", str(tmp_path / name)]
+        if name != "plain":
+            argv += ["--profile", str(tmp_path / (name + ".json"))]
+        assert main(argv) == 0
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("metrics.csv", "run.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    profiles = [json.loads((tmp_path / name).read_text())
+                for name in ("first.json", "second.json")]
+    counts = [{layer: {q: c["dispatches"] for q, c in e["callbacks"].items()}
+               for layer, e in p["layers"].items()} for p in profiles]
+    assert counts[0] == counts[1]
+    layers = profiles[0]["layers"]
+    assert {"engine", "mac", "phy", "routing", "traffic"} <= set(layers)
+    # a HELLO every 2 s at phases of 0, 10 and 20 ms, node 0's also at 20 s
+    assert counts[0]["routing"]["OlsrAgent._hello_tick"] == 11 + 10 + 10
+    assert (profiles[0]["protocol"], profiles[0]["seed"]) == ("olsr", 1)
+    dispatched = sum(e["dispatches"] for layer, e in layers.items()
+                     if layer != "engine")
+    assert dispatched <= layers["engine"]["dispatches"] \
+        <= profiles[0]["scheduled"]
 
 
 def test_cli_compare_ranks_and_writes_outputs(tmp_path, capsys):
