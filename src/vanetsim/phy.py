@@ -83,10 +83,9 @@ def reach_m(config):
 
 
 class Reception:
-    __slots__ = ("frame", "start", "errored")
+    __slots__ = ("start", "errored")
 
-    def __init__(self, frame, start):
-        self.frame = frame
+    def __init__(self, start):
         self.start = start
         self.errored = False
 
@@ -115,6 +114,7 @@ class Channel:
         self._inside_sq = inside * inside  # inf, not OverflowError
         self._outside_sq = outside * outside
         self._in_reach = {}  # node id -> nodes in reach, in node-id order
+        self._airtime = {}   # frame bits -> airtime_us
 
     def transmit(self, node, frame):
         """Put a frame on the air; returns the transmission end time."""
@@ -123,7 +123,11 @@ class Channel:
         if node.transmitting:
             raise SimulationError("node %d already transmitting" % node.id)
         now = self.sim.now
-        end = now + airtime_us(frame.bits, self.config)
+        bits = frame.bits
+        air = self._airtime.get(bits)
+        if air is None:
+            air = self._airtime[bits] = airtime_us(bits, self.config)
+        end = now + air
         node.accrue_power(now)
         node.transmitting = True
         for rec in node.active_rx:
@@ -142,7 +146,7 @@ class Channel:
         receptions = []
         for other in in_reach:
             if other.radio_enabled:
-                rec = Reception(frame, now)
+                rec = Reception(now)
                 self._begin_reception(other, rec)
                 receptions.append((other, rec))
         self.sim.schedule_at(
@@ -152,6 +156,7 @@ class Channel:
     def _reach_of(self, node):
         """Every other node that a frame from `node` reaches, by node id."""
         x, y = node.pos
+        inside_sq, outside_sq = self._inside_sq, self._outside_sq
         out = []
         for nid in sorted(self.nodes):
             other = self.nodes[nid]
@@ -160,8 +165,8 @@ class Channel:
             if dx == 0.0 and dy == 0.0:
                 continue  # co-located, the sender itself included
             d_sq = dx * dx + dy * dy
-            if d_sq >= self._inside_sq and (
-                    d_sq > self._outside_sq
+            if d_sq >= inside_sq and (
+                    d_sq > outside_sq
                     or not received(math.hypot(dx, dy), self.config)):
                 continue
             out.append(other)
@@ -180,24 +185,23 @@ class Channel:
 
     def _end_air(self, node, frame, receptions):
         """End the frame's receptions in the order they began, then its own."""
+        now = self.sim.now
+        trace = self.sim.trace
         for other, rec in receptions:
-            self._end_reception(other, rec)
-        node.accrue_power(self.sim.now)
+            other.accrue_power(now)
+            if trace is not None:
+                trace.append(("rx", rec.start, other.id, frame.kind,
+                              frame.src, frame.dst, frame.frame_id, now,
+                              rec.errored))
+            # The frame still holds the medium while the MAC handles it:
+            # whatever the MAC does in this upcall must sense it as busy.
+            if other.radio_enabled:
+                other.mac.observe_frame(frame, rec.errored)
+            other.active_rx.remove(rec)
+            if not (other.transmitting or other.active_rx):
+                other.mac.on_medium_idle()
+        node.accrue_power(now)
         node.transmitting = False
         if not node.active_rx:
             node.mac.on_medium_idle()
         node.mac.on_tx_end(frame)
-
-    def _end_reception(self, node, rec):
-        node.accrue_power(self.sim.now)
-        if self.sim.trace is not None:
-            self.sim.trace.append(
-                ("rx", rec.start, node.id, rec.frame.kind, rec.frame.src,
-                 rec.frame.dst, rec.frame.frame_id, self.sim.now, rec.errored))
-        # The frame still holds the medium while the MAC handles it: whatever
-        # the MAC does in this upcall must sense it as busy.
-        if node.radio_enabled:
-            node.mac.observe_frame(rec.frame, rec.errored)
-        node.active_rx.remove(rec)
-        if not (node.transmitting or node.active_rx):
-            node.mac.on_medium_idle()

@@ -137,7 +137,6 @@ class Agent:
     def __init__(self, sim, node):
         self.sim = sim
         self.node = node
-        self.table = RoutingTable()
         self.stats = {}
 
     # -- helpers -----------------------------------------------------------
@@ -202,15 +201,8 @@ class Agent:
             self.send_data_frame(hop, pkt)
 
     def next_hop(self, dest):
-        """Next hop toward dest from the route table, or None."""
-        entry = self.table.lookup(dest, self.sim.now)
-        if entry is None:
-            return None
-        self.on_route_used(entry)
-        return entry.next_hop
-
-    def on_route_used(self, entry):
-        pass
+        """Next hop toward dest, or None."""
+        raise NotImplementedError
 
     def on_source_miss(self, pkt):
         """Drop and count. ReactiveAgent buffers and discovers instead."""
@@ -257,8 +249,7 @@ class LinkStateAgent(Agent):
 
     Subclasses set neighbor_hold_us and fill link_state from their link
     advertisements. Paths read after a call to _links_changed are searched
-    afresh on _adjacency(). next_hop takes a path's first hop, and
-    otherwise asks the route table.
+    afresh on _adjacency(). next_hop takes a path's first hop.
     """
 
     radius = math.inf
@@ -280,11 +271,9 @@ class LinkStateAgent(Agent):
         return self._paths
 
     def next_hop(self, dest):
-        """First hop of the path to dest, else the route table's."""
+        """First hop of the path to dest, or None."""
         path = self.paths.get(dest)
-        if path is not None:
-            return path[1]
-        return super().next_hop(dest)
+        return None if path is None else path[1]
 
     def _heard(self, sender, sym, heard):
         """Refresh sender's record from its HELLO or advert; return it."""
@@ -301,8 +290,10 @@ class LinkStateAgent(Agent):
 
     def _sym_and_heard(self):
         """Sorted symmetric and heard-only neighbour ids, as advertised."""
-        sym = self._sym_neighbors()
-        return tuple(sorted(sym)), tuple(sorted(self.neighbors.keys() - sym))
+        sym, heard = [], []
+        for n, rec in sorted(self.neighbors.items()):
+            (sym if rec.symmetric else heard).append(n)
+        return tuple(sym), tuple(heard)
 
     def _adjacency(self):
         """Undirected graph: this node to each symmetric neighbour, that
@@ -341,6 +332,8 @@ class LinkStateAgent(Agent):
         return paths
 
     def _sweep(self):
+        if not (self.neighbors or self.link_state):
+            return
         now = self.sim.now
         changed = False
         for nid in sorted(self.neighbors):

@@ -140,6 +140,8 @@ class OlsrAgent(LinkStateAgent):
     @property
     def mpr_set(self):
         """MPRs selected from the neighbour records, for each HELLO."""
+        if not self.neighbors:
+            return set()
         me = self.node.id
         sym = self._sym_neighbors()
         coverage = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..engine import us
 from ..mac import BROADCAST
-from .base import Agent, DupCache, RouteEntry
+from .base import Agent, DupCache, RouteEntry, RoutingTable
 
 PENDING_PER_DEST = 5
 PENDING_LIFETIME_US = us(10.0)
@@ -44,17 +44,30 @@ class Rerr:
 
 
 class ReactiveAgent(Agent):
-    """Subclasses send one request in emit_discovery and call
-    discovery_succeeded once a route to the destination appears."""
+    """Routes from a route table that discovery fills. Subclasses send one
+    request in emit_discovery and call discovery_succeeded once a route to
+    the destination appears."""
 
     def __init__(self, sim, node):
         super().__init__(sim, node)
+        self.table = RoutingTable()
         self.pending = {}        # dest -> deque of packets, oldest first
         self._discoveries = {}   # dest -> [requests sent, next timer event]
         self._holdoff = {}       # dest -> (until_us, length_us)
 
     def emit_discovery(self, dest):
         raise NotImplementedError
+
+    def next_hop(self, dest):
+        """Next hop toward dest from the route table, or None."""
+        entry = self.table.lookup(dest, self.sim.now)
+        if entry is None:
+            return None
+        self.on_route_used(entry)
+        return entry.next_hop
+
+    def on_route_used(self, entry):
+        pass
 
     def on_source_miss(self, pkt):
         self.buffer_packet(pkt)

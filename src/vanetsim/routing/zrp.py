@@ -107,6 +107,14 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
                 if dest in paths:
                     self.discovery_succeeded(dest)
 
+    def next_hop(self, dest):
+        """The zone path's first hop, else the IERP route's. ReactiveAgent
+        comes first in the method order, so this must be spelt out."""
+        hop = LinkStateAgent.next_hop(self, dest)
+        if hop is None:
+            hop = ReactiveAgent.next_hop(self, dest)
+        return hop
+
     @property
     def peripheral_set(self):
         return {d for d, p in self.paths.items()

@@ -4,6 +4,7 @@ import random
 from types import SimpleNamespace
 
 from vanetsim.engine import Simulator
+from vanetsim.routing.base import NeighborRecord
 from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
@@ -145,3 +146,33 @@ def test_routes_are_computed_only_when_the_table_is_read():
     assert simulation.nodes[0].agent.next_hop(3) == 1
     assert simulation.nodes[0].agent.paths[2] == (0, 1, 2)
     assert calls == {0: 1}
+
+
+def random_neighbour_tables(count, seed=26):
+    """OLSR agents with seeded random neighbour records, none at first."""
+    rng = random.Random(seed)
+    for i in range(count):
+        me = rng.randrange(12)
+        agent = OlsrAgent(Simulator(seed=1), SimpleNamespace(id=me),
+                          ScenarioConfig())
+        others = [n for n in range(12) if n != me]
+        for n in rng.sample(others, 0 if i == 0 else rng.randint(0, 8)):
+            rec = agent.neighbors[n] = NeighborRecord()
+            rec.symmetric = rng.random() < 0.6
+            rec.sym_set = frozenset(rng.sample(range(12), rng.randint(0, 6)))
+        yield agent
+
+
+def test_link_state_emission_matches_the_set_formulas():
+    tables = 0
+    for agent in random_neighbour_tables(300):
+        me = agent.node.id
+        sym = {n for n, r in agent.neighbors.items() if r.symmetric}
+        assert agent._sym_and_heard() == (
+            tuple(sorted(sym)), tuple(sorted(agent.neighbors.keys() - sym)))
+        coverage = {n: {x for x in agent.neighbors[n].sym_set
+                        if x != me and x not in sym} for n in sorted(sym)}
+        degree = {n: len(agent.neighbors[n].sym_set) for n in sorted(sym)}
+        assert agent.mpr_set == select_mprs(coverage, degree)
+        tables += bool(sym) and bool(agent.neighbors.keys() - sym)
+    assert tables > 100  # most tables hold both kinds of neighbour

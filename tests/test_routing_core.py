@@ -219,6 +219,29 @@ def miss_agent(protocol):
     return AGENTS[protocol](Simulator(seed=1), node, ScenarioConfig())
 
 
+def test_olsr_routes_by_its_paths_alone():
+    agent = miss_agent("olsr")
+    assert not hasattr(agent, "table")
+    assert agent.next_hop(9) is None
+
+
+def test_zrp_takes_the_zone_path_first_and_then_the_route_table():
+    # ReactiveAgent precedes LinkStateAgent in ZrpAgent's method order, and
+    # its next_hop reads the table alone
+    agent = miss_agent("zrp")
+    agent.table.update_if_fresher(RouteEntry(
+        dest=9, next_hop=4, seq_no=0, hop_count=3, expires_at=us(100),
+        route=(0, 4, 7, 9)))
+    agent._heard(2, (0,), ())
+    agent.neighbors[2].sym_set = frozenset({0, 9})
+    agent._links_changed()
+    assert agent.paths[9] == (0, 2, 9)
+    assert agent.next_hop(9) == 2
+    agent.on_link_failure(2)
+    assert 9 not in agent.paths
+    assert agent.next_hop(9) == 4
+
+
 @pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
 def test_a_source_miss_buffers_or_drops_and_sends_no_rerr(protocol):
     agent = miss_agent(protocol)
