@@ -125,12 +125,12 @@ def csv_digest(ledger):
     return hashlib.sha256(ledger.to_csv().encode()).hexdigest()
 
 
-def dispatch_counts(profile):
-    """A Simulator's profile as layer -> callback qualname -> dispatches,
-    the counts that `vanetsim run --profile` writes."""
+def dispatch_counts(layers):
+    """The counts of a profile's layers, as `vanetsim run --profile` writes
+    them: layer -> callback qualname -> dispatches."""
     return {layer: {name: callback["dispatches"]
                     for name, callback in entry["callbacks"].items()}
-            for layer, entry in dispatch_profile(profile).items()}
+            for layer, entry in layers.items()}
 
 
 def run_sweep():
@@ -156,7 +156,7 @@ def run_sweep():
                             "events": simulation.sim._seq})
             if seed == 1:
                 records[-1]["dispatches"] = dispatch_counts(
-                    simulation.sim.profile)
+                    dispatch_profile(simulation.sim.profile))
     return records, time.perf_counter() - started
 
 

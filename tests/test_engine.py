@@ -5,6 +5,8 @@ import pytest
 from vanetsim.engine import (RngStreams, SimulationError, Simulator,
                              dispatch_profile, us)
 
+from conftest import dispatch_counts
+
 
 def test_us_conversion():
     assert us(1) == 1_000_000
@@ -160,10 +162,7 @@ def test_profile_counts_callbacks_by_layer_and_every_pop():
     sim.run_until(100)
     sim.run_until(200)  # a second call adds to the same profile
     layers = dispatch_profile(sim.profile)
-    counts = {layer: {name: c["dispatches"]
-                      for name, c in entry["callbacks"].items()}
-              for layer, entry in layers.items()}
-    assert counts == {
+    assert dispatch_counts(layers) == {
         # the loop pops the cancelled entry too; the one at 500 waits
         "engine": {"Simulator.run_until": 5},
         # callbacks outside the vanetsim package

@@ -14,6 +14,8 @@ from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
 from vanetsim.simulation import Simulation
 
+from conftest import dispatch_counts
+
 BUNDLED = os.path.join(os.path.dirname(vanetsim.__file__),
                        "scenarios", "table1.cfg")
 
@@ -296,8 +298,7 @@ def test_cli_profile_repeats_and_leaves_the_run_files_alone(tmp_path,
     assert outputs[0] == outputs[1] == outputs[2]
     profiles = [json.loads((tmp_path / name).read_text())
                 for name in ("first.json", "second.json")]
-    counts = [{layer: {q: c["dispatches"] for q, c in e["callbacks"].items()}
-               for layer, e in p["layers"].items()} for p in profiles]
+    counts = [dispatch_counts(p["layers"]) for p in profiles]
     assert counts[0] == counts[1]
     layers = profiles[0]["layers"]
     assert {"engine", "mac", "phy", "routing", "traffic"} <= set(layers)
