@@ -104,7 +104,7 @@ class Channel:
     def __init__(self, sim, config, nodes):
         self.sim = sim
         self.config = config
-        self.nodes = nodes  # id -> Node
+        self.nodes = [nodes[nid] for nid in sorted(nodes)]  # by node id
         # Brings node.pos up to date before a frame goes on the air and says
         # whether some node moved; a Simulation sets it to Mobility.sync. By
         # default nobody moves.
@@ -158,13 +158,16 @@ class Channel:
         x, y = node.pos
         inside_sq, outside_sq = self._inside_sq, self._outside_sq
         out = []
-        for nid in sorted(self.nodes):
-            other = self.nodes[nid]
-            dx = other.pos[0] - x
-            dy = other.pos[1] - y
+        for other in self.nodes:
+            ox, oy = other.pos
+            dx = ox - x
+            dx_sq = dx * dx
+            if dx_sq > outside_sq:
+                continue  # d_sq >= dx_sq: out of reach on x alone
+            dy = oy - y
             if dx == 0.0 and dy == 0.0:
                 continue  # co-located, the sender itself included
-            d_sq = dx * dx + dy * dy
+            d_sq = dx_sq + dy * dy
             if d_sq >= inside_sq and (
                     d_sq > outside_sq
                     or not received(math.hypot(dx, dy), self.config)):
