@@ -1,5 +1,6 @@
-"""IEEE 802.11 DCF: CSMA/CA, binary exponential backoff, RTS/CTS, and the
-NAV that RTS and CTS set (a DATA frame carries no duration)."""
+"""IEEE 802.11 DCF: CSMA/CA with the DIFS and the backoff slots on one timer,
+binary exponential backoff, RTS/CTS, and the NAV that RTS and CTS set (a
+DATA frame carries no duration)."""
 
 from collections import deque
 from dataclasses import dataclass
@@ -84,9 +85,8 @@ class DcfMac:
         self.nav_until = 0
         self.current = None  # the DATA frame in service
 
-        self._difs_timer = None
-        self._backoff_timer = None
-        self._backoff_started = None
+        self._attempt = None  # the pending _transmit_attempt event
+        self._countdown_from = None  # when its DIFS ends and its slots start
         self._timeout_timer = None
         self._post_tx = False
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
@@ -111,26 +111,30 @@ class DcfMac:
     # -- medium notifications (from the channel) ---------------------------
 
     def on_medium_busy(self):
-        """Carrier sensed: freeze the DIFS wait or the backoff."""
-        if self._difs_timer is not None:
-            self.sim.cancel(self._difs_timer)
-            self._difs_timer = None
-            self._ensure_backoff_drawn()  # post-busy rule
-        if self._backoff_timer is not None:
-            elapsed = (self.sim.now - self._backoff_started) // SLOT_US
-            self.backoff_slots -= elapsed
-            self.sim.cancel(self._backoff_timer)
-            self._backoff_timer = None
+        """Carrier sensed: stop the wait. Up to the end of the DIFS this
+        owes a backoff (the post-busy rule); after it, the whole slots not
+        yet counted stay owed."""
+        if self._attempt is None:
+            return
+        self.sim.cancel(self._attempt)
+        self._attempt = None
+        now = self.sim.now
+        if now <= self._countdown_from:
+            self._ensure_backoff_drawn()
+        else:
+            self.backoff_slots -= (now - self._countdown_from) // SLOT_US
 
     def on_medium_idle(self):
-        """Contend again: the DIFS counts from when neither the carrier nor
-        the NAV holds the medium, and a busy edge before it ends stops it."""
+        """Contend again on one timer: a DIFS that counts from when neither
+        the carrier nor the NAV holds the medium, then the backoff slots."""
         if self.phase != CONTEND or self.node.carrier_busy:
             return  # the channel calls again when the carrier clears
         now = self.sim.now
         nav = self.nav_until
-        self._difs_timer = self.sim.schedule_at(
-            (nav if nav > now else now) + DIFS_US, self._difs_done)
+        self._countdown_from = (nav if nav > now else now) + DIFS_US
+        self._attempt = self.sim.schedule_at(
+            self._countdown_from + (self.backoff_slots or 0) * SLOT_US,
+            self._transmit_attempt)
 
     def on_tx_end(self, frame):
         """One of this node's frames left the air; a broadcast is done."""
@@ -157,15 +161,6 @@ class DcfMac:
         if self.backoff_slots is None:
             self.backoff_slots = self.rng.randrange(self.cw + 1)
 
-    def _difs_done(self):
-        self._difs_timer = None
-        if self.backoff_slots:
-            self._backoff_started = self.sim.now
-            self._backoff_timer = self.sim.schedule_after(
-                self.backoff_slots * SLOT_US, self._transmit_attempt)
-        else:
-            self._transmit_attempt()
-
     # -- transmission ------------------------------------------------------
 
     def _transmit_attempt(self):
@@ -173,7 +168,7 @@ class DcfMac:
             raise SimulationError("transmission attempted under NAV")
         self.phase = IDLE
         self.backoff_slots = None
-        self._backoff_timer = None
+        self._attempt = None
         cur = self.current
         if (cur.dst == BROADCAST
                 or cur.payload_bytes < self.config.rts_threshold_bytes):
@@ -243,8 +238,8 @@ class DcfMac:
             return
         if frame.dst != self.node.id:
             if frame.kind in (RTS, CTS):
-                # The frame still holds the carrier, so no DIFS is pending:
-                # the idle edge at its end starts one from the new NAV end.
+                # The frame still holds the carrier, so no attempt is pending;
+                # the idle edge at its end counts from the new NAV end.
                 until = now + frame.duration_us
                 if until > self.nav_until:
                     self.nav_until = until

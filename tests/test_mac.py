@@ -1,7 +1,13 @@
 """DCF contention, retries, RTS/CTS, NAV, and broadcast discipline."""
 
-from vanetsim.mac import ACK, BROADCAST, CTS, DATA, RTS, SIFS_US, MacFrame
-from vanetsim.engine import SimulationError
+import random
+from types import SimpleNamespace
+
+from vanetsim.mac import (ACK, BROADCAST, CTS, CW_MIN, DATA, DIFS_US, RTS,
+                          SIFS_US, SLOT_US, DcfMac, MacFrame)
+from vanetsim.engine import SimulationError, Simulator
+from vanetsim.metrics import NodeCounters
+from vanetsim.scenario import ScenarioConfig
 
 import pytest
 
@@ -107,6 +113,123 @@ def test_backoff_freezes_at_slot_granularity_and_resumes():
     data = w.tx_records(node_id=1, kind=DATA)
     # burst ends 2718 -> DIFS done 2768 -> 3 slots -> 2828
     assert data[0][1] == 2828
+
+
+def burst(w, src, at):
+    """Put a 248 us frame from `src` on the air at `at`. Scheduled before the
+    MAC's own events, it goes first among those due in the same us."""
+    frame = MacFrame(DATA, src, BROADCAST, 0, 14, frame_id=9000 + at)
+    w.sim.schedule_at(at, lambda: w.channel.transmit(w.nodes[src], frame))
+
+
+def test_busy_edge_as_the_difs_ends_owes_a_backoff():
+    # The post-busy rule holds up to and including the DIFS's last us.
+    w = pair_world()
+    w.nodes[0].mac.rng = FixedRng([3])
+    burst(w, 1, 50)
+    w.send(0, 1, payload_bytes=100)  # idle medium, no backoff owed: due at 50
+    w.run(5_000)
+    data = w.tx_records(node_id=0, kind=DATA)
+    assert data[0][1] == 50 + 248 + 50 + 3 * 20  # burst, DIFS, drawn slots
+
+
+@pytest.mark.parametrize("slots, fraction", [(0, 7), (2, 1), (4, 19), (5, 0)])
+def test_busy_edge_inside_the_countdown_keeps_the_slots_not_counted(
+        slots, fraction):
+    # A broadcast owes 5 slots, counted from the DIFS's end at 50. A busy
+    # edge `slots` whole slots and a fraction later leaves 5 - slots; one in
+    # the us the countdown ends leaves none and draws none.
+    w = pair_world()
+    w.nodes[0].mac.rng = FixedRng([5])  # a second draw would fail
+    at = 50 + slots * 20 + fraction
+    burst(w, 1, at)
+    w.send(0, BROADCAST, payload_bytes=100)
+    w.run(5_000)
+    data = w.tx_records(node_id=0, kind=DATA)
+    assert data[0][1] == at + 248 + 50 + (5 - slots) * 20
+
+
+def reference_attempt(t, slots, spans, rng):
+    """When a countdown begun at t ends, by IEEE 802.11-1999 9.2.5.2: a DIFS
+    of idle medium, then `slots` whole idle slots, frozen while one of
+    `spans` (sorted, disjoint [start, end) intervals of carrier or NAV)
+    holds the medium. slots is None until the medium is busy by the DIFS's
+    end, and then drawn as the MAC draws them."""
+    for b, e in spans:
+        if e <= t:
+            continue
+        if b > t + DIFS_US + (slots or 0) * SLOT_US:
+            break
+        if b > t + DIFS_US:
+            slots -= (b - t - DIFS_US) // SLOT_US
+        elif slots is None:
+            slots = rng.randrange(CW_MIN + 1)
+        t = e
+    return t + DIFS_US + (slots or 0) * SLOT_US
+
+
+def test_attempts_follow_a_reference_countdown():
+    # One DcfMac under random busy and idle edges, some idle edges under a
+    # NAV that outlasts them, and 1-3 frames; every edge, NAV end and frame
+    # arrival at a distinct us. The channel records each attempt and, by
+    # returning None, refuses its frame, so the service ends at once.
+    for seed in range(1_000):
+        rng = random.Random(seed)
+        used = set()
+
+        def fresh(lo, hi):
+            while True:
+                t = rng.randrange(lo, hi)
+                if t not in used:
+                    used.add(t)
+                    return t
+
+        edges = sorted(fresh(1, 5_000)
+                       for _ in range(2 * rng.randrange(1, 16)))
+        busy = list(zip(edges[::2], edges[1::2]))
+        nav = {e: fresh(e + 1, e + 1_000) for _, e in busy
+               if rng.random() < 0.4}
+        ready = sorted(fresh(0, 5_000) for _ in range(rng.randrange(1, 4)))
+
+        sim = Simulator(seed)
+        node = SimpleNamespace(id=0, counters=NodeCounters(),
+                               carrier_busy=False)
+        attempts = []
+        channel = SimpleNamespace(
+            transmit=lambda node, frame: attempts.append(sim.now))
+        mac = DcfMac(sim, node, channel, ScenarioConfig(),
+                     random.Random(seed))
+
+        def busy_edge():
+            node.carrier_busy = True
+            mac.on_medium_busy()
+
+        def idle_edge(nav_end):
+            node.carrier_busy = False
+            mac.nav_until = max(mac.nav_until, nav_end)
+            mac.on_medium_idle()
+
+        spans = []
+        for b, e in busy:
+            sim.schedule_at(b, busy_edge)
+            sim.schedule_at(e, lambda n=nav.get(e, 0): idle_edge(n))
+            end = max(e, nav.get(e, 0))
+            if spans and b < spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], end)
+            else:
+                spans.append([b, end])
+        for r in ready:
+            sim.schedule_at(r, lambda: mac.enqueue(1, "x", 100))
+        sim.run_until(1_000_000)
+
+        # The first frame owes no backoff until the medium is busy; every
+        # later one draws its own when it is served.
+        draws = random.Random(seed)
+        want = [reference_attempt(ready[0], None, spans, draws)]
+        for r in ready[1:]:
+            want.append(reference_attempt(
+                max(r, want[-1]), draws.randrange(CW_MIN + 1), spans, draws))
+        assert attempts == want, "seed %d" % seed
 
 
 def test_post_transmission_backoff_separates_back_to_back_sends():
