@@ -54,6 +54,7 @@ def _execute(config, protocol, seed, out_dir, profile_path=None):
     if profile_path:
         simulation.sim.profile = {}
     ledger = simulation.run()
+    os.makedirs(out_dir, exist_ok=True)  # the profile may be written there
     if profile_path:
         _write(profile_path, json.dumps({
             "protocol": ledger.protocol,
@@ -62,7 +63,6 @@ def _execute(config, protocol, seed, out_dir, profile_path=None):
             "scheduled": simulation.sim._seq,
             "layers": dispatch_profile(simulation.sim.profile),
         }, indent=2) + "\n")
-    os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "metrics.csv"), ledger.to_csv())
     _write(os.path.join(out_dir, "scenario_resolved.cfg"),
            simulation.config.echo())

@@ -311,6 +311,16 @@ def test_cli_profile_repeats_and_leaves_the_run_files_alone(tmp_path,
         <= profiles[0]["scheduled"]
 
 
+def test_cli_profile_may_go_into_the_run_directory(tmp_path):
+    out = tmp_path / "absent"
+    cfg = write_cfg(tmp_path, "sim_time_s = 2\n")
+    assert main(["run", cfg, "--out", str(out),
+                 "--profile", str(out / "profile.json")]) == 0
+    assert json.loads((out / "profile.json").read_text())["layers"]
+    for name in ("metrics.csv", "scenario_resolved.cfg", "run.json"):
+        assert (out / name).exists()
+
+
 def test_cli_compare_ranks_and_writes_outputs(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", write_cfg(tmp_path),
