@@ -111,9 +111,9 @@ class DcfMac:
     # -- medium notifications (from the channel) ---------------------------
 
     def on_medium_busy(self):
-        """Carrier sensed: stop the wait. Up to the end of the DIFS this
-        owes a backoff (the post-busy rule); after it, the whole slots not
-        yet counted stay owed."""
+        """Carrier sensed: stop the wait. A busy edge by the end of the DIFS
+        owes a backoff (the post-busy rule); a later one leaves owed the
+        whole slots not yet counted."""
         if self._attempt is None:
             return
         self.sim.cancel(self._attempt)
