@@ -125,6 +125,20 @@ def csv_digest(ledger):
     return hashlib.sha256(ledger.to_csv().encode()).hexdigest()
 
 
+def trace_digest(trace):
+    """sha256 of a run's trace records, one repr per line."""
+    return hashlib.sha256(
+        "".join("%r\n" % (record,) for record in trace).encode()).hexdigest()
+
+
+def run_traced_baseline():
+    """The fully traced table1 AODV seed-1 run."""
+    simulation = Simulation(ScenarioConfig().validate(), protocol="aodv",
+                            seed=1, trace=True)
+    simulation.run()
+    return simulation
+
+
 def dispatch_counts(layers):
     """The counts of a profile's layers, as `vanetsim run --profile` writes
     them: layer -> callback qualname -> dispatches."""

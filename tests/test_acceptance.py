@@ -22,7 +22,9 @@ from vanetsim.routing.olsr import TC_INTERVAL_US, select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
-from conftest import PROTOCOLS, SWEEP_SEEDS as SEEDS, MacWorld, run_static
+from conftest import (PROTOCOLS, SWEEP_SEEDS as SEEDS, MacWorld,
+                      run_static, run_traced_baseline, trace_digest)
+from test_golden import pinned
 
 BASELINE = os.path.join(os.path.dirname(vanetsim.__file__),
                         "scenarios", "table1.cfg")
@@ -49,11 +51,9 @@ class FixedRng:
 
 @pytest.fixture(scope="module")
 def traced_baseline():
-    """One fully traced baseline run (shared by 4 and 13)."""
-    simulation = Simulation(ScenarioConfig().validate(), protocol="aodv",
-                            seed=1, trace=True)
-    simulation.run()
-    return simulation
+    """One fully traced baseline run (shared by 4 and 13 and the trace
+    checks)."""
+    return run_traced_baseline()
 
 
 # -- criteria --------------------------------------------------------------
@@ -376,3 +376,16 @@ def test_criterion_13_conservation_identities(traced_baseline):
         for c in ledger.node.values())
     verdict(13, "signal, delivery, and mode-time conservation",
             signals_ok and sessions_ok and times_ok)
+
+
+def test_every_rx_record_is_of_a_frame_that_went_on_the_air(traced_baseline):
+    # No metric reads a reception's start; only its trace record shows it.
+    trace = traced_baseline.sim.trace
+    sent = {(t[1], t[2], t[3], t[7]) for t in trace if t[0] == "tx"}
+    rx = [t for t in trace if t[0] == "rx"]
+    assert rx and all((t[1], t[4], t[3], t[7]) in sent for t in rx)
+
+
+def test_trace_matches_its_pin(traced_baseline):
+    assert (trace_digest(traced_baseline.sim.trace)
+            == pinned("table1_trace")["aodv"]["1"])

@@ -3,7 +3,8 @@
 Every table1 sweep run (4 protocols x 10 seeds) is pinned, with the number
 of events it scheduled, and at seed 1 with the dispatches of each event
 callback; the dense variants and the static grid are pinned at seeds 1 and
-2, the grid with its scheduled events too.
+2, the grid with its scheduled events too and at seed 1 with its dispatches.
+The trace of the table1 AODV seed-1 run is pinned as well.
 
 A deliberate behaviour change re-pins the digests and says in CHANGES.md
 which moved and why; the re-pin prints each pin it changes as old -> new:
@@ -11,16 +12,20 @@ which moved and why; the re-pin prints each pin it changes as old -> new:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import importlib.util
 import json
 import os
 from dataclasses import replace
 
 import pytest
 
+import vanetsim
+from vanetsim.engine import dispatch_profile
 from vanetsim.scenario import ScenarioConfig, parse_scenario
 from vanetsim.simulation import Simulation
 
-from conftest import PROTOCOLS, csv_digest, run_sweep
+from conftest import (PROTOCOLS, csv_digest, dispatch_counts, run_sweep,
+                      run_traced_baseline, trace_digest)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden.json")
@@ -64,26 +69,45 @@ def scenario(name):
 
 
 def runs(name, protocol):
-    """seed -> (metrics.csv digest, events scheduled) at each golden seed."""
+    """seed -> (metrics.csv digest, events scheduled, dispatches) at each
+    golden seed; the grid's seed-1 run is profiled, and its dispatches are
+    layer -> callback -> count, the others' None."""
     config = scenario(name)
     out = {}
     for seed in GOLDEN_SEEDS:
         simulation = Simulation(config, protocol=protocol, seed=seed)
-        out[str(seed)] = (csv_digest(simulation.run()), simulation.sim._seq)
+        profiled = name == "grid" and seed == 1
+        if profiled:
+            simulation.sim.profile = {}
+        digest = csv_digest(simulation.run())
+        dispatches = dispatch_counts(dispatch_profile(
+            simulation.sim.profile)) if profiled else None
+        out[str(seed)] = (digest, simulation.sim._seq, dispatches)
     return out
 
 
 def scenario_pins(name, protocols=PROTOCOLS):
     """The digests of the scenario's runs, and for the grid the events
-    they scheduled, as they are pinned: name -> protocol -> seed -> value."""
+    they scheduled and the seed-1 dispatches, as they are pinned:
+    name -> protocol -> seed -> value, or for the dispatches
+    name -> protocol -> layer -> callback -> count."""
     by_protocol = {p: runs(name, p) for p in protocols}
-    pins = {name: {p: {seed: digest for seed, (digest, _) in got.items()}
+    pins = {name: {p: {seed: got[seed][0] for seed in got}
                    for p, got in by_protocol.items()}}
     if name == "grid":
         pins["grid_events"] = {
-            p: {seed: events for seed, (_, events) in got.items()}
+            p: {seed: got[seed][1] for seed in got}
             for p, got in by_protocol.items()}
+        pins["grid_dispatches"] = {
+            p: got["1"][2] for p, got in by_protocol.items()}
     return pins
+
+
+def trace_pins():
+    """The sha256 of the traced table1 AODV seed-1 run's records, as it is
+    pinned: protocol -> seed -> digest."""
+    return {"table1_trace": {"aodv": {
+        "1": trace_digest(run_traced_baseline().sim.trace)}}}
 
 
 def pinned(name):
@@ -134,6 +158,21 @@ def test_scenario_digests(name, protocol):
         assert by_protocol[protocol] == pinned(key)[protocol]
 
 
+def test_benchmark_workloads_are_the_pinned_scenarios():
+    # perfbench's table1 and grid runs are the pinned ones, byte for byte
+    # (the table1 pins run ScenarioConfig(), which equals the shipped file).
+    root = os.path.dirname(os.path.dirname(GOLDEN))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert parse_scenario(workloads._grid()) == scenario("grid")
+    assert os.path.samefile(
+        os.path.join(root, workloads.TABLE1_CFG),
+        os.path.join(os.path.dirname(vanetsim.__file__), "scenarios",
+                     "table1.cfg"))
+
+
 def test_zone_radius_moves_only_zrp_pins():
     dense, zone3 = pinned("dense"), pinned("dense_zone3")
     assert {p for p in PROTOCOLS if zone3[p] != dense[p]} == {"zrp"}
@@ -152,6 +191,7 @@ def leaves(tree, path=()):
 
 if __name__ == "__main__":
     table = sweep_pins(run_sweep()[0])
+    table.update(trace_pins())
     for name in PINNED:
         table.update(scenario_pins(name))
     with open(GOLDEN) as fh:
