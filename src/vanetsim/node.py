@@ -22,13 +22,17 @@ class Node:
 
         self.radio_enabled = True
         self.transmitting = False
-        self.active_rx = []
+        self.receiving = 0  # receptions on the air here
+        # While receiving: whether the medium has held one frame alone since
+        # it last turned busy here. Any overlap errors every reception on
+        # the air, so they all end errored unless this is still True.
+        self.rx_clean = False
         self._last_account_us = 0
 
     @property
     def carrier_busy(self):
         """The medium is busy here while this node transmits or receives."""
-        return self.transmitting or bool(self.active_rx)
+        return self.transmitting or self.receiving > 0
 
     def accrue_power(self, now):
         """Charge the elapsed interval to the mode in force before a change:
@@ -39,17 +43,18 @@ class Node:
             if self.transmitting:
                 counters.tx_time_us += elapsed
                 current = self.currents[0]
-            elif self.active_rx:
+            elif self.receiving:
                 counters.rx_time_us += elapsed
                 current = self.currents[1]
             else:
                 counters.idle_time_us += elapsed
                 current = self.currents[2]
             self._last_account_us = now
-            self.drawn_mah += current * elapsed / US_PER_HOUR
-            if self.drawn_mah >= self.capacity_mah:
-                self.drawn_mah = self.capacity_mah
+            drawn = self.drawn_mah + current * elapsed / US_PER_HOUR
+            if drawn >= self.capacity_mah:
+                drawn = self.capacity_mah
                 self.radio_enabled = False
+            self.drawn_mah = drawn
         elif elapsed < 0:
             raise SimulationError("power accounting moved backwards")
 

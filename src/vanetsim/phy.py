@@ -82,14 +82,6 @@ def reach_m(config):
     return max(10 ** log_d, MIN_PATHLOSS_DISTANCE)
 
 
-class Reception:
-    __slots__ = ("start", "errored")
-
-    def __init__(self, start):
-        self.start = start
-        self.errored = False
-
-
 class Channel:
     """Shared medium: starts and ends receptions, flags overlaps as errors.
 
@@ -130,9 +122,9 @@ class Channel:
         end = now + air
         node.accrue_power(now)
         node.transmitting = True
-        for rec in node.active_rx:
-            rec.errored = True
-        if not node.active_rx:
+        if node.receiving:
+            node.rx_clean = False
+        else:
             node.mac.on_medium_busy()
         if self.sim.trace is not None:
             self.sim.trace.append(
@@ -143,14 +135,20 @@ class Channel:
         in_reach = self._in_reach.get(node.id)
         if in_reach is None:
             in_reach = self._in_reach[node.id] = self._reach_of(node)
-        receptions = []
+        receivers = []
         for other in in_reach:
             if other.radio_enabled:
-                rec = Reception(now)
-                self._begin_reception(other, rec)
-                receptions.append((other, rec))
+                other.accrue_power(now)
+                receivers.append(other)
+                if other.receiving or other.transmitting:
+                    other.rx_clean = False
+                    other.receiving += 1
+                else:
+                    other.rx_clean = True
+                    other.receiving = 1
+                    other.mac.on_medium_busy()
         self.sim.schedule_at(
-            end, lambda: self._end_air(node, frame, receptions))
+            end, lambda: self._end_air(node, frame, now, receivers))
         return end
 
     def _reach_of(self, node):
@@ -175,36 +173,25 @@ class Channel:
             out.append(other)
         return out
 
-    def _begin_reception(self, node, rec):
-        node.accrue_power(self.sim.now)
-        was_busy = node.transmitting or bool(node.active_rx)
-        if was_busy:
-            rec.errored = True
-            for other in node.active_rx:
-                other.errored = True
-        node.active_rx.append(rec)
-        if not was_busy:
-            node.mac.on_medium_busy()
-
-    def _end_air(self, node, frame, receptions):
+    def _end_air(self, node, frame, start, receivers):
         """End the frame's receptions in the order they began, then its own."""
         now = self.sim.now
         trace = self.sim.trace
-        for other, rec in receptions:
+        for other in receivers:
             other.accrue_power(now)
+            errored = not other.rx_clean
             if trace is not None:
-                trace.append(("rx", rec.start, other.id, frame.kind,
-                              frame.src, frame.dst, frame.frame_id, now,
-                              rec.errored))
+                trace.append(("rx", start, other.id, frame.kind, frame.src,
+                              frame.dst, frame.frame_id, now, errored))
             # The frame still holds the medium while the MAC handles it:
             # whatever the MAC does in this upcall must sense it as busy.
             if other.radio_enabled:
-                other.mac.observe_frame(frame, rec.errored)
-            other.active_rx.remove(rec)
-            if not (other.transmitting or other.active_rx):
+                other.mac.observe_frame(frame, errored)
+            other.receiving -= 1
+            if not (other.transmitting or other.receiving):
                 other.mac.on_medium_idle()
         node.accrue_power(now)
         node.transmitting = False
-        if not node.active_rx:
+        if not node.receiving:
             node.mac.on_medium_idle()
         node.mac.on_tx_end(frame)

@@ -240,7 +240,7 @@ def test_receiver_whose_radio_is_off_at_the_start_gets_no_reception():
     w = MacWorld({0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0)})
     w.nodes[2].radio_enabled = False
     end = w.channel.transmit(w.nodes[1], bcast(1))
-    assert not w.nodes[2].active_rx
+    assert not w.nodes[2].receiving
     w.nodes[2].radio_enabled = True  # back on before the frame ends
     w.run(end)
     assert [t[2] for t in w.rx_records()] == [0]

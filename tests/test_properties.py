@@ -174,22 +174,19 @@ def run_eager_and_checked(config):
         simulation = Simulation(config)
     oracle = EagerMobility(simulation)
     channel = simulation.channel
-    transmit, begin = channel.transmit, channel._begin_reception
-    reached = []
+    transmit, end_air = channel.transmit, channel._end_air
+    expected = {}  # sender id -> the receivers of its frame on the air
 
     def checked_transmit(node, frame):
-        expected = brute_force_receivers(simulation, node)
-        reached.clear()
-        end = transmit(node, frame)
-        assert reached == expected
-        return end
+        expected[node.id] = brute_force_receivers(simulation, node)
+        return transmit(node, frame)
 
-    def recorded_begin(node, rec):
-        reached.append(node.id)
-        begin(node, rec)
+    def checked_end_air(node, frame, start, receivers):
+        assert [other.id for other in receivers] == expected.pop(node.id)
+        end_air(node, frame, start, receivers)
 
     channel.transmit = checked_transmit
-    channel._begin_reception = recorded_begin
+    channel._end_air = checked_end_air
     with patch("vanetsim.simulation.start_sweeps", lambda sim, nodes: None):
         return simulation.run(), oracle
 

@@ -72,7 +72,7 @@ def test_battery_idle_oracle():
 def test_battery_mode_currents_differ():
     tx, rx = make_node(), make_node()
     tx.transmitting = True
-    rx.active_rx.append(object())
+    rx.receiving = 1
     tx.accrue_power(us(10))
     rx.accrue_power(us(10))
     assert abs(tx.drawn_mah / rx.drawn_mah - 280.0 / 180.0) < 1e-9
@@ -89,7 +89,7 @@ def test_battery_never_goes_negative():
 def test_node_mode_priority():
     node = make_node()
     node.accrue_power(10)  # idle
-    node.active_rx.append(object())
+    node.receiving = 1
     node.accrue_power(30)  # rx
     node.transmitting = True
     node.accrue_power(60)  # tx wins over rx
