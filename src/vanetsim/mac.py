@@ -36,7 +36,7 @@ CTS_BYTES = 14
 ACK_BYTES = 14
 
 
-@dataclass
+@dataclass(slots=True)
 class MacFrame:
     kind: str
     src: int
@@ -86,6 +86,7 @@ class DcfMac:
         self.current = None  # the DATA frame in service
 
         self._attempt = None  # the pending _transmit_attempt event
+        self._rts = None  # the last RTS sent
         self._countdown_from = None  # when its DIFS ends and its slots start
         self._timeout_timer = None
         self._post_tx = False
@@ -125,10 +126,11 @@ class DcfMac:
             self.backoff_slots -= (now - self._countdown_from) // SLOT_US
 
     def on_medium_idle(self):
-        """Contend again on one timer: a DIFS that counts from when neither
-        the carrier nor the NAV holds the medium, then the backoff slots."""
-        if self.phase != CONTEND or self.node.carrier_busy:
-            return  # the channel calls again when the carrier clears
+        """The carrier cleared: contend again on one timer, a DIFS that
+        counts from when the NAV no longer holds the medium either, then
+        the backoff slots."""
+        if self.phase != CONTEND:
+            return
         now = self.sim.now
         nav = self.nav_until
         self._countdown_from = (nav if nav > now else now) + DIFS_US
@@ -152,10 +154,11 @@ class DcfMac:
 
     def _start_access(self, force_backoff):
         self.phase = CONTEND
-        if (force_backoff or self.node.carrier_busy
-                or self.sim.now < self.nav_until):
+        busy = self.node.carrier_busy
+        if force_backoff or busy or self.sim.now < self.nav_until:
             self._ensure_backoff_drawn()
-        self.on_medium_idle()
+        if not busy:  # else the channel calls when the carrier clears
+            self.on_medium_idle()
 
     def _ensure_backoff_drawn(self):
         if self.backoff_slots is None:
@@ -174,10 +177,13 @@ class DcfMac:
                 or cur.payload_bytes < self.config.rts_threshold_bytes):
             self._send(cur, ACK, self._ack_air)
             return
-        duration = (3 * SIFS_US + self._cts_air
-                    + airtime_us(cur.bits, self.config) + self._ack_air)
-        self._send(MacFrame(RTS, self.node.id, cur.dst, duration, RTS_BYTES,
-                            None, 0, cur.frame_id), CTS, self._cts_air)
+        rts = self._rts
+        if rts is None or rts.frame_id != cur.frame_id:  # built once a frame
+            duration = (3 * SIFS_US + self._cts_air
+                        + airtime_us(cur.bits, self.config) + self._ack_air)
+            rts = self._rts = MacFrame(RTS, self.node.id, cur.dst, duration,
+                                       RTS_BYTES, None, 0, cur.frame_id)
+        self._send(rts, CTS, self._cts_air)
 
     def _send(self, frame, reply, reply_air):
         """Send a stage of the frame in service and await `reply` (none for
@@ -227,25 +233,25 @@ class DcfMac:
     # -- reception ---------------------------------------------------------
 
     def observe_frame(self, frame, errored):
+        counters = self.counters
         if errored:
-            self.counters.signals_received_with_errors += 1
+            counters.signals_received_with_errors += 1
             return
-        self.counters.signals_received_without_errors += 1
-        now = self.sim.now
-        if frame.dst == BROADCAST:  # only DATA frames are broadcast
-            self.counters.dcf_broadcasts_received += 1
-            self.upper.on_receive(frame.payload, frame.src)
-            return
-        if frame.dst != self.node.id:
-            if frame.kind in (RTS, CTS):
+        counters.signals_received_without_errors += 1
+        dst = frame.dst
+        if dst != self.node.id:
+            if dst == BROADCAST:  # only DATA frames are broadcast
+                counters.dcf_broadcasts_received += 1
+                self.upper.on_receive(frame.payload, frame.src)
+            elif frame.kind in (RTS, CTS):
                 # The frame still holds the carrier, so no attempt is pending;
                 # the idle edge at its end counts from the new NAV end.
-                until = now + frame.duration_us
+                until = self.sim.now + frame.duration_us
                 if until > self.nav_until:
                     self.nav_until = until
             return
         if frame.kind == RTS:
-            if now >= self.nav_until:
+            if self.sim.now >= self.nav_until:
                 cts = MacFrame(CTS, self.node.id, frame.src,
                                max(frame.duration_us - SIFS_US
                                    - self._cts_air, 0),
