@@ -71,8 +71,9 @@ class Simulator:
                 "scheduling into the past: t=%d < now=%d (%s)"
                 % (fire_at, self.now, fn.__qualname__)
             )
-        ev = [fire_at, self._seq, fn]
-        self._seq += 1
+        seq = self._seq
+        ev = [fire_at, seq, fn]
+        self._seq = seq + 1
         heappush(self._heap, ev)
         return ev
 
@@ -91,15 +92,16 @@ class Simulator:
         if self.profile is not None:
             return self._run_profiled(end)
         heap = self._heap
+        now = self.now
         while heap and heap[0][0] <= end:
             fire_at, _, fn = heappop(heap)
             if fn is None:
                 continue
-            if fire_at < self.now:
+            if fire_at < now:
                 raise SimulationError("clock went backwards")
-            self.now = fire_at
+            self.now = now = fire_at
             fn()
-        if end > self.now:
+        if end > now:
             self.now = end
 
     def _run_profiled(self, end):

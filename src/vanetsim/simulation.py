@@ -1,5 +1,6 @@
 """Wires a scenario into a runnable simulation."""
 
+import math
 import time
 from dataclasses import replace
 
@@ -78,8 +79,10 @@ class Simulation:
 
         self.mobility = Mobility(self.sim, self.nodes, config)
         # A frame brings positions up to the last tick; a move there drops
-        # the channel's receiver lists.
-        self.channel.sync = self.mobility.sync
+        # the channel's receiver lists. Every leg starts at rest, so with
+        # no leg ever due no node moves, and the channel need not ask.
+        if self.mobility.next_due != math.inf:
+            self.channel.sync = self.mobility.sync
         # Sessions start at staggered offsets so equal-interval sources do
         # not tick in lockstep (synchronized ticks make hidden senders
         # collide at every interval).
