@@ -34,7 +34,8 @@ class Packet:
     sent_at: int = 0
 
     def hop_copy(self):
-        return replace(self, ttl=self.ttl - 1)
+        return Packet(self.src, self.dst, self.ttl - 1, self.size_bytes,
+                      self.session_id, self.seq, self.sent_at)
 
 
 @dataclass
