@@ -98,8 +98,8 @@ class Channel:
         self.config = config
         self.nodes = [nodes[nid] for nid in sorted(nodes)]  # by node id
         # Brings node.pos up to date before a frame goes on the air and says
-        # whether some node moved; a Simulation sets it to Mobility.sync. By
-        # default nobody moves.
+        # whether some node moved; a Simulation sets it to Mobility.sync when
+        # some node can move. By default nobody moves.
         self.sync = lambda: False
         reach = reach_m(config)
         inside, outside = reach * (1 - REACH_BAND), reach * (1 + REACH_BAND)
