@@ -153,6 +153,9 @@ def test_profiled_run_dispatches_the_same_events():
     other.run_until(100)
     assert profiled == plain == ["tick", "tick", "lambda", "tick"]
     assert sim.now == other.now == 100
+    assert sim._seq == other._seq
+    assert ([entry[:2] for entry in sim._heap]
+            == [entry[:2] for entry in other._heap] == [[500, 5]])
 
 
 def test_profile_counts_callbacks_by_layer_and_every_pop():
@@ -170,6 +173,30 @@ def test_profile_counts_callbacks_by_layer_and_every_pop():
     assert layers["other"]["dispatches"] == 4
     assert all(entry["wall_s"] >= 0.0 for entry in layers.values())
     assert sim._heap[0][0] == 500
+
+
+def test_profile_counts_pops_of_events_scheduled_and_cancelled_in_the_run():
+    sim = Simulator(seed=1)
+    fired = []
+    pending = sim.schedule_at(40, lambda: fired.append("cancelled"))
+
+    def spawn():
+        fired.append("spawn")
+        sim.schedule_after(10, lambda: fired.append("soon"))
+        sim.schedule_at(150, lambda: fired.append("late"))
+        sim.cancel(pending)
+
+    sim.schedule_at(20, spawn)
+    sim.profile = {}
+    loop = ("vanetsim.engine", "Simulator.run_until")
+    sim.run_until(100)
+    # spawn at 20, soon at 30 and the cancelled entry at 40; late waits
+    assert fired == ["spawn", "soon"]
+    assert sim.profile[loop][0] == 3
+    sim.run_until(200)
+    assert fired == ["spawn", "soon", "late"]
+    assert sim.profile[loop][0] == 4 == sim._seq - len(sim._heap)
+    assert sim.now == 200
 
 
 def test_profile_layer_is_the_package_module():
