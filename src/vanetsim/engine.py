@@ -88,11 +88,20 @@ class Simulator:
             ev[2] = None
 
     def run_until(self, end):
-        """Dispatch all events with fire_at <= end in (fire_at, seq) order."""
-        if self.profile is not None:
-            return self._run_profiled(end)
+        """Dispatch all events with fire_at <= end in (fire_at, seq) order.
+
+        With profile set, each callback's dispatches and wall time are
+        added to it, and the loop's own entry counts every heap entry it
+        pops, cancelled ones included, and the time no callback took."""
         heap = self._heap
         now = self.now
+        profile = self.profile
+        if profile is not None:
+            clock = time.perf_counter
+            # each pop lowers len(heap) - _seq by one, each push leaves it
+            unpopped = len(heap) - self._seq
+            in_callbacks = 0.0
+            loop_started = clock()
         while heap and heap[0][0] <= end:
             fire_at, _, fn = heappop(heap)
             if fn is None:
@@ -100,28 +109,9 @@ class Simulator:
             if fire_at < now:
                 raise SimulationError("clock went backwards")
             self.now = now = fire_at
-            fn()
-        if end > now:
-            self.now = end
-
-    def _run_profiled(self, end):
-        """run_until, adding each callback's dispatches and wall time to
-        profile. The loop's own entry counts every heap entry it pops,
-        cancelled ones included, and the time no callback took."""
-        profile = self.profile
-        clock = time.perf_counter
-        heap = self._heap
-        popped = 0
-        in_callbacks = 0.0
-        loop_started = clock()
-        while heap and heap[0][0] <= end:
-            fire_at, _, fn = heappop(heap)
-            popped += 1
-            if fn is None:
+            if profile is None:
+                fn()
                 continue
-            if fire_at < self.now:
-                raise SimulationError("clock went backwards")
-            self.now = fire_at
             started = clock()
             fn()
             took = clock() - started
@@ -132,12 +122,13 @@ class Simulator:
                 entry = profile[key] = [0, 0.0]
             entry[0] += 1
             entry[1] += took
-        if end > self.now:
+        if end > now:
             self.now = end
-        entry = profile.setdefault(
-            (__name__, "Simulator.run_until"), [0, 0.0])
-        entry[0] += popped
-        entry[1] += clock() - loop_started - in_callbacks
+        if profile is not None:
+            entry = profile.setdefault(
+                (__name__, "Simulator.run_until"), [0, 0.0])
+            entry[0] += unpopped - (len(heap) - self._seq)
+            entry[1] += clock() - loop_started - in_callbacks
 
 
 def dispatch_profile(profile):
