@@ -78,8 +78,6 @@ class Simulator:
         return ev
 
     def schedule_after(self, delay, fn):
-        if delay < 0:
-            raise SimulationError("negative delay %d" % delay)
         return self.schedule_at(self.now + delay, fn)
 
     def cancel(self, ev):

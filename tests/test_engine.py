@@ -77,9 +77,11 @@ def test_scheduling_into_the_past_names_the_callback(sim):
         pass
 
     sim.run_until(100)
-    with pytest.raises(SimulationError) as raised:
-        sim.schedule_at(50, expire)
-    assert "(%s)" % expire.__qualname__ in str(raised.value)
+    for schedule in (lambda: sim.schedule_at(50, expire),
+                     lambda: sim.schedule_after(-50, expire)):
+        with pytest.raises(SimulationError) as raised:
+            schedule()
+        assert "(%s)" % expire.__qualname__ in str(raised.value)
 
 
 def test_run_until_is_resumable(sim):
