@@ -91,7 +91,6 @@ class DcfMac:
         self._timeout_timer = None
         self._post_tx = False
         self._seen = {}  # the last 256 DATA frame ids received, oldest first
-        self.cw_log = None  # set to a list to record each CW change
 
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
         self._ack_air = airtime_us(ACK_BYTES * 8, config)
@@ -202,8 +201,6 @@ class DcfMac:
     def _exchange_timeout(self):
         self.retry += 1
         self.cw = min(2 * (self.cw + 1) - 1, CW_MAX)
-        if self.cw_log is not None:
-            self.cw_log.append(self.cw)
         if self.retry > RETRY_LIMIT:
             self.counters.mac_unicast_drops += 1
             self._end_service(delivered=False)
@@ -270,8 +267,6 @@ class DcfMac:
                 self.sim.schedule_after(SIFS_US, lambda: self._send(
                     self.current, ACK, self._ack_air))
                 return
-            if self.cw_log is not None:
-                self.cw_log.append(CW_MIN)
             self._end_service(delivered=True)
 
     def _respond(self, frame):

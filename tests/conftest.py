@@ -36,6 +36,25 @@ class StubUpper:
         self.failures.append((dst, packet))
 
 
+class FixedRng:
+    """A DcfMac's backoff rng: randrange plays the scripted draws, or draws
+    from the wrapped random.Random, and records in `windows` the contention
+    window of each draw (every backoff draw is randrange(cw + 1))."""
+
+    def __init__(self, values=(), rng=None):
+        self.values = list(values)
+        self.rng = rng
+        self.windows = []
+
+    def randrange(self, stop):
+        self.windows.append(stop - 1)
+        if self.rng is not None:
+            return self.rng.randrange(stop)
+        v = self.values.pop(0)
+        assert 0 <= v < stop
+        return v
+
+
 class MacWorld:
     """A static set of nodes with DCF MACs on one channel, no routing."""
 

@@ -22,7 +22,7 @@ from vanetsim.routing.olsr import TC_INTERVAL_US, select_mprs
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
-from conftest import (PROTOCOLS, SWEEP_SEEDS as SEEDS, MacWorld,
+from conftest import (PROTOCOLS, SWEEP_SEEDS as SEEDS, FixedRng, MacWorld,
                       run_static, run_traced_baseline, trace_digest)
 from test_golden import pinned
 
@@ -34,16 +34,6 @@ def verdict(number, description, ok):
     print("criterion %02d %-52s %s"
           % (number, description, "PASS" if ok else "FAIL"))
     assert ok, "criterion %d failed: %s" % (number, description)
-
-
-class FixedRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, stop):
-        v = self.values.pop(0)
-        assert 0 <= v < stop
-        return v
 
 
 # -- shared expensive runs -------------------------------------------------
@@ -91,24 +81,24 @@ def test_criterion_03_contention_window_ladder():
     w = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0)})
     mac = w.nodes[0].mac
     initial = mac.cw
-    mac.cw_log = []
+    mac.rng = FixedRng(rng=mac.rng)
     w.nodes[1].radio_enabled = False
     w.send(0, 1, payload_bytes=512)
     w.run(5_000_000)
-    ladder = [initial] + mac.cw_log[:6]
-    saturates = ladder == [31, 63, 127, 255, 511, 1023, 1023]
+    # each retry draws its backoff from the CW it uses
+    ladder = [initial] + mac.rng.windows
+    saturates = ladder == [31, 63, 127, 255, 511, 1023, 1023, 1023]
 
     # reset on success: heal the receiver before the fourth attempt
     w2 = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0)})
     mac2 = w2.nodes[0].mac
-    mac2.cw_log = []
     mac2.rng = FixedRng([0] * 10)  # zero backoff keeps the timeline exact
     w2.nodes[1].radio_enabled = False
     w2.send(0, 1, payload_bytes=512)
     w2.sim.schedule_at(1_810, lambda: setattr(w2.nodes[1], "radio_enabled",
                                               True))
     w2.run(5_000_000)
-    resets = mac2.cw_log == [63, 127, 255, 31] and mac2.cw == 31
+    resets = mac2.rng.windows == [63, 127, 255] and mac2.cw == 31
     verdict(3, "CW 31..1023 doubling, reset to 31 on success",
             saturates and resets)
 

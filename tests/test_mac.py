@@ -11,19 +11,7 @@ from vanetsim.scenario import ScenarioConfig
 
 import pytest
 
-from conftest import MacWorld, line_positions, run_static
-
-
-class FixedRng:
-    """randrange stub returning a scripted sequence of backoff draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, stop):
-        v = self.values.pop(0)
-        assert 0 <= v < stop
-        return v
+from conftest import FixedRng, MacWorld, line_positions, run_static
 
 
 def pair_world(**kwargs):
@@ -266,7 +254,6 @@ def test_unicast_retry_limit_exactly_eight_attempts():
 def test_cw_ladder_doubles_then_resets_on_success():
     w = pair_world()
     mac = w.nodes[0].mac
-    mac.cw_log = []
     mac.rng = FixedRng([0] * 10)  # zero backoff keeps the timeline exact
     assert mac.cw == 31
     w.nodes[1].radio_enabled = False
@@ -278,19 +265,20 @@ def test_cw_ladder_doubles_then_resets_on_success():
         w.nodes[1].radio_enabled = True
     w.sim.schedule_at(1_810, heal)
     w.run(2_000_000)
-    assert mac.cw_log == [63, 127, 255, 31]  # 3 doublings, reset on success
-    assert mac.cw == 31
+    assert mac.rng.windows == [63, 127, 255]  # a draw after each timeout
+    assert mac.cw == 31  # reset on success
     assert w.uppers[0].successes
 
 
 def test_cw_saturates_at_cw_max():
     w = pair_world()
     mac = w.nodes[0].mac
-    mac.cw_log = []
+    mac.rng = FixedRng(rng=mac.rng)
     w.nodes[1].radio_enabled = False
     w.send(0, 1, payload_bytes=512)
     w.run(3_000_000)
-    assert mac.cw_log == [63, 127, 255, 511, 1023, 1023, 1023, 1023]
+    # the eighth timeout drops the frame and draws nothing
+    assert mac.rng.windows == [63, 127, 255, 511, 1023, 1023, 1023]
 
 
 def test_errored_data_gets_no_ack():
