@@ -175,8 +175,9 @@ class Agent:
     # -- data plane --------------------------------------------------------
 
     def handle_app_packet(self, pkt):
-        """A packet from this node's CBR source, never addressed to it."""
-        self.route_or_miss(pkt)
+        """A packet from this node's CBR source, never addressed to it.
+        Returns what on_source_miss returns for it, if it has no route."""
+        return self.route_or_miss(pkt)
 
     def handle_data(self, pkt, prev_hop):
         if pkt.dst == self.node.id:
@@ -188,13 +189,13 @@ class Agent:
         self.route_or_miss(pkt.hop_copy(), prev_hop=prev_hop)
 
     def route_or_miss(self, pkt, prev_hop=None):
-        """Send pkt on, unless that hands it back to where it came from."""
+        """Send pkt on, unless that hands it back to where it came from;
+        on a miss at its source, return what on_source_miss returns."""
         hop = self.next_hop(pkt.dst)
         if hop is None:
             if prev_hop is None:
-                self.on_source_miss(pkt)
-            else:
-                self.on_relay_miss(pkt, prev_hop)
+                return self.on_source_miss(pkt)
+            self.on_relay_miss(pkt, prev_hop)
         elif hop == prev_hop:
             self.node.counters.route_drops += 1
             self.bump("data_bounced")
@@ -206,7 +207,8 @@ class Agent:
         raise NotImplementedError
 
     def on_source_miss(self, pkt):
-        """Drop and count. ReactiveAgent buffers and discovers instead."""
+        """Drop and count; None. ReactiveAgent buffers and discovers
+        instead, and may hand the source a token (FullBuffer)."""
         self.node.counters.route_drops += 1
 
     def on_relay_miss(self, pkt, prev_hop):

@@ -34,6 +34,48 @@ DUP_CACHE_S = 15.0
 RREQ_TTL = 35
 
 
+class FullBuffer:
+    """Handed to a source with a packet that, with no route to dest and a
+    discovery round running, only pushed the oldest of its session's last
+    PENDING_PER_DEST packets out of the full pending buffer.
+
+    Each next packet of that session does the same while the buffer, the
+    round and the route entry are the objects they were: a round or a
+    buffer that ends is replaced, a route is learned as a new entry, and
+    one that is not live never becomes live again. While it holds, the
+    source may count its packets instead of handing them over, and build
+    them when it settles; the agent has it settle before it reads the
+    buffer again.
+    """
+
+    __slots__ = ("agent", "dest", "queue", "round", "entry", "source")
+
+    def __init__(self, agent, dest):
+        self.agent = agent
+        self.dest = dest
+        self.queue = agent.pending[dest]
+        self.round = agent._discoveries[dest]
+        self.entry = agent.table.entries.get(dest)
+        self.source = None  # the CbrSource that counts under it, if any
+
+    def holds(self):
+        agent, dest = self.agent, self.dest
+        return (agent.pending.get(dest) is self.queue
+                and agent._discoveries.get(dest) is self.round
+                and agent.table.entries.get(dest) is self.entry)
+
+    def push(self, packets, count):
+        """count packets came while it held, each pushing the oldest out;
+        packets are the last of them, as many as the buffer keeps."""
+        q = self.queue
+        for pkt in packets:
+            q.popleft()
+            q.append(pkt)
+        stats = self.agent.stats
+        self.agent.node.counters.route_drops += count
+        stats["cbr_deferred"] = stats.get("cbr_deferred", 0) + count
+
+
 @dataclass
 class Rerr:
     unreachable: tuple  # (dest, seq_no) pairs
@@ -54,6 +96,7 @@ class ReactiveAgent(Agent):
         self.pending = {}        # dest -> deque of packets, oldest first
         self._discoveries = {}   # dest -> [requests sent, next timer event]
         self._holdoff = {}       # dest -> (until_us, length_us)
+        self._tokens = {}        # dest -> FullBuffer last handed out for it
 
     def emit_discovery(self, dest):
         raise NotImplementedError
@@ -70,10 +113,12 @@ class ReactiveAgent(Agent):
         pass
 
     def on_source_miss(self, pkt):
+        """Buffer pkt and discover; a FullBuffer when pkt only pushed out
+        the oldest packet, else None."""
         self.buffer_packet(pkt)
         dest = pkt.dst
         if dest in self._discoveries:
-            return
+            return self._full_buffer(pkt)
         hold = self._holdoff.get(dest)
         if hold is not None and self.sim.now < hold[0]:
             # a round whose first request goes out when the hold-off ends
@@ -117,6 +162,26 @@ class ReactiveAgent(Agent):
 
     # -- pending-packet buffer ---------------------------------------------
 
+    full_buffer = FullBuffer
+
+    def _full_buffer(self, pkt):
+        """A token for pkt, just buffered behind the round for its
+        destination, if the buffer is full and holds pkt's session's last
+        PENDING_PER_DEST packets (a packet a route served in between
+        leaves a gap in their numbers); else None."""
+        q = self.pending[pkt.dst]
+        if (len(q) < PENDING_PER_DEST
+                or q[0].seq != pkt.seq - (PENDING_PER_DEST - 1)):
+            return None
+        token = self._tokens[pkt.dst] = self.full_buffer(self, pkt.dst)
+        return token
+
+    def _settle(self, dest):
+        """Have a source that counted packets for dest build them first."""
+        token = self._tokens.pop(dest, None)
+        if token is not None and token.source is not None:
+            token.source.settle()
+
     def buffer_packet(self, pkt):
         """Queue pkt; only a source buffers, as it sends, so sent_at dates
         it. A stored queue is never empty, so its head tells if any expired."""
@@ -131,6 +196,7 @@ class ReactiveAgent(Agent):
         q.append(pkt)
 
     def flush_pending(self, dest):
+        self._settle(dest)
         q = self.pending.pop(dest, None)
         if not q:
             return
@@ -143,6 +209,7 @@ class ReactiveAgent(Agent):
                 self.send_data_frame(hop, pkt)
 
     def drop_pending(self, dest):
+        self._settle(dest)
         q = self.pending.pop(dest, None)
         if q:
             self.node.counters.route_drops += len(q)

@@ -6,7 +6,8 @@ from ..engine import us
 from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
                    DupCache, LinkStateAgent, RouteEntry)
-from .reactive import DUP_CACHE_S, ROUTE_LIFETIME_US, ReactiveAgent
+from .reactive import (DUP_CACHE_S, ROUTE_LIFETIME_US, FullBuffer,
+                       ReactiveAgent)
 
 MAX_BORDERCAST_STAGES = 8
 
@@ -50,9 +51,25 @@ class IerpError(IerpReply):
     """The broken route, orig..dest, sent back the way a reply travels."""
 
 
+class ZoneFullBuffer(FullBuffer):
+    """A FullBuffer that also needs the zone's paths, which lack the
+    destination, to be the same map: a changed zone is a new map."""
+
+    __slots__ = ("paths",)
+
+    def __init__(self, agent, dest):
+        super().__init__(agent, dest)
+        self.paths = agent._paths
+
+    def holds(self):
+        return self.agent._paths is self.paths and FullBuffer.holds(self)
+
+
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
     """Data goes out along the zone's paths (to nodes at most radius hops
     away) first, then along a route found by IERP."""
+
+    full_buffer = ZoneFullBuffer
 
     def __init__(self, sim, node, config):
         super().__init__(sim, node)

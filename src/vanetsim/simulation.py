@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 
 from .engine import Simulator, us
@@ -86,9 +87,11 @@ class Simulation:
         # Sessions start at staggered offsets so equal-interval sources do
         # not tick in lockstep (synchronized ticks make hidden senders
         # collide at every interval).
+        uses = Counter(pairs)
         self.sessions = [
             CbrSource(self.sim, config, i, src, dst, i * SESSION_STAGGER_US,
-                      self.nodes[src].agent, self.ledger)
+                      self.nodes[src].agent, self.ledger,
+                      alone=uses[src, dst] == 1)
             for i, (src, dst) in enumerate(pairs)]
 
     def run(self):
@@ -100,6 +103,8 @@ class Simulation:
         for source in self.sessions:
             source.start()
         self.sim.run_until(self.end_us)
+        for source in self.sessions:
+            source.settle()
         for nid in sorted(self.nodes):
             self.nodes[nid].finalize(self.end_us)
         self.ledger.sim_time_us = self.end_us

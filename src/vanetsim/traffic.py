@@ -2,13 +2,21 @@
 
 from .engine import us
 from .routing.base import DEFAULT_TTL, Packet
+from .routing.reactive import PENDING_LIFETIME_US, PENDING_PER_DEST
 
 
 class CbrSource:
-    """One CBR session: a payload every interval inside [start, stop)."""
+    """One CBR session: a payload every interval inside [start, stop).
+
+    A packet that can only push the oldest out of the agent's full pending
+    buffer is counted, not built, while the agent's token (FullBuffer) for
+    it holds. The source builds the counted packets when it settles: when
+    the token lapses, when the agent reads the buffer, and at the end of
+    the run, so its counters lag while the run is under way.
+    """
 
     def __init__(self, sim, config, session_id, src, dst, start_us, agent,
-                 ledger):
+                 ledger, alone=True):
         self.sim = sim
         self.session_id = session_id
         self.src = src
@@ -19,18 +27,51 @@ class CbrSource:
         self.stop_us = us(config.sim_time_s)
         self.agent = agent
         self.counters = ledger.session[session_id]
+        # Only this session's packets may pass through the buffer, and none
+        # may expire in it: a packet waits PENDING_PER_DEST intervals there.
+        self.defers = alone and (PENDING_PER_DEST * self.interval_us
+                                 <= PENDING_LIFETIME_US)
+        self.token = None
+        self.deferred = 0  # packets counted under the token
 
     def start(self):
         if self.stop_us <= self.start_us:
             return
         self.sim.schedule_at(self.start_us, self._tick)
 
+    def _packet(self, seq, sent_at):
+        return Packet(self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
+                      self.session_id, seq, sent_at)
+
     def _tick(self):
         now = self.sim.now
-        self.counters.app_sent += 1  # and numbers the packet
-        self.agent.handle_app_packet(Packet(
-            self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
-            self.session_id, self.counters.app_sent, now))
+        token = self.token
+        if token is not None and token.holds():
+            self.deferred += 1
+        else:
+            if token is not None:
+                self.settle()
+            self.counters.app_sent += 1  # and numbers the packet
+            token = self.agent.handle_app_packet(
+                self._packet(self.counters.app_sent, now))
+            if token is not None and self.defers:
+                token.source = self
+                self.token = token
         nxt = now + self.interval_us
         if nxt < self.stop_us:
             self.sim.schedule_at(nxt, self._tick)
+
+    def settle(self):
+        """Build the packets counted under the token, numbered and dated
+        one interval apart after the one it came with (still the newest in
+        the buffer), and push those the buffer keeps into it."""
+        token, self.token = self.token, None
+        count, self.deferred = self.deferred, 0
+        if not count:
+            return
+        last = token.queue[-1]
+        self.counters.app_sent += count
+        token.push([self._packet(last.seq + i,
+                                 last.sent_at + i * self.interval_us)
+                    for i in range(max(1, count - PENDING_PER_DEST + 1),
+                                   count + 1)], count)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from vanetsim.engine import Simulator, us
-from vanetsim.metrics import NodeCounters
+from vanetsim.metrics import MetricsLedger, NodeCounters
 from vanetsim.routing.aodv import AodvAgent, Rrep, Rreq
 from vanetsim.routing.base import (DUP_CACHE_CAP, FORWARD_STAGGER_US,
                                    DupCache, LinkStateAgent, Packet,
@@ -21,6 +21,7 @@ from vanetsim.routing.reactive import PENDING_PER_DEST, ReactiveAgent, Rerr
 from vanetsim.routing.zrp import IerpError, IerpQuery, IerpReply, ZoneAdvert
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, Simulation
+from vanetsim.traffic import CbrSource
 
 from conftest import line_positions, make_static_config, run_static
 
@@ -212,6 +213,92 @@ def test_route_found_during_a_holdoff_ends_the_waiting_round():
     assert requests == [0, us(0.5), us(1.5)]
     assert sent == [(us(4), 4, 2)]
     assert counters.route_drops == 1
+
+
+def run_sources(case, grant):
+    """CBR sessions from a unit agent to node 9, a packet each 100 ms for
+    4 s, behind discovery rounds whose requests go nowhere (the first
+    fails at 3.5 s).
+
+    gap: a route serves the packets sent at 0.2 and 0.3 s. shared: a
+    second session to node 9 starts at 0.45 s, after the first's buffer
+    is full. flush: a route appears at 1.25 s and ends the round.
+
+    Returns what the run sends, reads and keeps, whether each of session
+    0's packets handed to the agent brought a token, and the packets the
+    sources counted instead; with grant False no token is handed out.
+    """
+    sim, counters, agent = make_agent()
+    agent.emit_discovery = lambda dest: None
+    sent, tokens, reads = [], [], []
+    agent.send_data_frame = lambda hop, pkt: sent.append(
+        (pkt.seq, pkt.sent_at))
+    for name in ("flush_pending", "drop_pending"):
+        def read(dest, empty=getattr(agent, name)):
+            # the agent reads a settled buffer: the counters are exact
+            empty(dest)
+            reads.append((sim.now, counters.route_drops,
+                          [ledger.session[i].app_sent for i in range(n)]))
+        setattr(agent, name, read)
+    handle = agent.handle_app_packet
+
+    def handing(pkt):
+        token = handle(pkt)
+        if pkt.session_id == 0:
+            tokens.append(token is not None)
+        return token
+
+    agent.handle_app_packet = handing
+    if not grant:
+        agent._full_buffer = lambda pkt: None
+    route = entry(dest=9, next_hop=4, expires=us(100))
+    if case == "gap":
+        sim.schedule_at(us(0.15), lambda: agent.table.update_if_fresher(route))
+        sim.schedule_at(us(0.35), lambda: agent.table.invalidate(9))
+    if case == "flush":
+        def found():
+            agent.table.update_if_fresher(route)
+            agent.discovery_succeeded(9)
+        sim.schedule_at(us(1.25), found)
+    starts = (0, us(0.45)) if case == "shared" else (0,)
+    n = len(starts)
+    ledger = MetricsLedger(node_ids=[0], session_ids=range(n))
+    config = ScenarioConfig(interval_ms=100.0, sim_time_s=4.0)
+    sources = [CbrSource(sim, config, i, 0, 9, start, agent, ledger,
+                         alone=n == 1) for i, start in enumerate(starts)]
+    for source in sources:
+        source.start()
+    sim.run_until(us(4))
+    for source in sources:  # as Simulation.run does
+        source.settle()
+    kept = [(p.seq, p.sent_at) for p in agent.pending.get(9, ())]
+    app_sent = [ledger.session[i].app_sent for i in range(n)]
+    return ((sent, reads, kept, counters.route_drops, app_sent), tokens,
+            agent.stats.get("cbr_deferred", 0))
+
+
+@pytest.mark.parametrize("case", ("gap", "shared", "flush"))
+def test_counted_packets_are_the_packets_handed_over(case):
+    eager, _, none = run_sources(case, grant=False)
+    counted, tokens, deferred = run_sources(case, grant=True)
+    assert counted == eager
+    assert none == 0
+    sent = eager[0]
+    if case == "gap":
+        assert sent == [(3, us(0.2)), (4, us(0.3))]
+        # the buffer spans 7 and then 6 packets before it holds the last
+        # 5; the failed round at 3.5 s drops it, and the next fills by 3.9
+        assert tokens == [False] * 8 + [True] + [False] * 4 + [True]
+        assert deferred == 26
+    if case == "shared":
+        # the agent hands session 0 a token, which a shared pair leaves
+        assert tokens[4] and deferred == 0
+    if case == "flush":
+        # the buffer's last five leave when the route appears, then each
+        # packet goes out as it is sent
+        assert sent[:6] == [(seq, us(0.1) * (seq - 1))
+                            for seq in (9, 10, 11, 12, 13, 14)]
+        assert deferred == 8
 
 
 def miss_agent(protocol):
