@@ -35,18 +35,12 @@ RREQ_TTL = 35
 
 
 class FullBuffer:
-    """Handed to a source with a packet that, with no route to dest and a
-    discovery round running, only pushed the oldest of its session's last
-    PENDING_PER_DEST packets out of the full pending buffer.
-
-    Each next packet of that session does the same while the buffer, the
-    round and the route entry are the objects they were: a round or a
-    buffer that ends is replaced, a route is learned as a new entry, and
-    one that is not live never becomes live again. While it holds, the
-    source may count its packets instead of handing them over, and build
-    them when it settles; the agent has it settle before it reads the
-    buffer again.
-    """
+    """A token for a source packet that, with no route and a round
+    running, only pushed the oldest of its session's last PENDING_PER_DEST
+    packets out of the full pending buffer. The session's next packets do
+    the same while the buffer, the round and the route entry are the same
+    objects (an entry that is not live never becomes live again), so its
+    source may count them and build them later (CbrSource.settle)."""
 
     __slots__ = ("agent", "dest", "queue", "round", "entry", "source")
 
@@ -56,7 +50,7 @@ class FullBuffer:
         self.queue = agent.pending[dest]
         self.round = agent._discoveries[dest]
         self.entry = agent.table.entries.get(dest)
-        self.source = None  # the CbrSource that counts under it, if any
+        self.source = None  # the CbrSource counting under it, if any
 
     def holds(self):
         agent, dest = self.agent, self.dest
@@ -65,8 +59,8 @@ class FullBuffer:
                 and agent.table.entries.get(dest) is self.entry)
 
     def push(self, packets, count):
-        """count packets came while it held, each pushing the oldest out;
-        packets are the last of them, as many as the buffer keeps."""
+        """count packets came, each pushing the oldest out; packets are
+        the last of them, as many as the buffer keeps."""
         q = self.queue
         for pkt in packets:
             q.popleft()
@@ -165,9 +159,8 @@ class ReactiveAgent(Agent):
     full_buffer = FullBuffer
 
     def _full_buffer(self, pkt):
-        """A token for pkt, just buffered behind the round for its
-        destination, if the buffer is full and holds pkt's session's last
-        PENDING_PER_DEST packets (a packet a route served in between
+        """A token if pkt, buffered behind a round, found the buffer full
+        of its session's last PENDING_PER_DEST packets (one a route served
         leaves a gap in their numbers); else None."""
         q = self.pending[pkt.dst]
         if (len(q) < PENDING_PER_DEST

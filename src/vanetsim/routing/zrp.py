@@ -52,8 +52,7 @@ class IerpError(IerpReply):
 
 
 class ZoneFullBuffer(FullBuffer):
-    """A FullBuffer that also needs the zone's paths, which lack the
-    destination, to be the same map: a changed zone is a new map."""
+    """It also needs the same zone paths (a changed zone is a new map)."""
 
     __slots__ = ("paths",)
 

@@ -7,13 +7,8 @@ from .routing.reactive import PENDING_LIFETIME_US, PENDING_PER_DEST
 
 class CbrSource:
     """One CBR session: a payload every interval inside [start, stop).
-
-    A packet that can only push the oldest out of the agent's full pending
-    buffer is counted, not built, while the agent's token (FullBuffer) for
-    it holds. The source builds the counted packets when it settles: when
-    the token lapses, when the agent reads the buffer, and at the end of
-    the run, so its counters lag while the run is under way.
-    """
+    While the agent's FullBuffer token holds, its packets are counted, not
+    built; so its counters lag until it settles."""
 
     def __init__(self, sim, config, session_id, src, dst, start_us, agent,
                  ledger, alone=True):
@@ -27,8 +22,7 @@ class CbrSource:
         self.stop_us = us(config.sim_time_s)
         self.agent = agent
         self.counters = ledger.session[session_id]
-        # Only this session's packets may pass through the buffer, and none
-        # may expire in it: a packet waits PENDING_PER_DEST intervals there.
+        # No other session may use the buffer, and no packet expire there.
         self.defers = alone and (PENDING_PER_DEST * self.interval_us
                                  <= PENDING_LIFETIME_US)
         self.token = None
@@ -39,10 +33,6 @@ class CbrSource:
             return
         self.sim.schedule_at(self.start_us, self._tick)
 
-    def _packet(self, seq, sent_at):
-        return Packet(self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
-                      self.session_id, seq, sent_at)
-
     def _tick(self):
         now = self.sim.now
         token = self.token
@@ -52,8 +42,9 @@ class CbrSource:
             if token is not None:
                 self.settle()
             self.counters.app_sent += 1  # and numbers the packet
-            token = self.agent.handle_app_packet(
-                self._packet(self.counters.app_sent, now))
+            token = self.agent.handle_app_packet(Packet(
+                self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
+                self.session_id, self.counters.app_sent, now))
             if token is not None and self.defers:
                 token.source = self
                 self.token = token
@@ -63,15 +54,16 @@ class CbrSource:
 
     def settle(self):
         """Build the packets counted under the token, numbered and dated
-        one interval apart after the one it came with (still the newest in
-        the buffer), and push those the buffer keeps into it."""
+        on from the one it came with, still the buffer's newest, and push
+        them into the buffer: the agent's reads and the run's end call it."""
         token, self.token = self.token, None
         count, self.deferred = self.deferred, 0
         if not count:
             return
         last = token.queue[-1]
         self.counters.app_sent += count
-        token.push([self._packet(last.seq + i,
-                                 last.sent_at + i * self.interval_us)
+        token.push([Packet(self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
+                           self.session_id, last.seq + i,
+                           last.sent_at + i * self.interval_us)
                     for i in range(max(1, count - PENDING_PER_DEST + 1),
                                    count + 1)], count)
