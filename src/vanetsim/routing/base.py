@@ -207,8 +207,8 @@ class Agent:
         raise NotImplementedError
 
     def on_source_miss(self, pkt):
-        """Drop and count; None. ReactiveAgent buffers and discovers
-        instead, and may hand the source a token (FullBuffer)."""
+        """Drop and count; no token. ReactiveAgent buffers and discovers
+        instead, and may return a token for the source (FullBuffer)."""
         self.node.counters.route_drops += 1
 
     def on_relay_miss(self, pkt, prev_hop):

@@ -301,6 +301,17 @@ def test_counted_packets_are_the_packets_handed_over(case):
         assert deferred == 8
 
 
+def test_shared_pairs_and_long_intervals_count_nothing():
+    positions = {0: (100.0, 100.0), 1: (1400.0, 1400.0)}
+    sessions = [(0, 1), (0, 1), (1, 0)]  # a repeated session line is valid
+    config = make_static_config(positions, sessions)
+    assert [s.defers for s in Simulation(config).sessions] == \
+        [False, False, True]
+    # five packets 2.5 s apart outlive the 10 s pending lifetime
+    config = make_static_config(positions, sessions[1:], interval_ms=2500.0)
+    assert [s.defers for s in Simulation(config).sessions] == [False, False]
+
+
 def miss_agent(protocol):
     node = Shell()
     node.mac = RecordingMac()
