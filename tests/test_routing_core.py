@@ -229,6 +229,9 @@ def run_sources(case, grant):
     sources counted instead; with grant False no token is handed out.
     """
     sim, counters, agent = make_agent()
+    starts = (0, us(0.45)) if case == "shared" else (0,)
+    n = len(starts)
+    ledger = MetricsLedger(node_ids=[0], session_ids=range(n))
     agent.emit_discovery = lambda dest: None
     sent, tokens, reads = [], [], []
     agent.send_data_frame = lambda hop, pkt: sent.append(
@@ -260,9 +263,6 @@ def run_sources(case, grant):
             agent.table.update_if_fresher(route)
             agent.discovery_succeeded(9)
         sim.schedule_at(us(1.25), found)
-    starts = (0, us(0.45)) if case == "shared" else (0,)
-    n = len(starts)
-    ledger = MetricsLedger(node_ids=[0], session_ids=range(n))
     config = ScenarioConfig(interval_ms=100.0, sim_time_s=4.0)
     sources = [CbrSource(sim, config, i, 0, 9, start, agent, ledger,
                          alone=n == 1) for i, start in enumerate(starts)]
