@@ -207,8 +207,9 @@ class Agent:
         raise NotImplementedError
 
     def on_source_miss(self, pkt):
-        """Drop and count; no token. ReactiveAgent buffers and discovers
-        instead, and may return a token for the source (FullBuffer)."""
+        """Drop and count; no token. OlsrAgent returns a token for the
+        source (NoRoute); ReactiveAgent buffers and discovers instead, and
+        may return one (FullBuffer)."""
         self.node.counters.route_drops += 1
 
     def on_relay_miss(self, pkt, prev_hop):
@@ -237,6 +238,30 @@ class Agent:
             self.handlers[type(msg)](self, msg, prev_hop)
 
 
+class NoRoute:
+    """A token for a source packet dropped for want of a path. The
+    session's next packets meet the same while the agent's paths are the
+    same map (a link change leaves them stale, and a search builds a new
+    map), so its source may count them and push the count at a settle
+    (CbrSource.settle)."""
+
+    __slots__ = ("agent", "paths", "source")
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.paths = agent._paths
+        self.source = None  # the CbrSource counting under it, if any
+
+    def holds(self):
+        return self.agent._paths is self.paths
+
+    def push(self, count):
+        """count packets came, and each was dropped."""
+        stats = self.agent.stats
+        self.agent.node.counters.route_drops += count
+        stats["cbr_deferred"] = stats.get("cbr_deferred", 0) + count
+
+
 class NeighborRecord:
     __slots__ = ("symmetric", "expires", "sym_set", "selects_me")
 
@@ -252,7 +277,11 @@ class LinkStateAgent(Agent):
 
     Subclasses set neighbor_hold_us and fill link_state from their link
     advertisements. Paths read after a call to _links_changed are searched
-    afresh on _adjacency(). next_hop takes a path's first hop.
+    afresh on _adjacency(). A message calls it only when it changes what
+    _adjacency reads: a new neighbour record, a flipped symmetric flag, a
+    changed sym_set, or a stored link set that is new or different; a
+    refreshed expiry, sequence number or selects_me changes no path.
+    next_hop takes a path's first hop.
     """
 
     radius = math.inf
@@ -279,14 +308,19 @@ class LinkStateAgent(Agent):
         return None if path is None else path[1]
 
     def _heard(self, sender, sym, heard):
-        """Refresh sender's record from its HELLO or advert; return it."""
+        """Refresh sender's record from its HELLO or advert; return it and
+        whether the record is new or its symmetric flag flipped."""
         rec = self.neighbors.get(sender)
-        if rec is None:
+        changed = rec is None
+        if changed:
             rec = self.neighbors[sender] = NeighborRecord()
         me = self.node.id
         rec.expires = self.sim.now + self.neighbor_hold_us
-        rec.symmetric = me in sym or me in heard
-        return rec
+        symmetric = me in sym or me in heard
+        if rec.symmetric != symmetric:
+            rec.symmetric = symmetric
+            changed = True
+        return rec, changed
 
     def _sym_neighbors(self):
         return {n for n, r in self.neighbors.items() if r.symmetric}

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from ..engine import us
 from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
-                   DupCache, LinkStateAgent)
+                   DupCache, LinkStateAgent, NoRoute)
 
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
@@ -76,6 +76,7 @@ class OlsrAgent(LinkStateAgent):
         self.ansn = 0
         self.tc_counter = 0
         self.tc_seen = DupCache(sim, us(DUP_HOLD_S))
+        self._hello = None  # the HELLO to send; None: stale
 
     def start(self):
         phase = self.node.id * PHASE_STEP_US
@@ -85,8 +86,12 @@ class OlsrAgent(LinkStateAgent):
     # -- periodic emission -------------------------------------------------
 
     def _hello_tick(self):
-        sym, heard = self._sym_and_heard()
-        msg = Hello(self.node.id, sym, heard, tuple(sorted(self.mpr_set)))
+        # built again only after a link change; nothing mutates a Hello
+        msg = self._hello
+        if msg is None:
+            sym, heard = self._sym_and_heard()
+            msg = self._hello = Hello(self.node.id, sym, heard,
+                                      tuple(sorted(self.mpr_set)))
         self.bump("hello_sent")
         self.send_control(BROADCAST, msg)
         self.sim.schedule_after(self.hello_us, self._hello_tick)
@@ -105,13 +110,17 @@ class OlsrAgent(LinkStateAgent):
     # -- control plane -----------------------------------------------------
 
     def _process_hello(self, msg, prev_hop):
-        rec = self._heard(msg.sender, msg.sym, msg.heard)
-        rec.sym_set = frozenset(msg.sym)
+        rec, changed = self._heard(msg.sender, msg.sym, msg.heard)
+        sym_set = frozenset(msg.sym)
+        if rec.sym_set != sym_set:
+            rec.sym_set = sym_set
+            changed = True
         selects_me = self.node.id in msg.mprs
         if rec.selects_me != selects_me:
             rec.selects_me = selects_me
             self.ansn += 1
-        self._links_changed()
+        if changed:
+            self._links_changed()
 
     def _process_tc(self, msg, prev_hop):
         if msg.orig == self.node.id:
@@ -121,14 +130,26 @@ class OlsrAgent(LinkStateAgent):
         current = self.link_state.get(msg.orig)
         if current is not None and current[0] > msg.ansn:
             return  # stale advertised-neighbor sequence number
-        self.link_state[msg.orig] = (msg.ansn, frozenset(msg.advertised),
+        linked = frozenset(msg.advertised)
+        self.link_state[msg.orig] = (msg.ansn, linked,
                                      self.sim.now + TOPO_HOLD_US)
-        self._links_changed()
+        if current is None or current[1] != linked:
+            self._links_changed()
         rec = self.neighbors.get(prev_hop)
         if rec is not None and rec.selects_me:
             self.relay_flood(msg, "tc_forwarded")
 
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
+
+    def _links_changed(self):
+        """Mark the paths and the HELLO stale."""
+        super()._links_changed()
+        self._hello = None
+
+    def on_source_miss(self, pkt):
+        """Drop and count; the token holds while the paths do."""
+        super().on_source_miss(pkt)
+        return NoRoute(self)
 
     # -- derived state -----------------------------------------------------
 

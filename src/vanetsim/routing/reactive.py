@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from ..engine import us
 from ..mac import BROADCAST
-from .base import Agent, DupCache, RouteEntry, RoutingTable
+from .base import (Agent, DupCache, NoRoute, Packet, RouteEntry,
+                   RoutingTable)
 
 PENDING_PER_DEST = 5
 PENDING_LIFETIME_US = us(10.0)
@@ -34,15 +35,15 @@ DUP_CACHE_S = 15.0
 RREQ_TTL = 35
 
 
-class FullBuffer:
-    """A token for a source packet that, with no route and a round
-    running, only pushed the oldest of its session's last PENDING_PER_DEST
-    packets out of the full pending buffer. The session's next packets do
-    the same while the buffer, the round and the route entry are the same
-    objects (an entry that is not live never becomes live again), so its
-    source may count them and build them later (CbrSource.settle)."""
+class FullBuffer(NoRoute):
+    """A NoRoute whose packet, with a round running, only pushed the
+    oldest of its session's last PENDING_PER_DEST packets out of the full
+    pending buffer. The session's next packets do the same while the
+    buffer, the round and the route entry are the same objects (an entry
+    that is not live never becomes live again); the push builds the ones
+    the buffer keeps."""
 
-    __slots__ = ("agent", "dest", "queue", "round", "entry", "source")
+    __slots__ = ("dest", "queue", "round", "entry")
 
     def __init__(self, agent, dest):
         self.agent = agent
@@ -50,7 +51,7 @@ class FullBuffer:
         self.queue = agent.pending[dest]
         self.round = agent._discoveries[dest]
         self.entry = agent.table.entries.get(dest)
-        self.source = None  # the CbrSource counting under it, if any
+        self.source = None
 
     def holds(self):
         agent, dest = self.agent, self.dest
@@ -58,16 +59,19 @@ class FullBuffer:
                 and agent._discoveries.get(dest) is self.round
                 and agent.table.entries.get(dest) is self.entry)
 
-    def push(self, packets, count):
-        """count packets came, each pushing the oldest out; packets are
-        the last of them, as many as the buffer keeps."""
+    def push(self, count):
+        """count packets came, each pushing the oldest out: build the last
+        of them, as many as the buffer keeps, numbered and dated on from
+        the one the token came with, still the buffer's newest."""
         q = self.queue
-        for pkt in packets:
+        last = q[-1]
+        step = self.source.interval_us
+        for i in range(max(1, count - PENDING_PER_DEST + 1), count + 1):
             q.popleft()
-            q.append(pkt)
-        stats = self.agent.stats
-        self.agent.node.counters.route_drops += count
-        stats["cbr_deferred"] = stats.get("cbr_deferred", 0) + count
+            q.append(Packet(last.src, last.dst, last.ttl, last.size_bytes,
+                            last.session_id, last.seq + i,
+                            last.sent_at + i * step))
+        super().push(count)
 
 
 @dataclass
@@ -156,8 +160,6 @@ class ReactiveAgent(Agent):
 
     # -- pending-packet buffer ---------------------------------------------
 
-    full_buffer = FullBuffer
-
     def _full_buffer(self, pkt):
         """A token if pkt, buffered behind a round, found the buffer full
         of its session's last PENDING_PER_DEST packets (one a route served
@@ -166,7 +168,7 @@ class ReactiveAgent(Agent):
         if (len(q) < PENDING_PER_DEST
                 or q[0].seq != pkt.seq - (PENDING_PER_DEST - 1)):
             return None
-        token = self._tokens[pkt.dst] = self.full_buffer(self, pkt.dst)
+        token = self._tokens[pkt.dst] = FullBuffer(self, pkt.dst)
         return token
 
     def _settle(self, dest):

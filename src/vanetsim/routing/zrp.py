@@ -6,8 +6,7 @@ from ..engine import us
 from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
                    DupCache, LinkStateAgent, RouteEntry)
-from .reactive import (DUP_CACHE_S, ROUTE_LIFETIME_US, FullBuffer,
-                       ReactiveAgent)
+from .reactive import DUP_CACHE_S, ROUTE_LIFETIME_US, ReactiveAgent
 
 MAX_BORDERCAST_STAGES = 8
 
@@ -51,24 +50,9 @@ class IerpError(IerpReply):
     """The broken route, orig..dest, sent back the way a reply travels."""
 
 
-class ZoneFullBuffer(FullBuffer):
-    """It also needs the same zone paths (a changed zone is a new map)."""
-
-    __slots__ = ("paths",)
-
-    def __init__(self, agent, dest):
-        super().__init__(agent, dest)
-        self.paths = agent._paths
-
-    def holds(self):
-        return self.agent._paths is self.paths and FullBuffer.holds(self)
-
-
 class ZrpAgent(ReactiveAgent, LinkStateAgent):
     """Data goes out along the zone's paths (to nodes at most radius hops
     away) first, then along a route found by IERP."""
-
-    full_buffer = ZoneFullBuffer
 
     def __init__(self, sim, node, config):
         super().__init__(sim, node)
@@ -100,21 +84,27 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def _process_advert(self, msg, prev_hop):
         if msg.orig == self.node.id:
             return
+        changed = False
         if prev_hop == msg.orig:  # not relayed: the originator drops its own
-            self._heard(msg.orig, msg.sym, msg.heard)
+            _, changed = self._heard(msg.orig, msg.sym, msg.heard)
         if not self.adv_seen.add((msg.orig, msg.seq)):
             return
         current = self.link_state.get(msg.orig)
         if current is None or msg.seq >= current[0]:
-            self.link_state[msg.orig] = (msg.seq, frozenset(msg.sym),
+            linked = frozenset(msg.sym)
+            self.link_state[msg.orig] = (msg.seq, linked,
                                          self.sim.now + self.neighbor_hold_us)
-        self._links_changed()
+            changed = changed or current is None or current[1] != linked
+        if changed:
+            self._links_changed()
         self.relay_flood(msg, "iarp_forwarded")
 
     def _links_changed(self):
         """A buffered packet goes out in the instant its destination enters
         the zone, so the zone is rebuilt at once only if packets wait; else
-        the next_hop miss that buffers one reads the zone first."""
+        the next_hop miss that buffers one reads the zone first. So no
+        waiting destination is in the current zone, and a message that
+        changes no link may skip the call."""
         super()._links_changed()
         if self.pending:
             paths = self.paths

@@ -7,8 +7,9 @@ from .routing.reactive import PENDING_LIFETIME_US, PENDING_PER_DEST
 
 class CbrSource:
     """One CBR session: a payload every interval inside [start, stop).
-    While the agent's FullBuffer token holds, its packets are counted, not
-    built; so its counters lag until it settles."""
+    While the token the agent returned for a packet (NoRoute, FullBuffer)
+    holds, its packets are counted, not built; so its counters lag until
+    it settles."""
 
     def __init__(self, sim, config, session_id, src, dst, start_us, agent,
                  ledger, alone=True):
@@ -53,17 +54,10 @@ class CbrSource:
             self.sim.schedule_at(nxt, self._tick)
 
     def settle(self):
-        """Build the packets counted under the token, numbered and dated
-        on from the one it came with, still the buffer's newest, and push
-        them into the buffer: the agent's reads and the run's end call it."""
+        """Push the packets counted under the token to it: the agent's
+        reads, the token's lapse and the run's end call it."""
         token, self.token = self.token, None
         count, self.deferred = self.deferred, 0
-        if not count:
-            return
-        last = token.queue[-1]
-        self.counters.app_sent += count
-        token.push([Packet(self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
-                           self.session_id, last.seq + i,
-                           last.sent_at + i * self.interval_us)
-                    for i in range(max(1, count - PENDING_PER_DEST + 1),
-                                   count + 1)], count)
+        if count:
+            self.counters.app_sent += count
+            token.push(count)

@@ -176,3 +176,40 @@ def test_link_state_emission_matches_the_set_formulas():
         assert agent.mpr_set == select_mprs(coverage, degree)
         tables += bool(sym) and bool(agent.neighbors.keys() - sym)
     assert tables > 100  # most tables hold both kinds of neighbour
+
+
+def test_every_link_change_shows_in_the_next_hello():
+    sim = Simulator(seed=1)
+    sent = []
+    mac = SimpleNamespace(enqueue=lambda hop, msg, size: sent.append(msg))
+    agent = OlsrAgent(sim, SimpleNamespace(id=0, mac=mac), ScenarioConfig())
+
+    def next_hello(*heard):
+        for msg in heard:
+            agent._process_hello(msg, msg.sender)
+        agent._hello_tick()
+        return sent[-1]
+
+    empty = next_hello()
+    assert (empty.sym, empty.heard, empty.mprs) == ((), (), ())
+    # nothing changed: the cached HELLO goes out again
+    assert next_hello() is empty
+    # a new neighbour that does not hear this node
+    heard = next_hello(Hello(sender=1, sym=(), heard=(), mprs=()))
+    assert (heard.sym, heard.heard) == ((), (1,))
+    # only its expiry refreshed: the same HELLO
+    assert next_hello(Hello(sender=1, sym=(), heard=(), mprs=())) is heard
+    # it hears this node now: its symmetric flag flips
+    flipped = next_hello(Hello(sender=1, sym=(), heard=(0,), mprs=()))
+    assert (flipped.sym, flipped.heard, flipped.mprs) == ((1,), (), ())
+    # its sym_set gains node 2, which only it covers
+    covering = next_hello(Hello(sender=1, sym=(0, 2), heard=(), mprs=()))
+    assert (covering.sym, covering.mprs) == ((1,), (1,))
+    # it picks this node as an MPR: a new ansn, but the same HELLO
+    assert next_hello(Hello(sender=1, sym=(0, 2), heard=(),
+                            mprs=(0,))) is covering
+    assert agent.ansn == 1
+    # a sweep after its hold time expires the record
+    sim.run_until(agent.neighbor_hold_us + 1)
+    agent._sweep()
+    assert next_hello() == empty

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from vanetsim.engine import us
 from vanetsim.mobility import position_at
 from vanetsim.phy import received_power_dbm
-from vanetsim.routing.base import SWEEP_US, LinkStateAgent
-from vanetsim.routing.olsr import OlsrAgent
+from vanetsim.routing.base import SWEEP_US, Agent, LinkStateAgent
+from vanetsim.routing.olsr import Hello, OlsrAgent, TcMessage
 from vanetsim.routing.reactive import ReactiveAgent
-from vanetsim.routing.zrp import ZrpAgent
+from vanetsim.routing.zrp import ZoneAdvert, ZrpAgent
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, SESSION_STAGGER_US, Simulation
 
@@ -238,11 +238,21 @@ def test_run_invariants(config):
         assert 0.0 <= y <= config.terrain_height_m
 
 
-@pytest.mark.parametrize("protocol", ("aodv", "dymo", "zrp"))
+def refused_tokens(protocol):
+    """A patch under which the agent hands its sources no token: OLSR's
+    source miss only drops, and a reactive agent grants no FullBuffer."""
+    if protocol == "olsr":
+        return patch.object(OlsrAgent, "on_source_miss",
+                            Agent.on_source_miss)
+    return patch.object(ReactiveAgent, "_full_buffer", lambda agent, pkt: None)
+
+
+@pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
 def test_counting_doomed_packets_changes_no_byte(protocol):
-    # A source that counts the packets a full pending buffer can only
-    # drop, and builds them later, against one whose every packet reaches
-    # the agent: the same bytes and the same events scheduled.
+    # A source that counts the packets its agent can only drop (a full
+    # pending buffer, or no path), and hands the count over later, against
+    # one whose every packet reaches the agent: the same bytes and the same
+    # events scheduled.
     deferred = []
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -251,8 +261,7 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
         config = replace(config, protocol=protocol)
         counting = Simulation(config)
         ledger = counting.run()
-        with patch.object(ReactiveAgent, "_full_buffer",
-                          lambda agent, pkt: None):
+        with refused_tokens(protocol):
             eager = Simulation(config)
             eager_ledger = eager.run()
         assert csv_digest(ledger) == csv_digest(eager_ledger)
@@ -262,6 +271,53 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
 
     same_run()
     assert any(deferred)  # some example counted packets
+
+
+def dropping_after_every_message(agent_cls, skipped):
+    """agent_cls's handlers, each calling _links_changed after every HELLO,
+    TC or advert; a HELLO, or an advert heard for the first time, that
+    left a built map of paths in place adds 1 to skipped[0]."""
+
+    def wrap(handler):
+        def handle(agent, msg, prev_hop):
+            paths = agent._paths
+            first = isinstance(msg, Hello) or (
+                isinstance(msg, ZoneAdvert) and msg.orig != agent.node.id
+                and (msg.orig, msg.seq) not in agent.adv_seen)
+            handler(agent, msg, prev_hop)
+            skipped[0] += first and paths is not None and agent._paths is paths
+            agent._links_changed()
+        return handle
+
+    return {kind: wrap(handler) if kind in (Hello, TcMessage, ZoneAdvert)
+            else handler for kind, handler in agent_cls.handlers.items()}
+
+
+@pytest.mark.parametrize("protocol", ("olsr", "zrp"))
+def test_dropping_paths_only_on_a_link_change_changes_no_byte(protocol):
+    # Paths (and OLSR's HELLO) dropped after every message that carries
+    # links, against dropped only when a message changes some link: the
+    # same bytes and the same events scheduled.
+    agent_cls = AGENTS[protocol]
+    skips = []
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(scenarios())
+    def same_run(config):
+        config = replace(config, protocol=protocol)
+        changing = Simulation(config)
+        ledger = changing.run()
+        skipped = [0]
+        with patch.object(agent_cls, "handlers",
+                          dropping_after_every_message(agent_cls, skipped)):
+            dropping = Simulation(config)
+            dropping_ledger = dropping.run()
+        assert csv_digest(ledger) == csv_digest(dropping_ledger)
+        assert changing.sim._seq == dropping.sim._seq
+        skips.append(skipped[0])
+
+    same_run()
+    assert any(skips)  # some message changed no link and kept the paths
 
 
 @pytest.mark.parametrize("protocol", ("olsr", "zrp"))

@@ -392,6 +392,29 @@ def test_a_relay_drops_a_packet_that_its_route_would_hand_back():
     assert agents[0].stats == {"data_bounced": 1}
 
 
+# The messages that bring a link set from orig: OLSR's TC and ZRP's advert.
+LINK_SETS = {
+    "olsr": lambda orig, n, linked: TcMessage(orig, n, linked, (orig, n),
+                                              TC_TTL),
+    "zrp": lambda orig, n, linked: ZoneAdvert(orig, linked, (), n, 1),
+}
+
+
+@pytest.mark.parametrize("protocol", ("olsr", "zrp"))
+def test_only_a_new_or_different_link_set_drops_the_paths(protocol):
+    agent = miss_agent(protocol)
+    links = LINK_SETS[protocol]
+    agent.on_receive(Hello(1, (0,), (), ()) if protocol == "olsr"
+                     else links(1, 1, (0,)), 1)
+    agent.on_receive(links(5, 1, (1,)), 1)
+    paths = agent.paths
+    assert paths[5] == (0, 1, 5)
+    agent.on_receive(links(5, 2, (1,)), 1)  # a new number, the same links
+    assert agent._paths is paths
+    agent.on_receive(links(5, 3, ()), 1)
+    assert 5 not in agent.paths
+
+
 def test_a_tc_with_an_older_ansn_is_dropped():
     agent = miss_agent("olsr")
     agent._process_tc(TcMessage(5, 3, (6,), (5, 1), TC_TTL), 1)
