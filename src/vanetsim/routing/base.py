@@ -139,11 +139,19 @@ class Agent:
         self.sim = sim
         self.node = node
         self.stats = {}
+        self._tokens = {}  # dest -> the token last handed out for it
 
     # -- helpers -----------------------------------------------------------
 
     def bump(self, name):
         self.stats[name] = self.stats.get(name, 0) + 1
+
+    def _settle(self, dest):
+        """Wake the source sleeping under dest's token, if one is: the
+        token has stopped holding (CbrSource.settle)."""
+        token = self._tokens.pop(dest, None)
+        if token is not None and token.source is not None:
+            token.source.settle()
 
     def send_control(self, next_hop, msg):
         """Hand msg to the MAC for next_hop, or for all with BROADCAST."""
@@ -240,20 +248,16 @@ class Agent:
 
 class NoRoute:
     """A token for a source packet dropped for want of a path. The
-    session's next packets meet the same while the agent's paths are the
-    same map (a link change leaves them stale, and a search builds a new
-    map), so its source may count them and push the count at a settle
+    session's next packets meet the same until the agent's paths change
+    (a link change leaves them stale, and a search builds a new map), so
+    its source may sleep until the agent settles it then
     (CbrSource.settle)."""
 
-    __slots__ = ("agent", "paths", "source")
+    __slots__ = ("agent", "source")
 
     def __init__(self, agent):
         self.agent = agent
-        self.paths = agent._paths
-        self.source = None  # the CbrSource counting under it, if any
-
-    def holds(self):
-        return self.agent._paths is self.paths
+        self.source = None  # the CbrSource sleeping under it, if any
 
     def push(self, count):
         """count packets came, and each was dropped."""

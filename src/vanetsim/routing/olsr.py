@@ -142,14 +142,18 @@ class OlsrAgent(LinkStateAgent):
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
     def _links_changed(self):
-        """Mark the paths and the HELLO stale."""
+        """Mark the paths and the HELLO stale, and wake every source
+        sleeping under a NoRoute."""
         super()._links_changed()
         self._hello = None
+        for dest in list(self._tokens):
+            self._settle(dest)
 
     def on_source_miss(self, pkt):
-        """Drop and count; the token holds while the paths do."""
+        """Drop and count; the token holds until the paths change."""
         super().on_source_miss(pkt)
-        return NoRoute(self)
+        token = self._tokens[pkt.dst] = NoRoute(self)
+        return token
 
     # -- derived state -----------------------------------------------------
 

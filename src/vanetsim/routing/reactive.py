@@ -38,32 +38,22 @@ RREQ_TTL = 35
 class FullBuffer(NoRoute):
     """A NoRoute whose packet, with a round running, only pushed the
     oldest of its session's last PENDING_PER_DEST packets out of the full
-    pending buffer. The session's next packets do the same while the
-    buffer, the round and the route entry are the same objects (an entry
-    that is not live never becomes live again); the push builds the ones
-    the buffer keeps."""
+    pending buffer. The session's next packets do the same until the
+    agent flushes or drops the buffer or takes a new route entry for the
+    destination (an entry that is not live never becomes live again);
+    the push builds the ones the buffer keeps."""
 
-    __slots__ = ("dest", "queue", "round", "entry")
+    __slots__ = ("dest",)
 
     def __init__(self, agent, dest):
-        self.agent = agent
+        super().__init__(agent)
         self.dest = dest
-        self.queue = agent.pending[dest]
-        self.round = agent._discoveries[dest]
-        self.entry = agent.table.entries.get(dest)
-        self.source = None
-
-    def holds(self):
-        agent, dest = self.agent, self.dest
-        return (agent.pending.get(dest) is self.queue
-                and agent._discoveries.get(dest) is self.round
-                and agent.table.entries.get(dest) is self.entry)
 
     def push(self, count):
         """count packets came, each pushing the oldest out: build the last
         of them, as many as the buffer keeps, numbered and dated on from
         the one the token came with, still the buffer's newest."""
-        q = self.queue
+        q = self.agent.pending[self.dest]
         last = q[-1]
         step = self.source.interval_us
         for i in range(max(1, count - PENDING_PER_DEST + 1), count + 1):
@@ -94,7 +84,6 @@ class ReactiveAgent(Agent):
         self.pending = {}        # dest -> deque of packets, oldest first
         self._discoveries = {}   # dest -> [requests sent, next timer event]
         self._holdoff = {}       # dest -> (until_us, length_us)
-        self._tokens = {}        # dest -> FullBuffer last handed out for it
 
     def emit_discovery(self, dest):
         raise NotImplementedError
@@ -171,12 +160,6 @@ class ReactiveAgent(Agent):
         token = self._tokens[pkt.dst] = FullBuffer(self, pkt.dst)
         return token
 
-    def _settle(self, dest):
-        """Have a source that counted packets for dest build them first."""
-        token = self._tokens.pop(dest, None)
-        if token is not None and token.source is not None:
-            token.source.settle()
-
     def buffer_packet(self, pkt):
         """Queue pkt; only a source buffers, as it sends, so sent_at dates
         it. A stored queue is never empty, so its head tells if any expired."""
@@ -228,10 +211,13 @@ class DistanceVectorAgent(ReactiveAgent):
         entry.expires_at = self.sim.now + ROUTE_LIFETIME_US
 
     def learn_route(self, dest, next_hop, seq_no, hop_count):
-        """Take a route heard in a control message if it is fresher."""
-        self.table.update_if_fresher(RouteEntry(
+        """Take a route heard in a control message if it is fresher; a
+        source sleeping behind the buffer for dest wakes then."""
+        entry = RouteEntry(
             dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
-            expires_at=self.sim.now + ROUTE_LIFETIME_US))
+            expires_at=self.sim.now + ROUTE_LIFETIME_US)
+        if self.table.update_if_fresher(entry) and dest in self._tokens:
+            self._settle(dest)
 
     def relay_reply(self, orig, msg):
         """Unicast a route reply on toward orig; without a reverse route

@@ -187,12 +187,16 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         return True
 
     def _install_from_route(self, route):
-        """Route to route[-1] from this node, which is on it but not last."""
-        idx = route.index(self.node.id)
-        self.table.update_if_fresher(RouteEntry(
-            dest=route[-1], next_hop=route[idx + 1], seq_no=0,
+        """Route to route[-1] from this node, which is on it but not last;
+        a source sleeping behind the buffer for it wakes if the table
+        takes it."""
+        idx, dest = route.index(self.node.id), route[-1]
+        entry = RouteEntry(
+            dest=dest, next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
-            expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route))
+            expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route)
+        if self.table.update_if_fresher(entry) and dest in self._tokens:
+            self._settle(dest)
 
     # -- maintenance -------------------------------------------------------
 

@@ -7,9 +7,10 @@ from .routing.reactive import PENDING_LIFETIME_US, PENDING_PER_DEST
 
 class CbrSource:
     """One CBR session: a payload every interval inside [start, stop).
-    While the token the agent returned for a packet (NoRoute, FullBuffer)
-    holds, its packets are counted, not built; so its counters lag until
-    it settles."""
+    A source that takes the token the agent returned for a packet
+    (NoRoute, FullBuffer) sleeps: it schedules no tick until the agent
+    settles it, the moment the token stops holding, or the run ends. So
+    its counters lag until it settles."""
 
     def __init__(self, sim, config, session_id, src, dst, start_us, agent,
                  ledger, alone=True):
@@ -27,7 +28,7 @@ class CbrSource:
         self.defers = alone and (PENDING_PER_DEST * self.interval_us
                                  <= PENDING_LIFETIME_US)
         self.token = None
-        self.deferred = 0  # packets counted under the token
+        self.next_us = None  # the first tick not run while it sleeps
 
     def start(self):
         if self.stop_us <= self.start_us:
@@ -36,28 +37,36 @@ class CbrSource:
 
     def _tick(self):
         now = self.sim.now
-        token = self.token
-        if token is not None and token.holds():
-            self.deferred += 1
-        else:
-            if token is not None:
-                self.settle()
-            self.counters.app_sent += 1  # and numbers the packet
-            token = self.agent.handle_app_packet(Packet(
-                self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
-                self.session_id, self.counters.app_sent, now))
-            if token is not None and self.defers:
-                token.source = self
-                self.token = token
+        self.counters.app_sent += 1  # and numbers the packet
+        token = self.agent.handle_app_packet(Packet(
+            self.src, self.dst, DEFAULT_TTL, self.payload_bytes,
+            self.session_id, self.counters.app_sent, now))
         nxt = now + self.interval_us
-        if nxt < self.stop_us:
-            self.sim.schedule_at(nxt, self._tick)
+        if token is not None and self.defers:
+            token.source = self
+            self.token = token
+            self.next_us = nxt
+        elif nxt < self.stop_us:
+            self.sim.schedule_tick(nxt, self.interval_us, self.session_id,
+                                   self._tick)
 
     def settle(self):
-        """Push the packets counted under the token to it: the agent's
-        reads, the token's lapse and the run's end call it."""
+        """Wake, if asleep: count the ticks that fell due under the token,
+        push the count to it and schedule the first tick still to come.
+        The agent calls it when the token stops holding (NoRoute,
+        FullBuffer), and Simulation.run when the run ends."""
         token, self.token = self.token, None
-        count, self.deferred = self.deferred, 0
+        if token is None:
+            return
+        sim, step = self.sim, self.interval_us
+        nxt = self.next_us
+        if nxt < sim.now:
+            nxt += -(-(sim.now - nxt) // step) * step
+        if sim.ticked(nxt, step, self.session_id):
+            nxt += step
+        count = len(range(self.next_us, min(nxt, self.stop_us), step))
         if count:
             self.counters.app_sent += count
             token.push(count)
+        if nxt < self.stop_us:
+            sim.schedule_tick(nxt, step, self.session_id, self._tick)

@@ -2,7 +2,11 @@
 
 import hashlib
 import random
+import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 
@@ -11,8 +15,12 @@ from vanetsim.mac import DcfMac
 from vanetsim.metrics import MetricsLedger
 from vanetsim.node import Node
 from vanetsim.phy import Channel
+from vanetsim.routing.base import Agent
+from vanetsim.routing.olsr import OlsrAgent
+from vanetsim.routing.reactive import ReactiveAgent
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
+from vanetsim.traffic import CbrSource
 
 PROTOCOLS = ("aodv", "dymo", "olsr", "zrp")
 SWEEP_SEEDS = tuple(range(1, 11))
@@ -132,6 +140,56 @@ def run_static(positions, sessions=(), protocol="aodv", seed=1,
 
 def line_positions(n, spacing=80.0, y=100.0):
     return {i: (50.0 + i * spacing, y) for i in range(n)}
+
+
+def refused_tokens(protocol):
+    """A patch under which the agent hands its sources no token: OLSR's
+    source miss only drops, and a reactive agent grants no FullBuffer."""
+    if protocol == "olsr":
+        return patch.object(OlsrAgent, "on_source_miss",
+                            Agent.on_source_miss)
+    return patch.object(ReactiveAgent, "_full_buffer", lambda agent, pkt: None)
+
+
+# The functions that wake a sleeping source: OLSR's link changes (a HELLO,
+# a TC, the sweep, a link failure), a new route entry (learn_route, ZRP's
+# _install_from_route), a flush or drop of the pending buffer, and the end
+# of Simulation.run.
+WAKE_SITES = ("_process_hello", "_process_tc", "_sweep", "on_link_failure",
+              "learn_route", "_install_from_route", "flush_pending",
+              "drop_pending", "run")
+
+
+@contextmanager
+def counting_wakes():
+    """Yield a Counter that gains 1 at site for each wake of a sleeping
+    source that counted ticks, site being the innermost WAKE_SITES
+    function it is called in. A TC from an originator whose link set
+    was known counts as "_process_tc known"."""
+    woken = Counter()
+    settle = CbrSource.settle
+
+    def counted(source):
+        sent = source.counters.app_sent
+        settle(source)
+        if source.counters.app_sent == sent:
+            return
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in WAKE_SITES:
+            frame = frame.f_back
+        site = frame.f_code.co_name
+        if site == "_process_tc" and frame.f_locals["current"] is not None:
+            site += " known"
+        woken[site] += 1
+
+    with patch.object(CbrSource, "settle", counted):
+        yield woken
+
+
+def cbr_deferred(simulation):
+    """The ticks a run's sleeping sources counted, over every agent."""
+    return sum(node.agent.stats.get("cbr_deferred", 0)
+               for node in simulation.nodes.values())
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ identities every run must keep whatever its numbers are.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -15,14 +16,15 @@ from hypothesis import given, settings, strategies as st
 from vanetsim.engine import us
 from vanetsim.mobility import position_at
 from vanetsim.phy import received_power_dbm
-from vanetsim.routing.base import SWEEP_US, Agent, LinkStateAgent
+from vanetsim.routing.base import SWEEP_US, LinkStateAgent
 from vanetsim.routing.olsr import Hello, OlsrAgent, TcMessage
 from vanetsim.routing.reactive import ReactiveAgent
 from vanetsim.routing.zrp import ZoneAdvert, ZrpAgent
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, SESSION_STAGGER_US, Simulation
 
-from conftest import PROTOCOLS, csv_digest
+from conftest import (PROTOCOLS, cbr_deferred, counting_wakes, csv_digest,
+                      refused_tokens)
 
 # (max_range_m, rx_threshold_dbm): the range gate binds; the threshold
 # binds in free space (~56 m); it binds in two-ray ground (~299 m).
@@ -30,10 +32,13 @@ RADIOS = ((100.0, -75.0), (100.0, -60.0), (300.0, -77.0))
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, busy=False):
+    """A drawn scenario. A busy one has fast nodes and runs 8-12 s with
+    as many sessions as it may have, each sending every 20 ms."""
     n = draw(st.integers(2, 8))
     # fast nodes and short HELLO/IARP intervals let neighbours expire
-    speed_min, speed_max = draw(st.sampled_from(((3.0, 20.0), (20.0, 40.0))))
+    speed_min, speed_max = (20.0, 40.0) if busy else draw(
+        st.sampled_from(((3.0, 20.0), (20.0, 40.0))))
     width = draw(st.sampled_from((100.0, 200.0, 400.0)))
     height = draw(st.sampled_from((100.0, 200.0, 400.0)))
     point = st.tuples(st.floats(0.0, width), st.floats(0.0, height))
@@ -54,15 +59,20 @@ def scenarios(draw):
     hello_s = draw(st.sampled_from((0.5, 1.0)))
     return ScenarioConfig(
         num_nodes=n, terrain_width_m=width, terrain_height_m=height,
-        sim_time_s=draw(st.floats(5.0, 20.0)),
+        sim_time_s=draw(st.floats(8.0, 12.0) if busy
+                        else st.floats(5.0, 20.0)),
         pause_s=draw(st.sampled_from((0.0, 0.5, 2.5))),
-        sessions=draw(st.integers(0, min(4, n * (n - 1)))),
+        sessions=min(4, n * (n - 1)) if busy
+        else draw(st.integers(0, min(4, n * (n - 1)))),
         # 2.5 s: a packet would wait longer than its 10 s pending lifetime
         # behind five others
-        interval_ms=draw(st.sampled_from((20.0, 250.0, 2500.0))),
+        interval_ms=20.0 if busy
+        else draw(st.sampled_from((20.0, 250.0, 2500.0))),
         max_range_m=max_range, rx_threshold_dbm=threshold,
         hello_interval_s=hello_s, iarp_interval_s=hello_s,
-        zone_radius=draw(st.sampled_from((2, 3))),
+        # a zone of radius 1 holds only the neighbours, so IERP finds
+        # every longer route
+        zone_radius=draw(st.sampled_from((1, 2, 3))),
         speed_min_mps=speed_min, speed_max_mps=speed_max,
         protocol=draw(st.sampled_from(PROTOCOLS)),
         seed=draw(st.integers(1, 10 ** 6)),
@@ -238,39 +248,41 @@ def test_run_invariants(config):
         assert 0.0 <= y <= config.terrain_height_m
 
 
-def refused_tokens(protocol):
-    """A patch under which the agent hands its sources no token: OLSR's
-    source miss only drops, and a reactive agent grants no FullBuffer."""
-    if protocol == "olsr":
-        return patch.object(OlsrAgent, "on_source_miss",
-                            Agent.on_source_miss)
-    return patch.object(ReactiveAgent, "_full_buffer", lambda agent, pkt: None)
+# Where the drawn runs must wake a sleeping source, for each protocol.
+WOKEN_AT = {
+    "aodv": {"learn_route", "drop_pending", "run"},
+    "dymo": {"learn_route", "drop_pending", "run"},
+    "olsr": {"_process_hello", "_process_tc", "_process_tc known", "_sweep",
+             "on_link_failure", "run"},
+    "zrp": {"_install_from_route", "flush_pending", "drop_pending", "run"},
+}
 
 
 @pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
 def test_counting_doomed_packets_changes_no_byte(protocol):
-    # A source that counts the packets its agent can only drop (a full
-    # pending buffer, or no path), and hands the count over later, against
-    # one whose every packet reaches the agent: the same bytes and the same
-    # events scheduled.
-    deferred = []
+    # A source that sleeps under a token for the packets its agent can only
+    # drop (a full pending buffer, or no path), and counts them when the
+    # agent wakes it, against one whose every packet reaches the agent: the
+    # same bytes, and each counted tick one event fewer.
+    woken = Counter()
 
+    # busy runs, so that every site wakes some source
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(scenarios())
+    @given(scenarios(busy=True))
     def same_run(config):
         config = replace(config, protocol=protocol)
         counting = Simulation(config)
-        ledger = counting.run()
+        with counting_wakes() as wakes:
+            ledger = counting.run()
         with refused_tokens(protocol):
             eager = Simulation(config)
             eager_ledger = eager.run()
         assert csv_digest(ledger) == csv_digest(eager_ledger)
-        assert counting.sim._seq == eager.sim._seq
-        deferred.append(sum(node.agent.stats.get("cbr_deferred", 0)
-                            for node in counting.nodes.values()))
+        assert eager.sim._seq - counting.sim._seq == cbr_deferred(counting)
+        woken.update(wakes)
 
     same_run()
-    assert any(deferred)  # some example counted packets
+    assert WOKEN_AT[protocol] <= set(woken)
 
 
 def dropping_after_every_message(agent_cls, skipped):
@@ -313,7 +325,9 @@ def test_dropping_paths_only_on_a_link_change_changes_no_byte(protocol):
             dropping = Simulation(config)
             dropping_ledger = dropping.run()
         assert csv_digest(ledger) == csv_digest(dropping_ledger)
-        assert changing.sim._seq == dropping.sim._seq
+        # a dropping run wakes its sleeping sources more often
+        assert (changing.sim._seq + cbr_deferred(changing)
+                == dropping.sim._seq + cbr_deferred(dropping))
         skips.append(skipped[0])
 
     same_run()
