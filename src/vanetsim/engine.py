@@ -94,7 +94,9 @@ class Simulator:
         return self.schedule_at(self.now + delay, fn)
 
     def schedule_tick(self, fire_at, interval, session_id, fn):
-        """Schedule a session's periodic tick, keyed as the class says."""
+        """Schedule a session's periodic tick, keyed as the class says.
+        It repeats schedule_at's check and push: a helper shared by both
+        would cost every event one more call."""
         if fire_at < self.now:
             raise SimulationError(
                 "scheduling into the past: t=%d < now=%d (%s)"

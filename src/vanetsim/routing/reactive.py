@@ -216,7 +216,7 @@ class DistanceVectorAgent(ReactiveAgent):
         entry = RouteEntry(
             dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
             expires_at=self.sim.now + ROUTE_LIFETIME_US)
-        if self.table.update_if_fresher(entry) and dest in self._tokens:
+        if self.table.update_if_fresher(entry):
             self._settle(dest)
 
     def relay_reply(self, orig, msg):

@@ -195,7 +195,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             dest=dest, next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
             expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route)
-        if self.table.update_if_fresher(entry) and dest in self._tokens:
+        if self.table.update_if_fresher(entry):
             self._settle(dest)
 
     # -- maintenance -------------------------------------------------------

@@ -266,9 +266,10 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
     # same bytes, and each counted tick one event fewer.
     woken = Counter()
 
-    # busy runs, so that every site wakes some source
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(scenarios(busy=True))
+    # busy runs as well as the full domain, so that every site wakes some
+    # source
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.one_of(scenarios(), scenarios(busy=True)))
     def same_run(config):
         config = replace(config, protocol=protocol)
         counting = Simulation(config)
