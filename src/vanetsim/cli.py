@@ -66,10 +66,11 @@ def _execute(config, protocol, seed, out_dir, profile_path=None):
     _write(os.path.join(out_dir, "metrics.csv"), ledger.to_csv())
     _write(os.path.join(out_dir, "scenario_resolved.cfg"),
            simulation.config.echo())
-    control = {}  # each agent stats counter, summed over the nodes
+    control = {}  # each agent and MAC stats counter, summed over the nodes
     for node in simulation.nodes.values():
-        for name, n in node.agent.stats.items():
-            control[name] = control.get(name, 0) + n
+        for stats in (node.agent.stats, node.mac.stats):
+            for name, n in stats.items():
+                control[name] = control.get(name, 0) + n
     summary = {
         "protocol": ledger.protocol,
         "seed": ledger.seed,

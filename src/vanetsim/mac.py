@@ -2,7 +2,7 @@
 binary exponential backoff, RTS/CTS, and the NAV that RTS and CTS set (a
 DATA frame carries no duration)."""
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .engine import SimulationError
@@ -75,6 +75,8 @@ class DcfMac:
         self.config = config
         self.rng = rng
         self.counters = node.counters
+        # frames the radio refused, which no metrics.csv column counts
+        self.stats = Counter()
         self.upper = None  # routing agent, set before the first event
 
         self.queue = deque()
@@ -189,6 +191,7 @@ class DcfMac:
         a broadcast): the phase names it, and its airtime bounds the wait."""
         end = self.channel.transmit(self.node, frame)
         if end is None:
+            self.stats["radio_refused"] += 1
             self._end_service()
             return
         if frame.dst == BROADCAST:

@@ -284,8 +284,9 @@ class LinkStateAgent(Agent):
     afresh on _adjacency(). A message calls it only when it changes what
     _adjacency reads: a new neighbour record, a flipped symmetric flag, a
     changed sym_set, or a stored link set that is new or different; a
-    refreshed expiry, sequence number or selects_me changes no path.
-    next_hop takes a path's first hop.
+    refreshed expiry, sequence number or selects_me changes no path. A
+    change to the neighbour records goes through _neighbors_changed, which
+    calls it. next_hop takes a path's first hop.
     """
 
     radius = math.inf
@@ -299,6 +300,12 @@ class LinkStateAgent(Agent):
     def _links_changed(self):
         """Mark the paths stale."""
         self._paths = None
+
+    def _neighbors_changed(self):
+        """A neighbour record was added, dropped, or changed what
+        _adjacency reads: the paths are stale, and so is whatever else is
+        built from the records."""
+        self._links_changed()
 
     @property
     def paths(self):
@@ -376,21 +383,23 @@ class LinkStateAgent(Agent):
         if not (self.neighbors or self.link_state):
             return
         now = self.sim.now
-        changed = False
+        neighbors_changed = links_changed = False
         for nid in sorted(self.neighbors):
             if self.neighbors[nid].expires < now:
                 del self.neighbors[nid]
-                changed = True
+                neighbors_changed = True
         for orig in sorted(self.link_state):
             if self.link_state[orig][2] < now:
                 del self.link_state[orig]
-                changed = True
-        if changed:
+                links_changed = True
+        if neighbors_changed:
+            self._neighbors_changed()
+        elif links_changed:
             self._links_changed()
 
     def on_link_failure(self, neighbor):
         if self.neighbors.pop(neighbor, None) is not None:
-            self._links_changed()
+            self._neighbors_changed()
 
 
 def start_sweeps(sim, nodes):

@@ -120,7 +120,7 @@ class OlsrAgent(LinkStateAgent):
             rec.selects_me = selects_me
             self.ansn += 1
         if changed:
-            self._links_changed()
+            self._neighbors_changed()
 
     def _process_tc(self, msg, prev_hop):
         if msg.orig == self.node.id:
@@ -142,12 +142,17 @@ class OlsrAgent(LinkStateAgent):
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
     def _links_changed(self):
-        """Mark the paths and the HELLO stale, and wake every source
-        sleeping under a NoRoute."""
+        """Mark the paths stale, and wake every source sleeping under a
+        NoRoute."""
         super()._links_changed()
-        self._hello = None
         for dest in list(self._tokens):
             self._settle(dest)
+
+    def _neighbors_changed(self):
+        """A HELLO reads only the neighbour records and the MPRs chosen
+        from them, so only their change marks it stale."""
+        self._hello = None
+        super()._neighbors_changed()
 
     def on_source_miss(self, pkt):
         """Drop and count; the token holds until the paths change."""

@@ -395,7 +395,8 @@ def test_duplicate_data_is_acked_but_delivered_once():
 
 def test_sender_with_radio_off_ends_each_service_silently():
     # The radio refuses the RTS stage, the DATA stage and a broadcast alike;
-    # each ends its service without a drop, a count or an upcall.
+    # each ends its service without a drop or an upcall, counted only as a
+    # refused frame.
     w = pair_world()
     w.nodes[0].radio_enabled = False
     w.send(0, 1, payload_bytes=512)
@@ -408,6 +409,7 @@ def test_sender_with_radio_off_ends_each_service_silently():
     assert not w.uppers[0].successes and not w.uppers[0].failures
     mac = w.nodes[0].mac
     assert mac.current is None and not mac.queue
+    assert mac.stats == {"radio_refused": 3}
 
 
 def test_duplicate_memory_holds_the_last_256_ids():

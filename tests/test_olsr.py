@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 from vanetsim.engine import Simulator
 from vanetsim.routing.base import NeighborRecord
-from vanetsim.routing.olsr import Hello, OlsrAgent, select_mprs
+from vanetsim.routing.olsr import (TC_TTL, TOPO_HOLD_US, Hello, OlsrAgent,
+                                   TcMessage, select_mprs)
 from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import Simulation
 
@@ -213,3 +214,28 @@ def test_every_link_change_shows_in_the_next_hello():
     sim.run_until(agent.neighbor_hold_us + 1)
     agent._sweep()
     assert next_hello() == empty
+
+
+def test_a_link_state_change_keeps_the_cached_hello():
+    # A HELLO reads only the neighbour records and the MPRs chosen from
+    # them: a TC that stores a new or changed link set, or a sweep that
+    # expires only link-state entries, drops the paths but not the HELLO.
+    sim = Simulator(seed=1)
+    mac = SimpleNamespace(enqueue=lambda hop, msg, size: None)
+    agent = OlsrAgent(sim, SimpleNamespace(id=0, mac=mac), ScenarioConfig())
+    neighbour_hello = Hello(sender=1, sym=(0,), heard=(), mprs=())
+    agent._process_hello(neighbour_hello, 1)
+    agent._hello_tick()
+    hello = agent._hello
+    for counter, advertised in enumerate(((1,), (1, 3)), 1):
+        assert agent.paths
+        agent._process_tc(TcMessage(2, 1, advertised, (2, counter), TC_TTL), 1)
+        assert agent._paths is None
+        assert agent._hello is hello
+    assert agent.paths[3] == (0, 1, 2, 3)
+    sim.run_until(TOPO_HOLD_US + 1)
+    agent._process_hello(neighbour_hello, 1)  # only its expiry refreshed
+    agent._sweep()
+    assert not agent.link_state and agent._paths is None
+    assert agent._hello is hello
+    assert 3 not in agent.paths

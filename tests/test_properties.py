@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from vanetsim.engine import us
 from vanetsim.mobility import position_at
+from vanetsim.node import Node
 from vanetsim.phy import received_power_dbm
 from vanetsim.routing.base import SWEEP_US, LinkStateAgent
 from vanetsim.routing.olsr import Hello, OlsrAgent, TcMessage
@@ -225,8 +226,7 @@ def test_run_invariants(config):
             (c.residual_battery_mah != 0.0)
         drawn = (config.tx_ma * c.tx_time_us + config.rx_ma * c.rx_time_us
                  + config.idle_ma * c.idle_time_us) / 3.6e9
-        assert math.isclose(capacity - c.residual_battery_mah,
-                            min(capacity, drawn))
+        assert c.residual_battery_mah == capacity - min(capacity, drawn)
         agent = simulation.nodes[nid].agent
         if isinstance(agent, ReactiveAgent):
             # buffer_packet reads a stored queue's head: none is empty
@@ -246,6 +246,27 @@ def test_run_invariants(config):
     for x, y in samples:
         assert 0.0 <= x <= config.terrain_width_m
         assert 0.0 <= y <= config.terrain_height_m
+
+
+def test_battery_horizon_changes_no_byte():
+    # Each node reads its charge only from its depletion horizon on,
+    # against at every call: every radio goes flat at the same call, so
+    # the same bytes.
+    flat = []
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(scenarios().map(lambda config: replace(config, capacity_mah=0.02)))
+    def same_run(config):
+        simulation = Simulation(config)
+        ledger = simulation.run()
+        with patch.object(Node, "_next_horizon", lambda node, now, drawn: now):
+            every_call = Simulation(config).run()
+        assert csv_digest(every_call) == csv_digest(ledger)
+        flat.append(not all(node.radio_enabled
+                            for node in simulation.nodes.values()))
+
+    same_run()
+    assert any(flat)  # some radio went flat mid-run
 
 
 # Where the drawn runs must wake a sleeping source, for each protocol.
@@ -287,8 +308,8 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
 
 
 def dropping_after_every_message(agent_cls, skipped):
-    """agent_cls's handlers, each calling _links_changed after every HELLO,
-    TC or advert; a HELLO, or an advert heard for the first time, that
+    """agent_cls's handlers, each calling _neighbors_changed (which drops
+    the paths and OLSR's HELLO) after every HELLO, TC or advert; a HELLO, or an advert heard for the first time, that
     left a built map of paths in place adds 1 to skipped[0]."""
 
     def wrap(handler):
@@ -299,7 +320,7 @@ def dropping_after_every_message(agent_cls, skipped):
                 and (msg.orig, msg.seq) not in agent.adv_seen)
             handler(agent, msg, prev_hop)
             skipped[0] += first and paths is not None and agent._paths is paths
-            agent._links_changed()
+            agent._neighbors_changed()
         return handle
 
     return {kind: wrap(handler) if kind in (Hello, TcMessage, ZoneAdvert)
@@ -309,8 +330,9 @@ def dropping_after_every_message(agent_cls, skipped):
 @pytest.mark.parametrize("protocol", ("olsr", "zrp"))
 def test_dropping_paths_only_on_a_link_change_changes_no_byte(protocol):
     # Paths (and OLSR's HELLO) dropped after every message that carries
-    # links, against dropped only when a message changes some link: the
-    # same bytes and the same events scheduled.
+    # links, against the paths dropped only when a message changes some
+    # link and the HELLO only when it changes a neighbour record: the same
+    # bytes and the same events scheduled.
     agent_cls = AGENTS[protocol]
     skips = []
 

@@ -1,5 +1,6 @@
 """Scenario parsing/validation and the command-line front end."""
 
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from vanetsim.scenario import (ScenarioConfig, ScenarioError, load_scenario,
                                parse_scenario)
 from vanetsim.simulation import Simulation
 
+import test_golden
 from conftest import dispatch_counts
 
 BUNDLED = os.path.join(os.path.dirname(vanetsim.__file__),
@@ -255,6 +257,35 @@ def test_cli_run_json_sums_the_agents_control_counters(tmp_path,
     assert control["rreq_sent"] == sum(a.stats.get("rreq_sent", 0)
                                        for a in agents) > 0
     assert list(control) == sorted(control)
+
+
+# The frames that flat radios refused on golden dense_drained at seed 1,
+# the only pinned runs where radios run flat.
+RADIO_REFUSED = {"aodv": 109, "dymo": 104, "olsr": 56, "zrp": 195}
+
+
+@pytest.mark.parametrize("protocol", sorted(RADIO_REFUSED))
+def test_cli_run_json_counts_the_frames_flat_radios_refused(tmp_path,
+                                                           protocol):
+    path = tmp_path / "drained.cfg"
+    path.write_text(test_golden.scenario("dense_drained").echo())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--protocol", protocol, "--seed", "1",
+                 "--out", str(out)]) == 0
+    control = json.loads((out / "run.json").read_text())["control"]
+    assert control["radio_refused"] == RADIO_REFUSED[protocol]
+    # the count moves no byte of metrics.csv
+    digest = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == test_golden.pinned("dense_drained")[protocol]["1"]
+
+
+def test_cli_run_json_counts_no_refused_frame_while_radios_hold_charge(
+        tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path), "--protocol", "aodv",
+                 "--out", str(out)]) == 0
+    control = json.loads((out / "run.json").read_text())["control"]
+    assert "radio_refused" not in control
 
 
 def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -65,8 +65,8 @@ def test_cbr_source_starting_at_its_stop_sends_nothing():
 def test_battery_idle_oracle():
     node = make_node()
     node.finalize(3_600_000_000)  # one hour idle at 1 mA
-    assert abs(node.drawn_mah - 1.0) < 1e-9
-    assert abs(node.counters.residual_battery_mah - 1499.0) < 1e-9
+    assert node.drawn_mah == 1.0
+    assert node.counters.residual_battery_mah == 1499.0
 
 
 def test_battery_mode_currents_differ():
@@ -111,6 +111,37 @@ def test_node_mode_times_sum_to_sim_time():
     assert c.tx_time_us == 500
     assert c.idle_time_us == 9_500
     assert c.tx_time_us + c.rx_time_us + c.idle_time_us == 10_000
+
+
+def test_charge_does_not_depend_on_how_calls_split_the_time():
+    # The charge is read off the integer mode times, so a call every 1 ms
+    # gives exactly the charge of one call over the same span.
+    stepped, whole = make_node(), make_node()
+    for node in (stepped, whole):
+        node.receiving = 1
+    for t in range(1_000, 1_000_001, 1_000):
+        stepped.accrue_power(t)
+    whole.accrue_power(1_000_000)
+    assert stepped.drawn_mah == whole.drawn_mah > 0.0
+
+
+@pytest.mark.parametrize("mode", ("transmitting", "receiving", "idle"))
+def test_charge_reaching_capacity_at_a_call_turns_the_radio_off_there(mode):
+    # 360 mA in the mode draws 0.1 mAh, the whole capacity, in exactly
+    # 1 s; the other currents are smaller.
+    currents = dict(tx_ma=20.0, rx_ma=10.0, idle_ma=5.0)
+    currents[{"transmitting": "tx_ma", "receiving": "rx_ma",
+              "idle": "idle_ma"}[mode]] = 360.0
+    node = make_node(ScenarioConfig(capacity_mah=0.1, **currents))
+    node.transmitting = mode == "transmitting"
+    node.receiving = int(mode == "receiving")
+    node.accrue_power(500_000)
+    node.accrue_power(999_999)
+    assert node.radio_enabled
+    assert node.drawn_mah < 0.1
+    node.accrue_power(1_000_000)
+    assert not node.radio_enabled
+    assert node.drawn_mah == 0.1
 
 
 def test_dead_battery_disables_radio():
