@@ -309,8 +309,9 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
 
 def dropping_after_every_message(agent_cls, skipped):
     """agent_cls's handlers, each calling _neighbors_changed (which drops
-    the paths and OLSR's HELLO) after every HELLO, TC or advert; a HELLO, or an advert heard for the first time, that
-    left a built map of paths in place adds 1 to skipped[0]."""
+    the paths and OLSR's HELLO) after every HELLO, TC or advert; a HELLO,
+    or an advert heard for the first time, that left a built map of paths
+    in place adds 1 to skipped[0]."""
 
     def wrap(handler):
         def handle(agent, msg, prev_hop):

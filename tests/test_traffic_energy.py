@@ -125,16 +125,14 @@ def test_charge_does_not_depend_on_how_calls_split_the_time():
     assert stepped.drawn_mah == whole.drawn_mah > 0.0
 
 
-@pytest.mark.parametrize("mode", ("transmitting", "receiving", "idle"))
+@pytest.mark.parametrize("mode", ("tx_ma", "rx_ma", "idle_ma"))
 def test_charge_reaching_capacity_at_a_call_turns_the_radio_off_there(mode):
     # 360 mA in the mode draws 0.1 mAh, the whole capacity, in exactly
     # 1 s; the other currents are smaller.
-    currents = dict(tx_ma=20.0, rx_ma=10.0, idle_ma=5.0)
-    currents[{"transmitting": "tx_ma", "receiving": "rx_ma",
-              "idle": "idle_ma"}[mode]] = 360.0
+    currents = {"tx_ma": 20.0, "rx_ma": 10.0, "idle_ma": 5.0, mode: 360.0}
     node = make_node(ScenarioConfig(capacity_mah=0.1, **currents))
-    node.transmitting = mode == "transmitting"
-    node.receiving = int(mode == "receiving")
+    node.transmitting = mode == "tx_ma"
+    node.receiving = int(mode == "rx_ma")
     node.accrue_power(500_000)
     node.accrue_power(999_999)
     assert node.radio_enabled
