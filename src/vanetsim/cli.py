@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .engine import SimulationError, dispatch_profile
 from .metrics import compare as compare_runs
@@ -66,11 +67,10 @@ def _execute(config, protocol, seed, out_dir, profile_path=None):
     _write(os.path.join(out_dir, "metrics.csv"), ledger.to_csv())
     _write(os.path.join(out_dir, "scenario_resolved.cfg"),
            simulation.config.echo())
-    control = {}  # each agent and MAC stats counter, summed over the nodes
+    control = Counter()  # each agent and MAC stat, summed over the nodes
     for node in simulation.nodes.values():
-        for stats in (node.agent.stats, node.mac.stats):
-            for name, n in stats.items():
-                control[name] = control.get(name, 0) + n
+        control.update(node.agent.stats)
+        control.update(node.mac.stats)
     summary = {
         "protocol": ledger.protocol,
         "seed": ledger.seed,

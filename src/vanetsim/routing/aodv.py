@@ -45,7 +45,7 @@ class AodvAgent(DistanceVectorAgent):
                    orig_seq=self.own_seq, dest=dest, dest_seq_known=dest_seq,
                    hop_count=0, ttl=RREQ_TTL)
         self.dup_cache.add((msg.orig, msg.rreq_id))
-        self.bump("rreq_sent")
+        self.stats["rreq_sent"] += 1
         self.send_control(BROADCAST, msg)
 
     # -- control plane -----------------------------------------------------
@@ -68,7 +68,7 @@ class AodvAgent(DistanceVectorAgent):
                 return
             reply = Rrep(orig=msg.orig, dest=msg.dest,
                          dest_seq=cached.seq_no, hop_count=cached.hop_count)
-        self.bump("rrep_sent")
+        self.stats["rrep_sent"] += 1
         self.send_control(prev_hop, reply)
 
     def _process_rrep(self, msg, prev_hop):

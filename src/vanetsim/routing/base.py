@@ -1,6 +1,7 @@
 """Common routing contract: route table, network packets, agent base."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from ..engine import us
@@ -138,24 +139,27 @@ class Agent:
     def __init__(self, sim, node):
         self.sim = sim
         self.node = node
-        self.stats = {}
-        self._tokens = {}  # dest -> the token last handed out for it
+        self.stats = Counter()
+        self.sleepers = {}  # dest -> the CbrSource asleep until a notice
 
     # -- helpers -----------------------------------------------------------
 
-    def bump(self, name):
-        self.stats[name] = self.stats.get(name, 0) + 1
-
     def _settle(self, dest):
-        """Wake the source sleeping under dest's token, if one is: the
-        token has stopped holding (CbrSource.settle)."""
-        token = self._tokens.pop(dest, None)
-        if token is not None and token.source is not None:
-            token.source.settle()
+        """A notice for dest: wake the source sleeping until it, if one
+        is (CbrSource.settle)."""
+        source = self.sleepers.pop(dest, None)
+        if source is not None:
+            source.settle()
+
+    def count_slept(self, dest, count, interval_us):
+        """count packets of a session to dest came, interval_us apart,
+        while its source slept, and each was dropped."""
+        self.node.counters.route_drops += count
+        self.stats["cbr_deferred"] += count
 
     def send_control(self, next_hop, msg):
         """Hand msg to the MAC for next_hop, or for all with BROADCAST."""
-        self.bump("control_sent")
+        self.stats["control_sent"] += 1
         self.node.mac.enqueue(next_hop, msg, msg.size_bytes)
 
     def relay_flood(self, msg, stat, **changes):
@@ -168,7 +172,7 @@ class Agent:
         """
         if msg.ttl <= 1:
             return
-        self.bump(stat)
+        self.stats[stat] += 1
         fwd = replace(msg, ttl=msg.ttl - 1, **changes)
         delay = self.node.id * FORWARD_STAGGER_US
         if delay == 0:
@@ -206,7 +210,7 @@ class Agent:
             self.on_relay_miss(pkt, prev_hop)
         elif hop == prev_hop:
             self.node.counters.route_drops += 1
-            self.bump("data_bounced")
+            self.stats["data_bounced"] += 1
         else:
             self.send_data_frame(hop, pkt)
 
@@ -215,9 +219,11 @@ class Agent:
         raise NotImplementedError
 
     def on_source_miss(self, pkt):
-        """Drop and count; no token. OlsrAgent returns a token for the
-        source (NoRoute); ReactiveAgent buffers and discovers instead, and
-        may return one (FullBuffer)."""
+        """Drop and count. A true return says the session's next packets
+        meet the same fate until the agent's next notice for pkt.dst, so
+        its source may sleep until then: OlsrAgent always says so, and
+        ReactiveAgent, which buffers and discovers instead, when pkt only
+        pushed the oldest out of a full buffer."""
         self.node.counters.route_drops += 1
 
     def on_relay_miss(self, pkt, prev_hop):
@@ -244,26 +250,6 @@ class Agent:
             self.handle_data(msg, prev_hop)
         else:
             self.handlers[type(msg)](self, msg, prev_hop)
-
-
-class NoRoute:
-    """A token for a source packet dropped for want of a path. The
-    session's next packets meet the same until the agent's paths change
-    (a link change leaves them stale, and a search builds a new map), so
-    its source may sleep until the agent settles it then
-    (CbrSource.settle)."""
-
-    __slots__ = ("agent", "source")
-
-    def __init__(self, agent):
-        self.agent = agent
-        self.source = None  # the CbrSource sleeping under it, if any
-
-    def push(self, count):
-        """count packets came, and each was dropped."""
-        stats = self.agent.stats
-        self.agent.node.counters.route_drops += count
-        stats["cbr_deferred"] = stats.get("cbr_deferred", 0) + count
 
 
 class NeighborRecord:

@@ -42,7 +42,7 @@ class DymoAgent(DistanceVectorAgent):
         msg = DymoRreq(me, dest, ((me, self.own_seq, 0),),
                        query_id=(me, self.query_counter), ttl=RREQ_TTL)
         self.dup_cache.add(msg.query_id)
-        self.bump("rreq_sent")
+        self.stats["rreq_sent"] += 1
         self.send_control(BROADCAST, msg)
 
     def _learn_path(self, msg, prev_hop):
@@ -52,7 +52,7 @@ class DymoAgent(DistanceVectorAgent):
         me = self.node.id
         n = len(msg.addr_list)
         if me in [entry[0] for entry in msg.addr_list]:
-            self.bump("loop_drops")
+            self.stats["loop_drops"] += 1
             return None
         for i, (nid, seq, _hop) in enumerate(msg.addr_list):
             self.learn_route(nid, prev_hop, seq, n - i)
@@ -69,7 +69,7 @@ class DymoAgent(DistanceVectorAgent):
         self.own_seq += 1
         back = self.table.lookup(msg.orig, self.sim.now)
         if back is not None:
-            self.bump("rrep_sent")
+            self.stats["rrep_sent"] += 1
             self.send_control(back.next_hop, DymoRrep(
                 orig=msg.orig, target=me, addr_list=((me, self.own_seq, 0),)))
 

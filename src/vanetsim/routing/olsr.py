@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from ..engine import us
 from ..mac import BROADCAST
 from .base import (ADDR_BYTES, HOLD_FACTOR, MSG_BASE_BYTES, PHASE_STEP_US,
-                   DupCache, LinkStateAgent, NoRoute)
+                   DupCache, LinkStateAgent)
 
 TC_TTL = 255
 DUP_HOLD_S = 30.0  # RFC 3626 DUP_HOLD_TIME
@@ -92,7 +92,7 @@ class OlsrAgent(LinkStateAgent):
             sym, heard = self._sym_and_heard()
             msg = self._hello = Hello(self.node.id, sym, heard,
                                       tuple(sorted(self.mpr_set)))
-        self.bump("hello_sent")
+        self.stats["hello_sent"] += 1
         self.send_control(BROADCAST, msg)
         self.sim.schedule_after(self.hello_us, self._hello_tick)
 
@@ -103,7 +103,7 @@ class OlsrAgent(LinkStateAgent):
         msg = TcMessage(self.node.id, self.ansn,
                         tuple(sorted(self.mpr_selector_set)),
                         (self.node.id, self.tc_counter), TC_TTL)
-        self.bump("tc_sent")
+        self.stats["tc_sent"] += 1
         self.send_control(BROADCAST, msg)
         self.sim.schedule_after(TC_INTERVAL_US, self._tc_tick)
 
@@ -142,10 +142,9 @@ class OlsrAgent(LinkStateAgent):
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
     def _links_changed(self):
-        """Mark the paths stale, and wake every source sleeping under a
-        NoRoute."""
+        """Mark the paths stale, and wake every sleeping source."""
         super()._links_changed()
-        for dest in list(self._tokens):
+        for dest in list(self.sleepers):
             self._settle(dest)
 
     def _neighbors_changed(self):
@@ -155,10 +154,10 @@ class OlsrAgent(LinkStateAgent):
         super()._neighbors_changed()
 
     def on_source_miss(self, pkt):
-        """Drop and count; the token holds until the paths change."""
+        """Drop and count; the session's next packets meet the same until
+        the paths change."""
         super().on_source_miss(pkt)
-        token = self._tokens[pkt.dst] = NoRoute(self)
-        return token
+        return True
 
     # -- derived state -----------------------------------------------------
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from ..engine import us
 from ..mac import BROADCAST
-from .base import (Agent, DupCache, NoRoute, Packet, RouteEntry,
-                   RoutingTable)
+from .base import Agent, DupCache, Packet, RouteEntry, RoutingTable
 
 PENDING_PER_DEST = 5
 PENDING_LIFETIME_US = us(10.0)
@@ -33,35 +32,6 @@ ROUTE_LIFETIME_US = us(10.0)  # a learned or used route lives this long
 
 DUP_CACHE_S = 15.0
 RREQ_TTL = 35
-
-
-class FullBuffer(NoRoute):
-    """A NoRoute whose packet, with a round running, only pushed the
-    oldest of its session's last PENDING_PER_DEST packets out of the full
-    pending buffer. The session's next packets do the same until the
-    agent flushes or drops the buffer or takes a new route entry for the
-    destination (an entry that is not live never becomes live again);
-    the push builds the ones the buffer keeps."""
-
-    __slots__ = ("dest",)
-
-    def __init__(self, agent, dest):
-        super().__init__(agent)
-        self.dest = dest
-
-    def push(self, count):
-        """count packets came, each pushing the oldest out: build the last
-        of them, as many as the buffer keeps, numbered and dated on from
-        the one the token came with, still the buffer's newest."""
-        q = self.agent.pending[self.dest]
-        last = q[-1]
-        step = self.source.interval_us
-        for i in range(max(1, count - PENDING_PER_DEST + 1), count + 1):
-            q.popleft()
-            q.append(Packet(last.src, last.dst, last.ttl, last.size_bytes,
-                            last.session_id, last.seq + i,
-                            last.sent_at + i * step))
-        super().push(count)
 
 
 @dataclass
@@ -100,8 +70,8 @@ class ReactiveAgent(Agent):
         pass
 
     def on_source_miss(self, pkt):
-        """Buffer pkt and discover; a FullBuffer when pkt only pushed out
-        the oldest packet, else None."""
+        """Buffer pkt and discover; true when, a round running, pkt only
+        pushed the oldest packet out (_full_buffer)."""
         self.buffer_packet(pkt)
         dest = pkt.dst
         if dest in self._discoveries:
@@ -150,15 +120,35 @@ class ReactiveAgent(Agent):
     # -- pending-packet buffer ---------------------------------------------
 
     def _full_buffer(self, pkt):
-        """A token if pkt, buffered behind a round, found the buffer full
-        of its session's last PENDING_PER_DEST packets (one a route served
-        leaves a gap in their numbers); else None."""
+        """Whether pkt, buffered behind a round, found the buffer full of
+        its session's last PENDING_PER_DEST packets (one a route served
+        leaves a gap in their numbers). The session's next packets then
+        do the same until the agent flushes or drops the buffer or takes
+        a new route entry for the destination (an entry that is not live
+        never becomes live again)."""
         q = self.pending[pkt.dst]
-        if (len(q) < PENDING_PER_DEST
-                or q[0].seq != pkt.seq - (PENDING_PER_DEST - 1)):
-            return None
-        token = self._tokens[pkt.dst] = FullBuffer(self, pkt.dst)
-        return token
+        return (len(q) >= PENDING_PER_DEST
+                and q[0].seq == pkt.seq - (PENDING_PER_DEST - 1))
+
+    def count_slept(self, dest, count, interval_us):
+        """Each of the count packets pushed the oldest out of the full
+        buffer: build the last of them, as many as the buffer keeps,
+        numbered and dated on from the buffer's newest, the packet the
+        source fell asleep on."""
+        q = self.pending[dest]
+        last = q[-1]
+        for i in range(max(1, count - PENDING_PER_DEST + 1), count + 1):
+            q.popleft()
+            q.append(Packet(last.src, last.dst, last.ttl, last.size_bytes,
+                            last.session_id, last.seq + i,
+                            last.sent_at + i * interval_us))
+        super().count_slept(dest, count, interval_us)
+
+    def take_route(self, entry):
+        """Store entry if it is fresher; a source sleeping behind the
+        buffer for its destination wakes then."""
+        if self.table.update_if_fresher(entry):
+            self._settle(entry.dest)
 
     def buffer_packet(self, pkt):
         """Queue pkt; only a source buffers, as it sends, so sent_at dates
@@ -211,20 +201,17 @@ class DistanceVectorAgent(ReactiveAgent):
         entry.expires_at = self.sim.now + ROUTE_LIFETIME_US
 
     def learn_route(self, dest, next_hop, seq_no, hop_count):
-        """Take a route heard in a control message if it is fresher; a
-        source sleeping behind the buffer for dest wakes then."""
-        entry = RouteEntry(
+        """Take a route heard in a control message (take_route)."""
+        self.take_route(RouteEntry(
             dest=dest, next_hop=next_hop, seq_no=seq_no, hop_count=hop_count,
-            expires_at=self.sim.now + ROUTE_LIFETIME_US)
-        if self.table.update_if_fresher(entry):
-            self._settle(dest)
+            expires_at=self.sim.now + ROUTE_LIFETIME_US))
 
     def relay_reply(self, orig, msg):
         """Unicast a route reply on toward orig; without a reverse route
         it is dropped and counted."""
         back = self.table.lookup(orig, self.sim.now)
         if back is None:
-            self.bump("rrep_drops")
+            self.stats["rrep_drops"] += 1
             return
         self.send_control(back.next_hop, msg)
 
@@ -256,5 +243,5 @@ class DistanceVectorAgent(ReactiveAgent):
     def _send_rerr(self, pairs):
         """Broadcast a RERR for the (dest, seq_no) pairs, if there are any."""
         if pairs:
-            self.bump("rerr_sent")
+            self.stats["rerr_sent"] += 1
             self.send_control(BROADCAST, Rerr(tuple(pairs)))

@@ -77,7 +77,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         # at distance rho, so adverts only need to travel rho-1 hops.
         msg = ZoneAdvert(self.node.id, sym, heard, self.adv_counter,
                          ttl=max(1, self.radius - 1))
-        self.bump("iarp_sent")
+        self.stats["iarp_sent"] += 1
         self.send_control(BROADCAST, msg)
         self.sim.schedule_after(self.iarp_us, self._advert_tick)
 
@@ -131,7 +131,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def emit_discovery(self, dest):
         self.query_counter += 1
         qid = (self.node.id, self.query_counter)
-        self.bump("ierp_query_rounds")
+        self.stats["ierp_query_rounds"] += 1
         self._bordercast(qid, dest, (self.node.id,), stage=1)
 
     def _bordercast(self, qid, dest, route_so_far, stage):
@@ -141,31 +141,31 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
             path = self.paths[p]
             msg = IerpQuery(query_id=qid, dest=dest, route_so_far=route_so_far,
                             leg=tuple(path[1:]), stage=stage)
-            self.bump("ierp_queries_sent")
+            self.stats["ierp_queries_sent"] += 1
             self.send_control(path[1], msg)
 
     def _process_query(self, msg, prev_hop):
         me = self.node.id
         if me in msg.route_so_far:
-            self.bump("loop_drops")
+            self.stats["loop_drops"] += 1
             return
         remaining = msg.leg[1:]  # leg[0] is me: the query was unicast here
         if remaining:
             fwd = replace(msg, route_so_far=msg.route_so_far + (me,),
                           leg=remaining)
-            self.bump("ierp_queries_relayed")
+            self.stats["ierp_queries_relayed"] += 1
             self.send_control(remaining[0], fwd)
             return
         # bordercast endpoint
         if not self.query_seen.add(msg.query_id):
             return
         here = msg.route_so_far + (me,)
-        self.bump("ierp_stage_seen_%d" % msg.stage)
+        self.stats["ierp_stage_seen_%d" % msg.stage] += 1
         path = self.paths.get(msg.dest)
         if path is not None:
             full = here + path[1:]
             self._install_from_route(full)
-            self.bump("ierp_replies_sent")
+            self.stats["ierp_replies_sent"] += 1
             self._send_back(IerpReply(full))
             return
         if msg.stage < MAX_BORDERCAST_STAGES:
@@ -187,16 +187,13 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         return True
 
     def _install_from_route(self, route):
-        """Route to route[-1] from this node, which is on it but not last;
-        a source sleeping behind the buffer for it wakes if the table
-        takes it."""
-        idx, dest = route.index(self.node.id), route[-1]
-        entry = RouteEntry(
-            dest=dest, next_hop=route[idx + 1], seq_no=0,
+        """Route to route[-1] from this node, which is on it but not last
+        (take_route)."""
+        idx = route.index(self.node.id)
+        self.take_route(RouteEntry(
+            dest=route[-1], next_hop=route[idx + 1], seq_no=0,
             hop_count=len(route) - 1 - idx,
-            expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route)
-        if self.table.update_if_fresher(entry):
-            self._settle(dest)
+            expires_at=self.sim.now + ROUTE_LIFETIME_US, route=route))
 
     # -- maintenance -------------------------------------------------------
 
@@ -211,7 +208,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
     def _send_error_back(self, entry):
         route = entry.route  # every entry comes from a route through here
         if route[0] != self.node.id:
-            self.bump("ierp_errors_sent")
+            self.stats["ierp_errors_sent"] += 1
             self._send_back(IerpError(route))
 
     def _process_error(self, msg, prev_hop):

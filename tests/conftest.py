@@ -142,13 +142,14 @@ def line_positions(n, spacing=80.0, y=100.0):
     return {i: (50.0 + i * spacing, y) for i in range(n)}
 
 
-def refused_tokens(protocol):
-    """A patch under which the agent hands its sources no token: OLSR's
-    source miss only drops, and a reactive agent grants no FullBuffer."""
+def refused_sleep(protocol):
+    """A patch under which the agent lets no source sleep: OLSR's source
+    miss only drops, and a reactive agent never finds its buffer full."""
     if protocol == "olsr":
         return patch.object(OlsrAgent, "on_source_miss",
                             Agent.on_source_miss)
-    return patch.object(ReactiveAgent, "_full_buffer", lambda agent, pkt: None)
+    return patch.object(ReactiveAgent, "_full_buffer",
+                        lambda agent, pkt: False)
 
 
 # The functions that wake a sleeping source: OLSR's link changes (a HELLO,

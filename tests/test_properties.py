@@ -25,7 +25,7 @@ from vanetsim.scenario import ScenarioConfig
 from vanetsim.simulation import AGENTS, SESSION_STAGGER_US, Simulation
 
 from conftest import (PROTOCOLS, cbr_deferred, counting_wakes, csv_digest,
-                      refused_tokens)
+                      refused_sleep)
 
 # (max_range_m, rx_threshold_dbm): the range gate binds; the threshold
 # binds in free space (~56 m); it binds in two-ray ground (~299 m).
@@ -281,7 +281,7 @@ WOKEN_AT = {
 
 @pytest.mark.parametrize("protocol", ("aodv", "dymo", "olsr", "zrp"))
 def test_counting_doomed_packets_changes_no_byte(protocol):
-    # A source that sleeps under a token for the packets its agent can only
+    # A source that sleeps through the packets its agent can only
     # drop (a full pending buffer, or no path), and counts them when the
     # agent wakes it, against one whose every packet reaches the agent: the
     # same bytes, and each counted tick one event fewer.
@@ -296,7 +296,7 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
         counting = Simulation(config)
         with counting_wakes() as wakes:
             ledger = counting.run()
-        with refused_tokens(protocol):
+        with refused_sleep(protocol):
             eager = Simulation(config)
             eager_ledger = eager.run()
         assert csv_digest(ledger) == csv_digest(eager_ledger)

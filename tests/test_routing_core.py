@@ -222,18 +222,20 @@ def run_sources(case, grant):
 
     gap: a route serves the packets sent at 0.2 and 0.3 s. shared: a
     second session to node 9 starts at 0.45 s, after the first's buffer
-    is full. flush: a route appears at 1.25 s and ends the round.
+    is full. flush: a route appears at 1.25 s and ends the round. long:
+    one session, a packet each 2.5 s for 60 s, whose oldest buffered
+    packet expires as each new one comes.
 
-    Returns what the run sends, reads and keeps, whether each of session
-    0's packets handed to the agent brought a token, and the packets the
-    sources counted instead; with grant False no token is handed out.
+    Returns what the run sends, reads and keeps, whether the agent let
+    session 0's source sleep on each packet handed to it, and the packets
+    the sources counted instead; with grant False no source may sleep.
     """
     sim, counters, agent = make_agent()
     starts = (0, us(0.45)) if case == "shared" else (0,)
     n = len(starts)
     ledger = MetricsLedger(node_ids=[0], session_ids=range(n))
     agent.emit_discovery = lambda dest: None
-    sent, tokens, reads = [], [], []
+    sent, doomed, reads = [], [], []
     agent.send_data_frame = lambda hop, pkt: sent.append(
         (pkt.seq, pkt.sent_at))
     for name in ("flush_pending", "drop_pending"):
@@ -246,14 +248,14 @@ def run_sources(case, grant):
     handle = agent.handle_app_packet
 
     def handing(pkt):
-        token = handle(pkt)
+        sleeps = handle(pkt)
         if pkt.session_id == 0:
-            tokens.append(token is not None)
-        return token
+            doomed.append(bool(sleeps))
+        return sleeps
 
     agent.handle_app_packet = handing
     if not grant:
-        agent._full_buffer = lambda pkt: None
+        agent._full_buffer = lambda pkt: False
     route = entry(dest=9, next_hop=4, expires=us(100))
     if case == "gap":
         sim.schedule_at(us(0.15), lambda: agent.table.update_if_fresher(route))
@@ -263,24 +265,26 @@ def run_sources(case, grant):
             agent.table.update_if_fresher(route)
             agent.discovery_succeeded(9)
         sim.schedule_at(us(1.25), found)
-    config = ScenarioConfig(interval_ms=100.0, sim_time_s=4.0)
+    config = (ScenarioConfig(interval_ms=2500.0, sim_time_s=60.0)
+              if case == "long"
+              else ScenarioConfig(interval_ms=100.0, sim_time_s=4.0))
     sources = [CbrSource(sim, config, i, 0, 9, start, agent, ledger,
                          alone=n == 1) for i, start in enumerate(starts)]
     for source in sources:
         source.start()
-    sim.run_until(us(4))
+    sim.run_until(us(config.sim_time_s))
     for source in sources:  # as Simulation.run does
         source.settle()
     kept = [(p.seq, p.sent_at) for p in agent.pending.get(9, ())]
     app_sent = [ledger.session[i].app_sent for i in range(n)]
-    return ((sent, reads, kept, counters.route_drops, app_sent), tokens,
+    return ((sent, reads, kept, counters.route_drops, app_sent), doomed,
             agent.stats.get("cbr_deferred", 0))
 
 
-@pytest.mark.parametrize("case", ("gap", "shared", "flush"))
+@pytest.mark.parametrize("case", ("gap", "shared", "flush", "long"))
 def test_counted_packets_are_the_packets_handed_over(case):
     eager, _, none = run_sources(case, grant=False)
-    counted, tokens, deferred = run_sources(case, grant=True)
+    counted, doomed, deferred = run_sources(case, grant=True)
     assert counted == eager
     assert none == 0
     sent = eager[0]
@@ -288,28 +292,29 @@ def test_counted_packets_are_the_packets_handed_over(case):
         assert sent == [(3, us(0.2)), (4, us(0.3))]
         # the buffer spans 7 and then 6 packets before it holds the last
         # 5; the failed round at 3.5 s drops it, and the next fills by 3.9
-        assert tokens == [False] * 8 + [True] + [False] * 4 + [True]
+        assert doomed == [False] * 8 + [True] + [False] * 4 + [True]
         assert deferred == 26
     if case == "shared":
-        # the agent hands session 0 a token, which a shared pair leaves
-        assert tokens[4] and deferred == 0
+        # the agent would let session 0 sleep, which a shared pair forbids
+        assert doomed[4] and deferred == 0
     if case == "flush":
         # the buffer's last five leave when the route appears, then each
         # packet goes out as it is sent
         assert sent[:6] == [(seq, us(0.1) * (seq - 1))
                             for seq in (9, 10, 11, 12, 13, 14)]
         assert deferred == 8
+    if case == "long":
+        # five packets 2.5 s apart span the 10 s pending lifetime, so
+        # each new packet expires the oldest rather than pushing it out
+        assert deferred == 3
 
 
-def test_shared_pairs_and_long_intervals_count_nothing():
+def test_shared_pairs_count_nothing():
     positions = {0: (100.0, 100.0), 1: (1400.0, 1400.0)}
     sessions = [(0, 1), (0, 1), (1, 0)]  # a repeated session line is valid
     config = make_static_config(positions, sessions)
     assert [s.defers for s in Simulation(config).sessions] == \
         [False, False, True]
-    # five packets 2.5 s apart outlive the 10 s pending lifetime
-    config = make_static_config(positions, sessions[1:], interval_ms=2500.0)
-    assert [s.defers for s in Simulation(config).sessions] == [False, False]
 
 
 def miss_agent(protocol):

@@ -1,8 +1,9 @@
-"""A source that takes a token sleeps, and the agent wakes it at a notice.
+"""A source whose packets are doomed sleeps, and the agent wakes it at a
+notice.
 
 Each case is a small run built so that one notice wakes a source that
 slept through some of its ticks. It is compared with the same run with
-every token refused: the same metrics.csv bytes, and each counted tick
+every sleep refused: the same metrics.csv bytes, and each counted tick
 one event fewer.
 """
 
@@ -11,7 +12,7 @@ import pytest
 from vanetsim.simulation import Simulation
 
 from conftest import (cbr_deferred, counting_wakes, csv_digest,
-                      line_positions, make_static_config, refused_tokens)
+                      line_positions, make_static_config, refused_sleep)
 
 FAR = (1400.0, 1400.0)  # out of every other node's range
 
@@ -80,12 +81,12 @@ CASES = {
 
 
 def sleeping_and_refused(config):
-    """Run config as it is and with every token refused; check the two
+    """Run config as it is and with every sleep refused; check the two
     runs agree and return where the first woke its sources."""
     sleeping = Simulation(config)
     with counting_wakes() as woken:
         ledger = sleeping.run()
-    with refused_tokens(config.protocol):
+    with refused_sleep(config.protocol):
         refused = Simulation(config)
         refused_ledger = refused.run()
     assert csv_digest(ledger) == csv_digest(refused_ledger)
