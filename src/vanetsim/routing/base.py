@@ -272,7 +272,8 @@ class LinkStateAgent(Agent):
     changed sym_set, or a stored link set that is new or different; a
     refreshed expiry, sequence number or selects_me changes no path. A
     change to the neighbour records goes through _neighbors_changed, which
-    calls it. next_hop takes a path's first hop.
+    calls it. next_hop takes a path's first hop: a symmetric neighbour,
+    for OLSR and ZRP alike (RFC 3626 section 10).
     """
 
     radius = math.inf
@@ -330,8 +331,8 @@ class LinkStateAgent(Agent):
         return tuple(sym), tuple(heard)
 
     def _adjacency(self):
-        """Undirected graph: this node to each symmetric neighbour, that
-        neighbour to its own sym_set, and every link-state entry."""
+        """Undirected graph: each symmetric neighbour to its own sym_set,
+        every link-state entry, and this node to its symmetric neighbours."""
         adj = {}
 
         def add_edges(a, peers):
@@ -339,11 +340,12 @@ class LinkStateAgent(Agent):
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
 
-        for n in self._sym_neighbors():
-            add_edges(self.node.id, (n,))
+        sym = self._sym_neighbors()
+        for n in sym:
             add_edges(n, self.neighbors[n].sym_set)
         for orig, (_, linked, _) in self.link_state.items():
             add_edges(orig, linked)
+        adj[self.node.id] = sym
         return adj
 
     def _shortest_paths(self, adj):

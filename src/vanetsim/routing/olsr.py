@@ -180,9 +180,3 @@ class OlsrAgent(LinkStateAgent):
             coverage[n] = {x for x in rec.sym_set if x != me and x not in sym}
             degree[n] = len(rec.sym_set)
         return select_mprs(coverage, degree)
-
-    def _adjacency(self):
-        # symmetric first hops only (RFC 3626 section 10)
-        adj = super()._adjacency()
-        adj[self.node.id] = self._sym_neighbors()
-        return adj

@@ -231,7 +231,7 @@ def test_run_invariants(config):
         if isinstance(agent, ReactiveAgent):
             # buffer_packet reads a stored queue's head: none is empty
             assert all(agent.pending.values())
-        if isinstance(agent, OlsrAgent):
+        if isinstance(agent, LinkStateAgent):
             # first hops only from symmetric neighbours (RFC 3626 section 10)
             sym = agent._sym_neighbors()
             assert {path[1] for path in agent.paths.values()} <= sym
