@@ -44,20 +44,14 @@ class RngStreams:
 class Simulator:
     """Single-threaded event loop with integer-microsecond clock.
 
-    An event is its heap entry, the list [fire_at, scheduled_at, seq, fn],
-    and events fire in that order; cancelling one sets fn to None. For
-    schedule_at's events seq grows with time, so ties go in insertion
-    order and dispatch order is a pure function of the schedule (and
-    therefore of the seed and scenario).
-
-    schedule_tick keys a session's tick at t, after its first, as
-    (t, t - interval, TICK_SEQ - session_id): the last event scheduled in
-    the instant one interval earlier, later sessions first. So its place
-    does not hang on whether the tick before it ran, and a source that
-    slept can schedule it late in the place it would have had. This
-    differs from insertion order in one case: an event scheduled, in a
-    tick's instant and after that tick ran, for exactly one interval
-    later fires before the next tick.
+    An event is its heap entry, the list [fire_at, seq, fn], and events
+    fire in that order; cancelling one sets fn to None. schedule_at's seq
+    grows with time, so its ties go in insertion order. schedule_tick
+    keys a session's tick at t, after its first, as (t, TICK_SEQ -
+    session_id): after every other event due at t, later sessions first,
+    however early it was scheduled, so a source that slept can schedule
+    it late in the place it would have had. Dispatch order is a pure
+    function of the schedule (and therefore of the seed and scenario).
 
     The callback names the event. No caller in the package passes
     schedule_at's kind or target; perfbench's tracer passes both.
@@ -71,21 +65,19 @@ class Simulator:
         self.rng = RngStreams(seed)
         self._heap = []
         self._seq = 0
-        self.dispatching = None  # the entry run_until is dispatching
         self.trace = None  # list of trace records when enabled
         self.profile = None  # (module, qualname) -> [dispatches, seconds]
         # MAC frame ids: unique within the run, whatever ran before it
         self.next_frame_id = itertools.count(1).__next__
 
     def schedule_at(self, fire_at, fn, kind="timer", target="world"):
-        now = self.now
-        if fire_at < now:
+        if fire_at < self.now:
             raise SimulationError(
                 "scheduling into the past: t=%d < now=%d (%s)"
-                % (fire_at, now, fn.__qualname__)
+                % (fire_at, self.now, fn.__qualname__)
             )
         seq = self._seq
-        ev = [fire_at, now, seq, fn]
+        ev = [fire_at, seq, fn]
         self._seq = seq + 1
         heappush(self._heap, ev)
         return ev
@@ -93,34 +85,23 @@ class Simulator:
     def schedule_after(self, delay, fn):
         return self.schedule_at(self.now + delay, fn)
 
-    def schedule_tick(self, fire_at, interval, session_id, fn):
-        """Schedule a session's periodic tick, keyed as the class says.
-        It repeats schedule_at's check and push: a helper shared by both
-        would cost every event one more call."""
+    def schedule_tick(self, fire_at, session_id, fn):
+        """Schedule a session's tick, keyed as the class says. It repeats
+        schedule_at's check and push to spare every event a call."""
         if fire_at < self.now:
             raise SimulationError(
                 "scheduling into the past: t=%d < now=%d (%s)"
                 % (fire_at, self.now, fn.__qualname__)
             )
         self._seq += 1  # _seq counts every event scheduled
-        ev = [fire_at, fire_at - interval, TICK_SEQ - session_id, fn]
+        ev = [fire_at, TICK_SEQ - session_id, fn]
         heappush(self._heap, ev)
         return ev
-
-    def ticked(self, fire_at, interval, session_id):
-        """Whether a tick schedule_tick would key so has fired by now: it
-        falls before now, or at now before the event being dispatched
-        (between run_until calls, every event due by now has fired)."""
-        if fire_at != self.now:
-            return fire_at < self.now
-        ev = self.dispatching
-        return ev is None or (
-            (fire_at - interval, TICK_SEQ - session_id) < (ev[1], ev[2]))
 
     def cancel(self, ev):
         """Cancel a pending event. Cancelling an already-fired one is a no-op."""
         if ev is not None:
-            ev[3] = None
+            ev[2] = None
 
     def run_until(self, end):
         """Dispatch all events with fire_at <= end in heap-entry order.
@@ -138,7 +119,7 @@ class Simulator:
             in_callbacks = 0.0
             loop_started = clock()
         while heap and heap[0][0] <= end:
-            fire_at, _, _, fn = self.dispatching = heappop(heap)
+            fire_at, _, fn = heappop(heap)
             if fn is None:
                 continue
             if fire_at < now:
@@ -157,7 +138,6 @@ class Simulator:
                 entry = profile[key] = [0, 0.0]
             entry[0] += 1
             entry[1] += took
-        self.dispatching = None
         if end > now:
             self.now = end
         if profile is not None:

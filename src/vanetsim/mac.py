@@ -92,7 +92,7 @@ class DcfMac:
         self._countdown_from = None  # when its DIFS ends and its slots start
         self._timeout_timer = None
         self._post_tx = False
-        self._seen = {}  # the last 256 DATA frame ids received, oldest first
+        self._last_id = {}  # sender -> its last DATA frame id received
 
         self._cts_air = airtime_us(CTS_BYTES * 8, config)
         self._ack_air = airtime_us(ACK_BYTES * 8, config)
@@ -259,10 +259,9 @@ class DcfMac:
                 self._respond(cts)
         elif frame.kind == DATA:
             self._respond(MacFrame(ACK, self.node.id, frame.src, 0, ACK_BYTES))
-            if frame.frame_id not in self._seen:
-                self._seen[frame.frame_id] = None
-                if len(self._seen) > 256:
-                    del self._seen[next(iter(self._seen))]
+            # a sender repeats only its frame in service (9.2.9)
+            if self._last_id.get(frame.src) != frame.frame_id:
+                self._last_id[frame.src] = frame.frame_id
                 self.upper.on_receive(frame.payload, frame.src)
         elif self.phase == frame.kind and frame.src == self.current.dst:
             self.sim.cancel(self._timeout_timer)

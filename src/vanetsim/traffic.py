@@ -43,26 +43,23 @@ class CbrSource:
             self.agent.sleepers[self.dst] = self
             self.next_us = nxt
         elif nxt < self.stop_us:
-            self.sim.schedule_tick(nxt, self.interval_us, self.session_id,
-                                   self._tick)
+            self.sim.schedule_tick(nxt, self.session_id, self._tick)
 
     def settle(self):
         """Wake, if asleep: count the ticks that fell due while it slept,
         hand the count to the agent (count_slept) and schedule the first
-        tick still to come. The agent calls it at its notice for the
-        destination, and Simulation.run when the run ends."""
+        tick still to come, which may be due now: no tick wakes a source,
+        and a tick goes last in its microsecond. The agent calls it at its
+        notice for the destination, and Simulation.run once the run is
+        over, at the stop, where no tick is due."""
         first, self.next_us = self.next_us, None
         if first is None:
             return
         sim, step = self.sim, self.interval_us
-        nxt = first
-        if nxt < sim.now:
-            nxt += -(-(sim.now - nxt) // step) * step
-        if sim.ticked(nxt, step, self.session_id):
-            nxt += step
+        nxt = first + max(0, -((first - sim.now) // step)) * step
         count = len(range(first, min(nxt, self.stop_us), step))
         if count:
             self.counters.app_sent += count
             self.agent.count_slept(self.dst, count, step)
         if nxt < self.stop_us:
-            sim.schedule_tick(nxt, step, self.session_id, self._tick)
+            sim.schedule_tick(nxt, self.session_id, self._tick)

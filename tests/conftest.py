@@ -166,11 +166,18 @@ def counting_wakes():
     """Yield a Counter that gains 1 at site for each wake of a sleeping
     source that counted ticks, site being the innermost WAKE_SITES
     function it is called in. A TC from an originator whose link set
-    was known counts as "_process_tc known"."""
+    was known counts as "_process_tc known". Fails if any settle runs
+    inside a CBR tick: settle schedules the tick due now, which only
+    holds if that tick has not run."""
     woken = Counter()
     settle = CbrSource.settle
+    tick = CbrSource._tick.__code__
 
     def counted(source):
+        frame = sys._getframe(1)
+        while frame is not None:
+            assert frame.f_code is not tick, "a CBR tick woke a source"
+            frame = frame.f_back
         sent = source.counters.app_sent
         settle(source)
         if source.counters.app_sent == sent:

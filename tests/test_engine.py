@@ -156,9 +156,9 @@ def test_profiled_run_dispatches_the_same_events():
     assert profiled == plain == ["tick", "tick", "lambda", "tick"]
     assert sim.now == other.now == 100
     assert sim._seq == other._seq
-    # [fire_at, scheduled_at, seq]: scheduled at 0, the sixth event
-    assert ([entry[:3] for entry in sim._heap]
-            == [entry[:3] for entry in other._heap] == [[500, 0, 5]])
+    # [fire_at, seq]: the sixth event
+    assert ([entry[:2] for entry in sim._heap]
+            == [entry[:2] for entry in other._heap] == [[500, 5]])
 
 
 def test_profile_counts_callbacks_by_layer_and_every_pop():
@@ -218,18 +218,18 @@ def test_profile_layer_is_the_package_module():
                       {"dispatches": 2, "wall_s": 0.5}}}
 
 
-# Tick order: schedule_tick keys a tick as the last event scheduled in the
-# instant one interval before it fires, later sessions first.
+# Tick order: schedule_tick keys a tick after every other event of its
+# microsecond, later sessions first, whenever each was scheduled.
 
 def test_ticks_of_one_instant_go_in_falling_session_id(sim):
     fired = []
     for session_id in (0, 2, 1):
-        sim.schedule_tick(100, 50, session_id,
+        sim.schedule_tick(100, session_id,
                           lambda s=session_id: fired.append(s))
-    # a longer interval counts as scheduled earlier
-    sim.schedule_tick(100, 80, 0, lambda: fired.append("every 80"))
+    # scheduled after the ticks, yet it fires before them
+    sim.schedule_at(100, lambda: fired.append("event"))
     sim.run_until(100)
-    assert fired == ["every 80", 2, 1, 0]
+    assert fired == ["event", 2, 1, 0]
 
 
 def test_an_event_one_interval_ahead_of_a_tick_precedes_the_next_tick(sim):
@@ -238,34 +238,27 @@ def test_an_event_one_interval_ahead_of_a_tick_precedes_the_next_tick(sim):
     def tick():
         fired.append("tick %d" % sim.now)
         if sim.now < 100:
-            sim.schedule_tick(sim.now + 50, 50, 0, tick)
+            sim.schedule_tick(sim.now + 50, 0, tick)
 
     def schedule(at):
         return lambda: sim.schedule_at(100, lambda: fired.append(at))
 
     sim.schedule_at(49, schedule("from 49"))
     sim.schedule_at(50, tick)
-    # in the tick's instant, after it ran: insertion order would put this
-    # one after the next tick, the one order that differs from it
     sim.schedule_at(50, schedule("from 50"))
+    # less than one interval ahead: it too precedes the tick at 100
     sim.schedule_at(51, schedule("from 51"))
     sim.run_until(100)
-    assert fired == ["tick 50", "from 49", "from 50", "tick 100", "from 51"]
+    assert fired == ["tick 50", "from 49", "from 50", "from 51", "tick 100"]
 
 
-@pytest.mark.parametrize("settled_from", (40, 50, 60))
-def test_ticked_tells_whether_the_tick_of_the_instant_fired(
-        sim, settled_from):
-    # A settle at 100, scheduled at settled_from, counts the tick at 100
-    # if and only if it was scheduled after the tick's instant, 50: then
-    # the tick fired first.
-    seen = []
-    sim.schedule_tick(100, 50, 0, lambda: seen.append("tick"))
-    sim.schedule_at(settled_from, lambda: sim.schedule_at(
-        100, lambda: seen.append(sim.ticked(100, 50, 0))))
+@pytest.mark.parametrize("scheduled_from", (40, 50, 60))
+def test_an_event_precedes_the_tick_of_its_instant(sim, scheduled_from):
+    # whether scheduled before, in or after the instant one interval
+    # ahead of the tick, an event at 100 fires before the tick at 100
+    fired = []
+    sim.schedule_tick(100, 0, lambda: fired.append("tick"))
+    sim.schedule_at(scheduled_from, lambda: sim.schedule_at(
+        100, lambda: fired.append("event")))
     sim.run_until(100)
-    assert seen == (["tick", True] if settled_from > 50
-                    else [False, "tick"])
-    # between run_until calls, every tick due by now has fired
-    assert sim.ticked(100, 50, 0) and sim.ticked(99, 50, 0)
-    assert not sim.ticked(101, 50, 0)
+    assert fired == ["event", "tick"]

@@ -412,20 +412,24 @@ def test_sender_with_radio_off_ends_each_service_silently():
     assert mac.stats == {"radio_refused": 3}
 
 
-def test_duplicate_memory_holds_the_last_256_ids():
-    w = pair_world(trace=False)
+def test_duplicate_filter_keeps_each_senders_last_id():
+    # IEEE 802.11-1999 9.2.9: a sender repeats only its frame in service,
+    # however many frames of other senders come in between
+    w = MacWorld({0: (0.0, 0.0), 1: (50.0, 0.0), 2: (0.0, 50.0)},
+                 trace=False)
     mac = w.nodes[1].mac
 
-    def deliver(frame_id):
-        mac.observe_frame(MacFrame(DATA, 0, 1, 258, 34, frame_id, 100,
+    def deliver(src, frame_id):
+        mac.observe_frame(MacFrame(DATA, src, 1, 258, 34, frame_id, 100,
                                    frame_id=frame_id), errored=False)
 
-    for frame_id in range(1, 258):
-        deliver(frame_id)
-    deliver(257)  # still remembered
-    deliver(2)  # the oldest id remembered
-    deliver(1)  # evicted by the 257th id
-    assert [p for p, _ in w.uppers[1].received] == list(range(1, 258)) + [1]
+    deliver(0, 1)
+    for frame_id in range(2, 300):
+        deliver(2, frame_id)
+    deliver(0, 1)  # a retransmission after 298 frames of node 2
+    deliver(2, 299)  # and one of node 2's last
+    deliver(0, 300)  # node 0's next frame
+    assert [p for p, _ in w.uppers[1].received] == list(range(1, 301))
 
 
 def test_frame_invariants():

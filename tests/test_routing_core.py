@@ -306,7 +306,7 @@ def test_counted_packets_are_the_packets_handed_over(case):
     if case == "long":
         # five packets 2.5 s apart span the 10 s pending lifetime, so
         # each new packet expires the oldest rather than pushing it out
-        assert deferred == 3
+        assert deferred == 2
 
 
 def test_shared_pairs_count_nothing():
