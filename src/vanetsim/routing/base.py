@@ -268,12 +268,13 @@ class LinkStateAgent(Agent):
     Subclasses set neighbor_hold_us and fill link_state from their link
     advertisements. Paths read after a call to _links_changed are searched
     afresh on _adjacency(). A message calls it only when it changes what
-    _adjacency reads: a new neighbour record, a flipped symmetric flag, a
-    changed sym_set, or a stored link set that is new or different; a
-    refreshed expiry, sequence number or selects_me changes no path. A
-    change to the neighbour records goes through _neighbors_changed, which
-    calls it. next_hop takes a path's first hop: a symmetric neighbour,
-    for OLSR and ZRP alike (RFC 3626 section 10).
+    _adjacency reads: a flipped symmetric flag, a symmetric neighbour's
+    changed sym_set, or a stored link set that is new or different; a new
+    heard-only record, a refreshed expiry, sequence number or selects_me
+    changes no path. A sweep or link failure only removes edges, which
+    reaches no new node, so it drops the paths and notifies nothing.
+    next_hop takes a path's first hop: a symmetric neighbour, for OLSR and
+    ZRP alike (RFC 3626 section 10).
     """
 
     radius = math.inf
@@ -288,12 +289,6 @@ class LinkStateAgent(Agent):
         """Mark the paths stale."""
         self._paths = None
 
-    def _neighbors_changed(self):
-        """A neighbour record was added, dropped, or changed what
-        _adjacency reads: the paths are stale, and so is whatever else is
-        built from the records."""
-        self._links_changed()
-
     @property
     def paths(self):
         if self._paths is None:
@@ -307,18 +302,16 @@ class LinkStateAgent(Agent):
 
     def _heard(self, sender, sym, heard):
         """Refresh sender's record from its HELLO or advert; return it and
-        whether the record is new or its symmetric flag flipped."""
+        whether its symmetric flag flipped. A new record starts heard-only."""
         rec = self.neighbors.get(sender)
-        changed = rec is None
-        if changed:
+        if rec is None:
             rec = self.neighbors[sender] = NeighborRecord()
         me = self.node.id
         rec.expires = self.sim.now + self.neighbor_hold_us
         symmetric = me in sym or me in heard
-        if rec.symmetric != symmetric:
-            rec.symmetric = symmetric
-            changed = True
-        return rec, changed
+        flipped = rec.symmetric != symmetric
+        rec.symmetric = symmetric
+        return rec, flipped
 
     def _sym_neighbors(self):
         return {n for n, r in self.neighbors.items() if r.symmetric}
@@ -368,26 +361,25 @@ class LinkStateAgent(Agent):
         return paths
 
     def _sweep(self):
+        """Drop expired records and link sets, and with them the paths."""
         if not (self.neighbors or self.link_state):
             return
         now = self.sim.now
-        neighbors_changed = links_changed = False
+        changed = False
         for nid in sorted(self.neighbors):
             if self.neighbors[nid].expires < now:
                 del self.neighbors[nid]
-                neighbors_changed = True
+                changed = True
         for orig in sorted(self.link_state):
             if self.link_state[orig][2] < now:
                 del self.link_state[orig]
-                links_changed = True
-        if neighbors_changed:
-            self._neighbors_changed()
-        elif links_changed:
-            self._links_changed()
+                changed = True
+        if changed:
+            self._paths = None
 
     def on_link_failure(self, neighbor):
         if self.neighbors.pop(neighbor, None) is not None:
-            self._neighbors_changed()
+            self._paths = None
 
 
 def start_sweeps(sim, nodes):

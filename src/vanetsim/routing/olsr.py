@@ -86,9 +86,10 @@ class OlsrAgent(LinkStateAgent):
     # -- periodic emission -------------------------------------------------
 
     def _hello_tick(self):
-        # built again only after a link change; nothing mutates a Hello
+        # built again once a record is added or changed, which drops it, or
+        # removed, which leaves it listing too many; nothing mutates a Hello
         msg = self._hello
-        if msg is None:
+        if msg is None or len(msg.sym) + len(msg.heard) != len(self.neighbors):
             sym, heard = self._sym_and_heard()
             msg = self._hello = Hello(self.node.id, sym, heard,
                                       tuple(sorted(self.mpr_set)))
@@ -110,17 +111,20 @@ class OlsrAgent(LinkStateAgent):
     # -- control plane -----------------------------------------------------
 
     def _process_hello(self, msg, prev_hop):
+        new = msg.sender not in self.neighbors
         rec, changed = self._heard(msg.sender, msg.sym, msg.heard)
         sym_set = frozenset(msg.sym)
         if rec.sym_set != sym_set:
             rec.sym_set = sym_set
-            changed = True
+            changed = changed or rec.symmetric
         selects_me = self.node.id in msg.mprs
         if rec.selects_me != selects_me:
             rec.selects_me = selects_me
             self.ansn += 1
+        if new or changed:
+            self._hello = None
         if changed:
-            self._neighbors_changed()
+            self._links_changed()
 
     def _process_tc(self, msg, prev_hop):
         if msg.orig == self.node.id:
@@ -142,16 +146,11 @@ class OlsrAgent(LinkStateAgent):
     handlers = {Hello: _process_hello, TcMessage: _process_tc}
 
     def _links_changed(self):
-        """Mark the paths stale, and wake every sleeping source."""
+        """Mark the paths stale, and wake every sleeping source: a HELLO or
+        TC that changes a link may give it a path; a removal cannot."""
         super()._links_changed()
         for dest in list(self.sleepers):
             self._settle(dest)
-
-    def _neighbors_changed(self):
-        """A HELLO reads only the neighbour records and the MPRs chosen
-        from them, so only their change marks it stale."""
-        self._hello = None
-        super()._neighbors_changed()
 
     def on_source_miss(self, pkt):
         """Drop and count; the session's next packets meet the same until
@@ -169,8 +168,6 @@ class OlsrAgent(LinkStateAgent):
     @property
     def mpr_set(self):
         """MPRs selected from the neighbour records, for each HELLO."""
-        if not self.neighbors:
-            return set()
         me = self.node.id
         sym = self._sym_neighbors()
         coverage = {}

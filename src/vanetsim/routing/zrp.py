@@ -104,7 +104,7 @@ class ZrpAgent(ReactiveAgent, LinkStateAgent):
         the zone, so the zone is rebuilt at once only if packets wait; else
         the next_hop miss that buffers one reads the zone first. So no
         waiting destination is in the current zone, and a message that
-        changes no link may skip the call."""
+        changes no link, or a removal, which can bring none in, skips it."""
         super()._links_changed()
         if self.pending:
             paths = self.paths

@@ -153,9 +153,10 @@ def refused_sleep(protocol):
 
 
 # The functions that wake a sleeping source: OLSR's link changes (a HELLO,
-# a TC, the sweep, a link failure), a new route entry (learn_route, ZRP's
-# _install_from_route), a flush or drop of the pending buffer, and the end
-# of Simulation.run.
+# a TC), a new route entry (learn_route, ZRP's _install_from_route), a
+# flush or drop of the pending buffer, and the end of Simulation.run. A
+# sweep or link failure wakes none; they stay listed so that a stray wake
+# from a removal is counted at its own site.
 WAKE_SITES = ("_process_hello", "_process_tc", "_sweep", "on_link_failure",
               "learn_route", "_install_from_route", "flush_pending",
               "drop_pending", "run")

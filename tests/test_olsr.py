@@ -3,6 +3,8 @@
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from vanetsim.engine import Simulator
 from vanetsim.routing.base import NeighborRecord
 from vanetsim.routing.olsr import (TC_TTL, TOPO_HOLD_US, Hello, OlsrAgent,
@@ -239,3 +241,50 @@ def test_a_link_state_change_keeps_the_cached_hello():
     assert not agent.link_state and agent._paths is None
     assert agent._hello is hello
     assert 3 not in agent.paths
+
+
+def hello_agent():
+    """Node 0's OLSR agent with no neighbours yet, and the list its MAC
+    appends each message it is handed to."""
+    sim = Simulator(seed=1)
+    sent = []
+    mac = SimpleNamespace(enqueue=lambda hop, msg, size: sent.append(msg))
+    return OlsrAgent(sim, SimpleNamespace(id=0, mac=mac),
+                     ScenarioConfig()), sent
+
+
+def test_a_neighbour_that_does_not_hear_this_node_keeps_the_paths():
+    # A heard-only neighbour is in no path (RFC 3626 section 10), nor is
+    # its sym_set read, so neither its record nor a change to its sym_set
+    # drops the paths; only the HELLO shows it.
+    agent, sent = hello_agent()
+    agent._process_hello(Hello(sender=1, sym=(0, 2), heard=(), mprs=()), 1)
+    agent._hello_tick()
+    paths = agent.paths
+    assert paths == {1: (0, 1), 2: (0, 1, 2)}
+    agent._process_hello(Hello(sender=3, sym=(2,), heard=(), mprs=()), 3)
+    assert agent._paths is paths
+    agent._hello_tick()
+    hello = sent[-1]
+    assert (hello.sym, hello.heard, hello.mprs) == ((1,), (3,), (1,))
+    agent._process_hello(Hello(sender=3, sym=(2, 4), heard=(), mprs=()), 3)
+    assert agent._paths is paths and agent._hello is hello
+
+
+@pytest.mark.parametrize("removal", ("sweep", "link failure"))
+def test_a_dropped_neighbour_is_gone_from_the_next_hello(removal):
+    agent, sent = hello_agent()
+    agent._process_hello(Hello(sender=1, sym=(0,), heard=(), mprs=()), 1)
+    agent.sim.run_until(agent.hello_us)
+    agent._process_hello(Hello(sender=2, sym=(), heard=(), mprs=()), 2)
+    agent._hello_tick()
+    assert (sent[-1].sym, sent[-1].heard) == ((1,), (2,))
+    if removal == "sweep":
+        # node 1's record expires a HELLO interval before node 2's
+        agent.sim.run_until(agent.neighbor_hold_us + 1)
+        agent._sweep()
+    else:
+        agent.on_link_failure(1)
+    assert set(agent.neighbors) == {2}
+    agent._hello_tick()
+    assert (sent[-1].sym, sent[-1].heard) == ((), (2,))

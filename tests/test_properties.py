@@ -137,7 +137,24 @@ class OwnSweep:
         self.sim.schedule_after(SWEEP_US, self._sweep)
 
 
-class EagerOlsr(OwnSweep, OlsrAgent):
+class EagerRemovals:
+    """A sweep or link failure that drops the paths builds them again at
+    once, where the agent itself waits until they are read."""
+
+    def _sweep(self):
+        super()._sweep()
+        self._build_dropped()
+
+    def on_link_failure(self, neighbor):
+        super().on_link_failure(neighbor)
+        self._build_dropped()
+
+    def _build_dropped(self):
+        if self._paths is None:
+            self._paths = self._shortest_paths(self._adjacency())
+
+
+class EagerOlsr(EagerRemovals, OwnSweep, OlsrAgent):
     """Oracle for OlsrAgent: computes routes on every change to the link
     sets, as RFC 3626 section 10 words it."""
 
@@ -146,7 +163,7 @@ class EagerOlsr(OwnSweep, OlsrAgent):
         self._paths = self._shortest_paths(self._adjacency())
 
 
-class EagerZrp(OwnSweep, ZrpAgent):
+class EagerZrp(EagerRemovals, OwnSweep, ZrpAgent):
     """Oracle for ZrpAgent: rebuilds the zone on every change to the link
     sets, then ends discovery for each waiting destination it covers."""
 
@@ -273,8 +290,7 @@ def test_battery_horizon_changes_no_byte():
 WOKEN_AT = {
     "aodv": {"learn_route", "drop_pending", "run"},
     "dymo": {"learn_route", "drop_pending", "run"},
-    "olsr": {"_process_hello", "_process_tc", "_process_tc known", "_sweep",
-             "on_link_failure", "run"},
+    "olsr": {"_process_hello", "_process_tc", "_process_tc known", "run"},
     "zrp": {"_install_from_route", "flush_pending", "drop_pending", "run"},
 }
 
@@ -308,10 +324,10 @@ def test_counting_doomed_packets_changes_no_byte(protocol):
 
 
 def dropping_after_every_message(agent_cls, skipped):
-    """agent_cls's handlers, each calling _neighbors_changed (which drops
-    the paths and OLSR's HELLO) after every HELLO, TC or advert; a HELLO,
-    or an advert heard for the first time, that left a built map of paths
-    in place adds 1 to skipped[0]."""
+    """agent_cls's handlers, each calling _links_changed (which drops the
+    paths) and dropping OLSR's HELLO after every HELLO, TC or advert; a
+    HELLO, or an advert heard for the first time, that left a built map of
+    paths in place adds 1 to skipped[0]."""
 
     def wrap(handler):
         def handle(agent, msg, prev_hop):
@@ -321,7 +337,9 @@ def dropping_after_every_message(agent_cls, skipped):
                 and (msg.orig, msg.seq) not in agent.adv_seen)
             handler(agent, msg, prev_hop)
             skipped[0] += first and paths is not None and agent._paths is paths
-            agent._neighbors_changed()
+            agent._links_changed()
+            if isinstance(agent, OlsrAgent):
+                agent._hello = None
         return handle
 
     return {kind: wrap(handler) if kind in (Hello, TcMessage, ZoneAdvert)
@@ -332,8 +350,8 @@ def dropping_after_every_message(agent_cls, skipped):
 def test_dropping_paths_only_on_a_link_change_changes_no_byte(protocol):
     # Paths (and OLSR's HELLO) dropped after every message that carries
     # links, against the paths dropped only when a message changes some
-    # link and the HELLO only when it changes a neighbour record: the same
-    # bytes and the same events scheduled.
+    # link and the HELLO only when it adds or changes a neighbour record:
+    # the same bytes and the same events scheduled.
     agent_cls = AGENTS[protocol]
     skips = []
 

@@ -2,9 +2,10 @@
 notice.
 
 Each case is a small run built so that one notice wakes a source that
-slept through some of its ticks. It is compared with the same run with
-every sleep refused: the same metrics.csv bytes, and each counted tick
-one event fewer.
+slept through some of its ticks; each removal case, one in which a sweep
+or a link failure drops a neighbour while a source sleeps. It is compared
+with the same run with every sleep refused: the same metrics.csv bytes,
+and each counted tick one event fewer.
 """
 
 import pytest
@@ -39,19 +40,6 @@ CASES = {
     "tc": ("_process_tc known", dict(
         protocol="olsr", positions=line_positions(4), sessions=[(0, 3)],
         sim_time_s=8.0, hello_interval_s=1.0)),
-    # node 0 has no path to node 2; node 1 leaves, and the sweep expires it
-    "sweep": ("_sweep", dict(
-        protocol="olsr", positions={0: (50.0, 100.0), 1: (130.0, 100.0),
-                                    2: FAR},
-        waypoints={1: leaving(130.0, 100.0)}, sessions=[(0, 2)],
-        sim_time_s=10.0, hello_interval_s=1.0)),
-    # as above, but node 0 also sends to node 1, whose MAC retries run out
-    # before the sweep expires it
-    "link-failure": ("on_link_failure", dict(
-        protocol="olsr", positions={0: (50.0, 100.0), 1: (130.0, 100.0),
-                                    2: FAR},
-        waypoints={1: leaving(130.0, 100.0)}, sessions=[(0, 2), (0, 1)],
-        sim_time_s=10.0, hello_interval_s=1.0)),
     # 0 <-> 1 while node 1 arrives: the request of one reaches the other
     # while its own round runs, and the reverse route lets it send at once
     "route-aodv": ("learn_route", dict(
@@ -80,6 +68,27 @@ CASES = {
 }
 
 
+# A sweep or a link failure only takes links away, which gives no sleeping
+# source a path, so neither wakes one.
+# node 0 has no path to node 2; node 1 leaves, and the sweep expires it
+SWEPT = dict(
+    protocol="olsr", positions={0: (50.0, 100.0), 1: (130.0, 100.0), 2: FAR},
+    waypoints={1: leaving(130.0, 100.0)}, sessions=[(0, 2)],
+    sim_time_s=10.0, hello_interval_s=1.0)
+REMOVALS = {
+    "sweep": SWEPT,
+    # as above, but node 0 also sends to node 1, whose MAC retries run out
+    # before the sweep expires it
+    "link-failure": dict(SWEPT, sessions=[(0, 2), (0, 1)]),
+}
+
+
+def static_config(scenario):
+    scenario = dict(scenario)
+    return make_static_config(scenario.pop("positions"),
+                              scenario.pop("sessions"), **scenario)
+
+
 def sleeping_and_refused(config):
     """Run config as it is and with every sleep refused; check the two
     runs agree and return where the first woke its sources."""
@@ -99,7 +108,10 @@ def sleeping_and_refused(config):
 @pytest.mark.parametrize("case", CASES)
 def test_a_notice_wakes_the_sleeping_source(case):
     site, scenario = CASES[case]
-    scenario = dict(scenario)
-    config = make_static_config(scenario.pop("positions"),
-                                scenario.pop("sessions"), **scenario)
-    assert sleeping_and_refused(config)[site] > 0
+    assert sleeping_and_refused(static_config(scenario))[site] > 0
+
+
+@pytest.mark.parametrize("case", REMOVALS)
+def test_a_removal_wakes_no_source(case):
+    woken = sleeping_and_refused(static_config(REMOVALS[case]))
+    assert woken["_sweep"] == woken["on_link_failure"] == 0
