@@ -654,3 +654,20 @@ def test_relay_route_miss_and_relayed_rerr_count_as_rerr_sent():
     agent.on_receive(Rerr(((7, 5),)), prev_hop=4)
     assert sent[-1] == Rerr(((7, 5),))
     assert agent.stats["rerr_sent"] == 2
+
+
+@pytest.mark.parametrize("protocol", ("aodv", "dymo"))
+def test_a_link_failure_reports_each_valid_route_through_the_neighbour_once(
+        protocol):
+    # RFC 3561 section 6.11: a broken next hop acts as a RERR from it for
+    # every route through it
+    agent = miss_agent(protocol)
+    for dest, hop, seq in ((3, 4, 4), (5, 6, 2), (7, 4, 1), (9, 4, 0)):
+        agent.learn_route(dest, hop, seq, 2)
+    agent.table.entries[7].valid = False
+    agent.on_link_failure(4)
+    assert agent.node.mac.sent == [Rerr(((3, 5), (9, 1)))]
+    assert agent.stats["rerr_sent"] == 1
+    assert agent.table.lookup(5, 0).seq_no == 2
+    assert agent.table.entries[7].seq_no == 1
+    assert not any(agent.table.entries[d].valid for d in (3, 7, 9))
