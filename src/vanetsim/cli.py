@@ -19,11 +19,13 @@ EXIT_INTERNAL = 2
 
 def _unique(items, what):
     """The items in first-seen order; each repeat is dropped with a warning."""
-    for i, item in enumerate(items):
-        if item in items[:i]:
+    unique = {}
+    for item in items:
+        if item in unique:
             print("warning: duplicate %s %s ignored" % (what, item),
                   file=sys.stderr)
-    return list(dict.fromkeys(items))
+        unique[item] = None
+    return list(unique)
 
 
 def parse_seeds(text):
@@ -54,8 +56,8 @@ def _execute(config, protocol, seed, out_dir, profile_path=None):
     simulation = Simulation(config, protocol=protocol, seed=seed)
     if profile_path:
         simulation.sim.profile = {}
+    os.makedirs(out_dir, exist_ok=True)  # before the run: it may fail
     ledger = simulation.run()
-    os.makedirs(out_dir, exist_ok=True)  # the profile may be written there
     if profile_path:
         _write(profile_path, json.dumps({
             "protocol": ledger.protocol,
@@ -164,7 +166,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationError as exc:

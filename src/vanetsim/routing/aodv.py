@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass, replace
 
-from ..mac import BROADCAST
 from .reactive import RREQ_TTL, DistanceVectorAgent, Rerr
 
 
@@ -30,23 +29,14 @@ class Rrep:
 
 
 class AodvAgent(DistanceVectorAgent):
-    def __init__(self, sim, node, config):
-        super().__init__(sim, node)
-        self.rreq_counter = 0
-
     # -- discovery ---------------------------------------------------------
 
-    def emit_discovery(self, dest):
-        self.own_seq += 1
-        self.rreq_counter += 1
+    def _request(self, dest):
         entry = self.table.entries.get(dest)
         dest_seq = entry.seq_no if entry is not None else 0
-        msg = Rreq(rreq_id=self.rreq_counter, orig=self.node.id,
-                   orig_seq=self.own_seq, dest=dest, dest_seq_known=dest_seq,
-                   hop_count=0, ttl=RREQ_TTL)
-        self.dup_cache.add((msg.orig, msg.rreq_id))
-        self.stats["rreq_sent"] += 1
-        self.send_control(BROADCAST, msg)
+        return Rreq(rreq_id=self.rreq_counter, orig=self.node.id,
+                    orig_seq=self.own_seq, dest=dest, dest_seq_known=dest_seq,
+                    hop_count=0, ttl=RREQ_TTL)
 
     # -- control plane -----------------------------------------------------
 

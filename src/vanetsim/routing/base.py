@@ -76,14 +76,6 @@ class RoutingTable:
                 return True
         return False
 
-    def invalidate(self, dest):
-        e = self.entries.get(dest)
-        if e is not None and e.valid:
-            e.valid = False
-            e.seq_no += 1
-            return e
-        return None
-
 
 class DupCache:
     """Recently seen flood keys, for duplicate suppression.

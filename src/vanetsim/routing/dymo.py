@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass, replace
 
-from ..mac import BROADCAST
 from .reactive import RREQ_TTL, DistanceVectorAgent, Rerr
 
 
@@ -19,7 +18,7 @@ class DymoRrep:
 
 @dataclass
 class DymoRreq(DymoRrep):
-    query_id: tuple      # (orig, counter)
+    rreq_id: int
     ttl: int
 
 
@@ -31,19 +30,10 @@ class DymoAgent(DistanceVectorAgent):
     target answers a request (no cache replies).
     """
 
-    def __init__(self, sim, node, config):
-        super().__init__(sim, node)
-        self.query_counter = 0
-
-    def emit_discovery(self, dest):
-        self.own_seq += 1
-        self.query_counter += 1
+    def _request(self, dest):
         me = self.node.id
-        msg = DymoRreq(me, dest, ((me, self.own_seq, 0),),
-                       query_id=(me, self.query_counter), ttl=RREQ_TTL)
-        self.dup_cache.add(msg.query_id)
-        self.stats["rreq_sent"] += 1
-        self.send_control(BROADCAST, msg)
+        return DymoRreq(me, dest, ((me, self.own_seq, 0),),
+                        rreq_id=self.rreq_counter, ttl=RREQ_TTL)
 
     def _learn_path(self, msg, prev_hop):
         """Learn a route through prev_hop to every node msg lists; return
@@ -60,7 +50,7 @@ class DymoAgent(DistanceVectorAgent):
 
     def _process_rreq(self, msg, prev_hop):
         grown = self._learn_path(msg, prev_hop)
-        if grown is None or not self.dup_cache.add(msg.query_id):
+        if grown is None or not self.dup_cache.add((msg.orig, msg.rreq_id)):
             return
         me = self.node.id
         if msg.target != me:

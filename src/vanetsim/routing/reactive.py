@@ -9,8 +9,8 @@ destination are dropped and further rounds for that destination are held
 off (exponential, capped) so a persistently unreachable peer does not
 turn the source into a flood generator.
 
-AODV and DYMO also share how they learn routes, relay replies and report
-broken ones: DistanceVectorAgent.
+AODV and DYMO also share how they number and flood requests, learn
+routes, relay replies and report broken ones: DistanceVectorAgent.
 """
 
 from collections import deque
@@ -190,12 +190,23 @@ class ReactiveAgent(Agent):
 
 
 class DistanceVectorAgent(ReactiveAgent):
-    """Sequence-numbered routes, flooded discovery, RERR toward sources."""
+    """Sequence-numbered routes, flooded discovery, RERR toward sources.
+    A subclass builds its request in _request(dest); a request is named by
+    its originator and rreq_id (RFC 3561 section 6.3)."""
 
-    def __init__(self, sim, node):
+    def __init__(self, sim, node, config):
         super().__init__(sim, node)
         self.own_seq = 0
+        self.rreq_counter = 0
         self.dup_cache = DupCache(sim, us(DUP_CACHE_S))
+
+    def emit_discovery(self, dest):
+        self.own_seq += 1
+        self.rreq_counter += 1
+        msg = self._request(dest)
+        self.dup_cache.add((msg.orig, msg.rreq_id))
+        self.stats["rreq_sent"] += 1
+        self.send_control(BROADCAST, msg)
 
     def on_route_used(self, entry):
         entry.expires_at = self.sim.now + ROUTE_LIFETIME_US
@@ -223,22 +234,21 @@ class DistanceVectorAgent(ReactiveAgent):
         self._send_rerr([(pkt.dst, seq)])
 
     def _process_rerr(self, msg, prev_hop):
+        """Invalidate and report on each valid route via prev_hop that msg
+        lists, at the later of its seq_no + 1 and the reported one."""
         mine = []
         for dest, seq in msg.unreachable:
             e = self.table.entries.get(dest)
-            if (e is not None and e.next_hop == prev_hop
-                    and self.table.invalidate(dest) is not None):
-                e.seq_no = max(e.seq_no, seq)
+            if e is not None and e.valid and e.next_hop == prev_hop:
+                e.valid = False
+                e.seq_no = max(e.seq_no + 1, seq)
                 mine.append((dest, e.seq_no))
         self._send_rerr(mine)
 
     def on_link_failure(self, neighbor):
-        broken = []
-        for dest, e in sorted(self.table.entries.items()):
-            if (e.next_hop == neighbor
-                    and self.table.invalidate(dest) is not None):
-                broken.append((dest, e.seq_no))
-        self._send_rerr(broken)
+        # as a RERR from neighbor for every route (RFC 3561 section 6.11)
+        dests = sorted(self.table.entries)
+        self._process_rerr(Rerr(tuple((d, 0) for d in dests)), neighbor)
 
     def _send_rerr(self, pairs):
         """Broadcast a RERR for the (dest, seq_no) pairs, if there are any."""

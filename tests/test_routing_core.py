@@ -65,12 +65,18 @@ def test_equal_sequence_replaces_invalid_entry():
 
 
 def test_invalidate_bumps_sequence_number():
-    t = RoutingTable()
-    t.update_if_fresher(entry(seq=3))
-    e = t.invalidate(5)
-    assert e.seq_no == 4 and not e.valid
-    assert t.invalidate(5) is None  # already invalid
-    assert t.invalidate(99) is None
+    # a RERR invalidates a route at one past its seq_no, or at a later one
+    # reported; an invalid route is neither bumped nor reported again
+    agent = miss_agent("aodv")
+    agent.learn_route(5, 1, 3, 2)
+    agent.learn_route(6, 1, 3, 2)
+    agent.on_receive(Rerr(((5, 0), (6, 7), (99, 1))), prev_hop=1)
+    assert [(agent.table.entries[d].valid, agent.table.entries[d].seq_no)
+            for d in (5, 6)] == [(False, 4), (False, 7)]
+    assert agent.node.mac.sent == [Rerr(((5, 4), (6, 7)))]
+    agent.on_receive(Rerr(((5, 9),)), prev_hop=1)
+    assert agent.table.entries[5].seq_no == 4
+    assert agent.node.mac.sent == [Rerr(((5, 4), (6, 7)))]
 
 
 def test_hop_copy_decrements_ttl_only():
@@ -87,7 +93,7 @@ def test_control_message_sizes():
         (Rreq(1, 0, 1, 9, 0, 0, 35), 24),
         (Rrep(0, 9, 1, 0), 20),
         (Rerr(((1, 2), (3, 4), (5, 6))), 32),
-        (DymoRreq(0, 9, ((0, 1, 0), (4, 1, 1), (7, 1, 2)), (0, 1), 35), 52),
+        (DymoRreq(0, 9, ((0, 1, 0), (4, 1, 1), (7, 1, 2)), 1, 35), 52),
         (DymoRrep(0, 9, ((9, 1, 0), (7, 1, 1))), 40),
         (Hello(sender=0, sym=(1, 2), heard=(3,), mprs=(1,)), 28),
         (TcMessage(0, 0, (1, 2, 3), (0, 1), TC_TTL), 24),
@@ -259,7 +265,7 @@ def run_sources(case, grant):
     route = entry(dest=9, next_hop=4, expires=us(100))
     if case == "gap":
         sim.schedule_at(us(0.15), lambda: agent.table.update_if_fresher(route))
-        sim.schedule_at(us(0.35), lambda: agent.table.invalidate(9))
+        sim.schedule_at(us(0.35), lambda: setattr(route, "valid", False))
     if case == "flush":
         def found():
             agent.table.update_if_fresher(route)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -201,6 +202,15 @@ def test_parse_seeds_ranges_and_lists():
             parse_seeds(bad)
 
 
+def test_parse_seeds_warns_of_each_repeat_in_order_in_linear_time(capsys):
+    assert parse_seeds("4,2,4..5,2") == [4, 2, 5]
+    assert capsys.readouterr().err == ("warning: duplicate seed 4 ignored\n"
+                                       "warning: duplicate seed 2 ignored\n")
+    start = time.perf_counter()
+    assert parse_seeds("1..100000") == list(range(1, 100_001))
+    assert time.perf_counter() - start < 0.5
+
+
 # -- CLI ------------------------------------------------------------------
 
 
@@ -300,6 +310,23 @@ def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 2
     err = capsys.readouterr().err
     assert err == "internal error: power accounting moved backwards\n"
+
+
+@pytest.mark.parametrize("case", ("out", "profile", "compare"))
+def test_cli_unwritable_output_is_one_error_line_and_exits_1(tmp_path, capsys,
+                                                            case):
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"out": ["run", cfg, "--out", str(taken)],
+            "profile": ["run", cfg, "--out", str(tmp_path / "out"),
+                        "--profile", str(tmp_path / "nodir" / "p.json")],
+            "compare": ["compare", cfg, "--protocols", "aodv,olsr",
+                        "--seeds", "1", "--out", str(taken)]}[case]
+    assert main(argv) == cli.EXIT_VALIDATION == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_run_is_reproducible(tmp_path):
