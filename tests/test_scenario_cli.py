@@ -314,7 +314,11 @@ def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", ("out", "profile", "compare"))
 def test_cli_unwritable_output_is_one_error_line_and_exits_1(tmp_path, capsys,
-                                                            case):
+                                                            monkeypatch, case):
+    ran = []
+    run = Simulation.run
+    monkeypatch.setattr(Simulation, "run",
+                        lambda self: ran.append(self) or run(self))
     cfg = write_cfg(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -327,6 +331,8 @@ def test_cli_unwritable_output_is_one_error_line_and_exits_1(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the run directory is made before the run; the profile is written after
+    assert len(ran) == (case == "profile")
 
 
 def test_cli_run_is_reproducible(tmp_path):
